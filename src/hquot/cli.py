@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -216,7 +217,7 @@ def main(argv=None):
     if args.command == "probe":
         try:
             p_values = tuple(float(x) for x in args.p.split(","))
-            if not p_values or any(p <= 0 for p in p_values):
+            if not p_values or not all(math.isfinite(p) and p > 0 for p in p_values):
                 raise ValueError
         except ValueError:
             return _fail_usage(f"bad probe exponent list: {args.p!r}")

@@ -36,8 +36,6 @@ from .grid import first_derivative, second_derivative
 from .quaternion import (
     chi_eigh,
     chi_eigvals,
-    jprime,
-    newton_transform_chi,
     structure_residual,
 )
 
@@ -48,7 +46,6 @@ __all__ = [
     "omega_u",
     "eig_field",
     "sigma_field",
-    "sigma_excl_field",
     "in_gamma_k_field",
     "GammaFieldReport",
     "measure_epsilon",
@@ -178,10 +175,6 @@ def eig_field(W, tol_scale=1e-8):
     n = _n_of(W)
     if n == 1:
         return W[..., :1, 0].real.copy()
-    diag = np.einsum("...ii->...i", W)
-    off = W - diag[..., None, :] * np.eye(2 * n)
-    if not off.any() and not diag.imag.any():
-        return np.sort(diag.real[..., :n], axis=-1)
     return chi_eigvals(W, tol_scale)
 
 
@@ -190,13 +183,6 @@ def sigma_field(W, k, lam=None):
     if lam is None:
         lam = eig_field(W)
     return symfun.sigma(lam, k)
-
-
-def sigma_excl_field(W, k, lam=None):
-    """Pointwise sigma_k of the eigenvalues with entry j removed, (..., n)."""
-    if lam is None:
-        lam = eig_field(W)
-    return symfun.sigma_excl_all(lam, k)
 
 
 @dataclass
@@ -369,13 +355,6 @@ def wedge_minor_coeff(lam, i, l):
 def newton_transform_field(W, m, eigh_cache=None):
     """Pointwise m-th Newton transform field (same shape as W)."""
     W = np.asarray(W, dtype=complex)
-    n = _n_of(W)
-    if n == 1:
-        out = np.zeros_like(W)
-        if m == 0:
-            out[..., 0, 0] = 1.0
-            out[..., 1, 1] = 1.0
-        return out
     if eigh_cache is None:
         lam, V = chi_eigh(W)
     else:
@@ -385,12 +364,30 @@ def newton_transform_field(W, m, eigh_cache=None):
     return np.einsum("...ij,...j,...kj->...ik", V, sdup, V.conj())
 
 
-def gradient_pairing(u, W, i, grid, backend="spectral", grad=None, validate=True):
+def _spectral_pairing(v, a, W, i, spectrum=None):
+    """c_i sum_j conj((V^H v)_j) (V^H a)_j sigma_{i-1}(lam|j) = c_i v^H S_{i-1}(W) a,
+
+    c_i = (i-1)!(n-i)!/n!, from the spectrum (lam, V) of W, each collapsed
+    eigenvalue weighting its two embedding slots.  Order 1 needs no spectrum.
+    """
+    n = _n_of(W)
+    c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
+    if i == 1:
+        return c * np.einsum("...p,...p->...", v.conj(), a)
+    lam, V = chi_eigh(W) if spectrum is None else spectrum
+    pv = np.einsum("...pj,...p->...j", V.conj(), v)
+    pa = np.einsum("...pj,...p->...j", V.conj(), a)
+    s = np.repeat(symfun.sigma_excl_all(lam, i - 1), 2, axis=-1)
+    return c * np.einsum("...j,...j,...j->...", pv.conj(), s, pa)
+
+
+def gradient_pairing(u, W, i, grid, backend="spectral", grad=None, validate=True,
+                     spectrum=None):
     """The scalar field  (i-1)! (n-i)! / n! * sum_l m_l sigma_{i-1}(lam(W)|l),
 
     where m_l is the squared magnitude of the two gradient coefficients of
-    direction l in the frame diagonalizing W.  Evaluated invariantly as
-    v^H S_{i-1}(W) v; nonnegative whenever W is in Gamma_i pointwise.
+    direction l in the frame diagonalizing W (``spectrum``, if precomputed).
+    Equals v^H S_{i-1}(W) v; nonnegative whenever W is in Gamma_i pointwise.
     """
     W = np.asarray(W, dtype=complex)
     n = _n_of(W)
@@ -402,10 +399,7 @@ def gradient_pairing(u, W, i, grid, backend="spectral", grad=None, validate=True
             raise ConeError(f"field not in Gamma_{i} (margin {rep.worst_margin:.3e})")
     if grad is None:
         grad = gradient_coefficients(u, grid, backend)
-    S = newton_transform_field(W, i - 1)
-    quad = np.einsum("...p,...pq,...q->...", grad.conj(), S, grad).real
-    c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
-    return c * quad
+    return _spectral_pairing(grad, grad, W, i, spectrum).real
 
 
 def gradient_alpha_pairing(grad, alpha, W, i):
@@ -414,9 +408,4 @@ def gradient_alpha_pairing(grad, alpha, W, i):
     the mixed gradient/one-form pairing in the frame diagonalizing W.  The
     inner product couples the two embedding coefficients of each direction.
     """
-    W = np.asarray(W, dtype=complex)
-    n = _n_of(W)
-    S = newton_transform_field(W, i - 1)
-    mixed = np.einsum("...p,...pq,...q->...", grad.conj(), S, alpha)
-    c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
-    return c * mixed
+    return _spectral_pairing(grad, alpha, np.asarray(W, dtype=complex), i)

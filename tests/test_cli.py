@@ -158,6 +158,15 @@ def test_probe_bad_p_list(tmp_path, solve_cfg):
     assert rc == 2
 
 
+@pytest.mark.parametrize("p_list", ["4,nan", "inf"])
+def test_probe_rejects_non_finite_p(tmp_path, solve_cfg, p_list):
+    assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol"), "--quiet"]) == 0
+    rc = main(["probe", "--result", str(tmp_path / "sol"), "--out", str(tmp_path / "pr"),
+               "--p", p_list, "--quiet"])
+    assert rc == 2
+    assert not (tmp_path / "pr").exists()
+
+
 def test_full_pipeline_byte_identical(tmp_path, solve_cfg):
     payloads = []
     for d in ("r1", "r2"):

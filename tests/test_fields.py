@@ -377,6 +377,30 @@ def test_gradient_pairing_constant_and_identity():
         assert np.abs(gp - gradsq / 3).max() < 1e-12
 
 
+def test_projected_pairing_matches_newton_transform():
+    # c_i sum_j |(V^H v)_j|^2 sigma_{i-1}(lam|j) = c_i v^H S_{i-1}(W) v, also for
+    # the mixed pairing and at W = Id (fully degenerate eigenvalues)
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        for axes in ((0, 5), (0, 1, 2, 3)):
+            g = TorusGrid(n, axes, 8)
+            x = {axis: _field(g, axis, lambda t: t) for axis in axes}
+            u = 0.03 * np.cos(2 * np.pi * (x[axes[0]] + x[axes[1]]))
+            for axis in axes:
+                u = u + 0.05 * np.sin(2 * np.pi * x[axis] + axis)
+            grad = fl.gradient_coefficients(u, g)
+            alpha = rng.normal(size=grad.shape) + 1j * rng.normal(size=grad.shape)
+            identity = fl.identity_form(g)
+            for W in (identity, fl.omega_u(identity, u, 1.0, g)):
+                for i in range(1, n + 1):
+                    c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
+                    S = fl.newton_transform_field(W, i - 1)
+                    for a, got in ((grad, fl.gradient_pairing(u, W, i, g, validate=False)),
+                                   (alpha, fl.gradient_alpha_pairing(grad, alpha, W, i))):
+                        ref = c * np.einsum("...p,...pq,...q->...", grad.conj(), S, a)
+                        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_gradient_pairing_cone_guard():
     g = TorusGrid(2, (0,), 8)
     W = fl.identity_form(g)

@@ -54,7 +54,7 @@ def test_simpson_nodes():
 
 def test_cherrier_zero_potential():
     g = TorusGrid(1, (0,), 16)
-    assert probe.cherrier_ratio(np.zeros(g.shape), g, 4.0) < 1e-25
+    assert probe.cherrier_table(np.zeros(g.shape), g, [4.0])[0]["ratio"] < 1e-25
 
 
 def test_cherrier_small_amplitude_series():
@@ -63,7 +63,7 @@ def test_cherrier_small_amplitude_series():
     x = _coords(g, 0)
     p = 2.0
     for eta in (1e-3, 1e-4):
-        c = probe.cherrier_ratio(eta * np.sin(2 * np.pi * x), g, p)
+        c = probe.cherrier_table(eta * np.sin(2 * np.pi * x), g, [p])[0]["ratio"]
         pred = (p / 4) * np.pi**2 * eta**2
         assert c == pytest.approx(pred, rel=1e-2)
 
@@ -72,7 +72,7 @@ def test_cherrier_no_overflow_at_large_exponent():
     g = TorusGrid(1, (0,), 16)
     x = _coords(g, 0)
     u = 2.0 * np.sin(2 * np.pi * x)
-    c = probe.cherrier_ratio(u - u.max(), g, 512.0)
+    c = probe.cherrier_table(u - u.max(), g, [512.0])[0]["ratio"]
     assert np.isfinite(c) and c > 0
 
 
@@ -154,6 +154,50 @@ def test_weighted_energy_bounded_over_p():
     cs = [probe.weighted_energy_check(u, om0, grid, 2, p)["c_min"] for p in (4, 8, 16, 32)]
     assert all(np.isfinite(c) and 0 < c < 10 for c in cs)
     assert max(cs) / min(cs) < 2.0
+
+
+def test_weighted_energy_matches_per_node_reference():
+    # the t-integrated fields give the same constants as weighting every
+    # Simpson node and forming the Newton transform there, for every p
+    grid, u, om0, F = manufactured_state(3, 2, 1, (0, 4), 12, amp=0.05)
+    n, k = 3, 2
+    hess = fl.quaternionic_hessian(u, grid)
+    grad = fl.gradient_coefficients(u, grid)
+    c = math.factorial(k - 1) * math.factorial(n - k) / math.factorial(n)
+    means = probe.homotopy_means(u, om0, grid, k)
+    for p in (4, 8, 16, 32, 64):
+        weight = np.exp(-p * (u - u.min()))
+        L = G = 0.0
+        for t, w in zip(*probe.simpson_nodes(0.5)):
+            Wt = om0 + t * hess
+            sk1 = symfun.sigma(fl.eig_field(Wt), k - 1) / math.comb(n, k - 1)
+            L += w * integrate(weight * sk1, grid)
+            S = fl.newton_transform_field(Wt, k - 1)
+            gp = c * np.einsum("...p,...pq,...q->...", grad.conj(), S, grad).real
+            G += w * integrate(weight * gp, grid)
+        M0 = integrate(weight, grid)
+        for rec in (probe.weighted_energy_check(u, om0, grid, k, p),
+                    probe.weighted_energy_check(u, om0, grid, k, p, means=means)):
+            assert rec["lhs"] == pytest.approx(L, rel=1e-12)
+            assert rec["gradient_term"] == pytest.approx(G, rel=1e-12)
+            assert rec["c_min"] == pytest.approx(L / (p * G + M0), rel=1e-12)
+
+
+def test_run_probe_one_eigh_per_node(monkeypatch):
+    # one eigendecomposition per Simpson node of [0, 1/2], shared by the
+    # homotopy check, every order and every p
+    grid, u, om0, F = manufactured_state(3, 2, 1, (0, 4), 12, amp=0.05)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rep = probe.run_probe(u, om0, F, grid, 2, 1, p_values=(4, 8, 16, 32, 64))
+    assert rep.mandatory_ok
+    assert 0 < len(calls) <= probe.T_NODES
 
 
 def test_pointwise_sweep_manufactured():
