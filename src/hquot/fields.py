@@ -36,6 +36,7 @@ from .grid import first_derivative, second_derivative
 from .quaternion import (
     chi_eigh,
     chi_eigvals,
+    chi_from_spectrum,
     structure_residual,
 )
 
@@ -319,10 +320,10 @@ def simultaneous_diagonalize(M1, M2, tol=1e-9):
     M1 = np.asarray(M1, dtype=complex)
     M2 = np.asarray(M2, dtype=complex)
     n = _n_of(M1)
-    lam1, V1 = np.linalg.eigh(M1)
+    lam1, V1 = chi_eigh(M1)
     if lam1[0] <= 0:
         raise ConeError(f"first form is not positive definite (min eig {lam1[0]:.3e})")
-    S = (V1 * (lam1 ** -0.5)) @ V1.conj().T  # M1^(-1/2), stays quaternionic
+    S = chi_from_spectrum(V1, lam1 ** -0.5)  # M1^(-1/2), stays quaternionic
     B = S @ M2 @ S
     B = (B + B.conj().T) / 2.0
     from .quaternion import QMatrix, eig as qeig
@@ -352,16 +353,12 @@ def wedge_minor_coeff(lam, i, l):
     return symfun.sigma_excl(lam, i - 1, l)
 
 
-def newton_transform_field(W, m, eigh_cache=None):
-    """Pointwise m-th Newton transform field (same shape as W)."""
-    W = np.asarray(W, dtype=complex)
-    if eigh_cache is None:
-        lam, V = chi_eigh(W)
-    else:
-        lam, V = eigh_cache
-    s = symfun.sigma_excl_all(lam, m)
-    sdup = np.repeat(s, 2, axis=-1)
-    return np.einsum("...ij,...j,...kj->...ik", V, sdup, V.conj())
+def newton_transform_field(W, m, spectrum=None):
+    """Pointwise m-th Newton transform field (same shape as W): the spectral
+    function lam_j -> sigma_m(lam|j) of W, from ``spectrum`` = chi_eigh(W) if
+    precomputed."""
+    lam, V = chi_eigh(np.asarray(W, dtype=complex)) if spectrum is None else spectrum
+    return chi_from_spectrum(V, symfun.sigma_excl_all(lam, m))
 
 
 def _spectral_pairing(v, a, W, i, spectrum=None):

@@ -104,7 +104,11 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
     With the spectral backend the identity is exact up to aliasing of
     e^(-pu/2) on the grid; with ``fd`` it holds only to O(h^2) (on a
     two-axis field at N = 16: 4% relative at p = 4, 14% at p = 64).
+    Every p must be finite and positive (ValueError otherwise).
     """
+    bad = [p for p in p_values if not (math.isfinite(p) and p > 0)]
+    if bad:
+        raise ValueError(f"Cherrier exponents must be finite and positive, got {bad}")
     rows = []
     u = np.asarray(u, dtype=float)
     for p in p_values:
@@ -116,15 +120,16 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
     return rows
 
 
-def homotopy_means(u, omega0, grid, k, backend="spectral"):
+def homotopy_means(u, omega0, grid, k, backend="spectral", hessian=None):
     """Pointwise t-integrals over [0, 1/2]: (L, G) with L = int sigma_{k-1}(W_t) dt
     and G[i-1] = int gradient_pairing(u, W_t, i) dt for i = 1..k.
 
     Each Simpson node is diagonalized once for all orders (order 1 needs no
-    eigenvectors).  Neither field depends on p.
+    eigenvectors).  Neither field depends on p.  ``hessian`` (the quaternionic
+    Hessian of u) may be precomputed.
     """
     u = np.asarray(u, dtype=float)
-    hess = fl.quaternionic_hessian(u, grid, backend)
+    hess = fl.quaternionic_hessian(u, grid, backend) if hessian is None else hessian
     grad = fl.gradient_coefficients(u, grid, backend)
     L = np.zeros(grid.shape)
     G = np.zeros((k,) + grid.shape)
@@ -139,7 +144,7 @@ def homotopy_means(u, omega0, grid, k, backend="spectral"):
 
 
 def homotopy_integral_check(u, omega0, grid, k, p, a=1.0, eps=None, backend="spectral",
-                            means=None):
+                            means=None, hessian=None):
     """Slack records for the homotopy integral inequalities, one per order i < k.
 
     Unweighted (parameter ``a``): pointwise in z,
@@ -155,15 +160,15 @@ def homotopy_integral_check(u, omega0, grid, k, p, a=1.0, eps=None, backend="spe
     gradient pairing at order m+1 (``means``, from ``homotopy_means``).
     Each record also carries the single-eps display variant with raw sigma
     integrands (logged only; see the module notes).  The i = k row is the
-    trivial equality and is flagged.
+    trivial equality and is flagged.  ``hessian`` may be precomputed.
     """
     u = np.asarray(u, dtype=float)
     n = grid.n
     if eps is None:
         eps = fl.measure_epsilon(omega0, k)
+    hess = fl.quaternionic_hessian(u, grid, backend) if hessian is None else hessian
     if means is None:
-        means = homotopy_means(u, omega0, grid, k, backend)
-    hess = fl.quaternionic_hessian(u, grid, backend)
+        means = homotopy_means(u, omega0, grid, k, backend, hessian=hess)
     weight = _shifted_weight(u, p)
 
     S = {m: np.zeros(grid.shape) for m in range(k)}
@@ -281,7 +286,7 @@ class SweepReport:
 
 
 def pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend="spectral", t_grid=SWEEP_T,
-                          eps=None):
+                          eps=None, hessian=None):
     """Evaluate the pointwise homotopy inequalities on the t-grid.
 
     With Ft = C(n,k)/C(n,l) exp(F) and the measured eps, delta (both shaved
@@ -298,7 +303,8 @@ def pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend="spectral", t_grid=S
                             (l=0)  sigma_{k-1}(W_t|j) >= ((1-t) eps)^(k-1) C(n-1,k-1)
 
     ``F`` must be the forcing for which u actually solves the equation
-    (include any normalization constant); ``eps`` may be precomputed.
+    (include any normalization constant); ``eps`` and ``hessian`` may be
+    precomputed.
     """
     u = np.asarray(u, dtype=float)
     n = grid.n
@@ -313,7 +319,7 @@ def pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend="spectral", t_grid=S
         )
     delta = SHAVE * cone.delta
     ft = (math.comb(n, k) / math.comb(n, l)) * np.exp(F)
-    hess = fl.quaternionic_hessian(u, grid, backend)
+    hess = fl.quaternionic_hessian(u, grid, backend) if hessian is None else hessian
     lam1 = fl.eig_field(omega0 + hess)
     sig1 = {i: symfun.sigma(lam1, i) for i in range(1, k + 1)}
 
@@ -443,14 +449,16 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64),
     ``F`` is the effective forcing of the solved state (normalization
     constant included).  The homotopy records are evaluated at the smallest
     probed p; the weighted-energy constants at every p.  Both checks share
-    one set of t-integrated fields from ``homotopy_means``.
+    one set of t-integrated fields from ``homotopy_means``, and every check
+    one quaternionic Hessian of u.
     """
     u = np.asarray(u, dtype=float)
     eps = fl.measure_epsilon(omega0, k)
-    sweep = pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend, eps=eps)
-    means = homotopy_means(u, omega0, grid, k, backend)
+    hess = fl.quaternionic_hessian(u, grid, backend)
+    sweep = pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend, eps=eps, hessian=hess)
+    means = homotopy_means(u, omega0, grid, k, backend, hessian=hess)
     homotopy = homotopy_integral_check(u, omega0, grid, k, float(min(p_values)), a=1.0,
-                                       eps=eps, backend=backend, means=means)
+                                       eps=eps, backend=backend, means=means, hessian=hess)
     weighted = [weighted_energy_check(u, omega0, grid, k, p, eps=eps, backend=backend,
                                       means=means)
                 for p in p_values]

@@ -201,14 +201,28 @@ def chi_eigh(M, tol_scale=1e-8):
 
     Eigenvalues come back pair-collapsed ``(..., n)``; the eigenvector matrix
     is the raw complex one from eigh, shape ``(..., 2n, 2n)``.  Spectral
-    functions built from these (Newton transforms, inverse square roots)
-    automatically land back in the quaternionic subalgebra because paired
-    eigenvalues receive identical weights.
+    functions built from these (``chi_from_spectrum``) automatically land back
+    in the quaternionic subalgebra because paired eigenvalues receive
+    identical weights.  At n = 1 the embedding is lam * Id: lam is read off
+    the diagonal and V is a read-only identity, without LAPACK, and any other
+    entry beyond tol_scale * (1 + |lam|) raises StructureError.
     """
     M = np.asarray(M, dtype=complex)
+    if M.shape[-1] == 2:
+        lam = M[..., :1, 0].real.copy()
+        worst = np.abs(M - lam[..., None] * np.eye(2)).max(initial=0.0)
+        if worst > tol_scale * (1.0 + np.abs(lam).max(initial=0.0)):
+            raise StructureError(f"1 x 1 embedding is not a real multiple of Id: {worst:.3e}")
+        return lam, np.broadcast_to(np.eye(2, dtype=complex), M.shape)
     w, V = np.linalg.eigh(M)
     lam = _collapse_pairs(w, 2, tol_scale)
     return lam, V
+
+
+def chi_from_spectrum(V, s):
+    """Reassemble V diag(s doubled) V^H: the spectral function of a chi_eigh
+    spectrum (lam, V) with collapsed weights ``s`` of shape ``(..., n)``."""
+    return np.einsum("...ij,...j,...kj->...ik", V, np.repeat(s, 2, axis=-1), V.conj())
 
 
 def chi_delete(M, i):
@@ -218,23 +232,6 @@ def chi_delete(M, i):
     keep = [a for a in range(n) if a != i]
     idx = np.array(keep + [a + n for a in keep], dtype=int)
     return M[..., idx[:, None], idx[None, :]]
-
-
-def spectral_apply(M, values_fn, tol_scale=1e-8):
-    """Apply a spectral function to stacked embeddings.
-
-    ``values_fn(lam)`` maps collapsed eigenvalues ``(..., n)`` to new weights
-    ``(..., n)``; the result is reassembled with each weight doubled.
-    """
-    lam, V = chi_eigh(M, tol_scale)
-    s = np.asarray(values_fn(lam), dtype=float)
-    sdup = np.repeat(s, 2, axis=-1)
-    return np.einsum("...ij,...j,...kj->...ik", V, sdup, V.conj())
-
-
-def newton_transform_chi(M, m, tol_scale=1e-8):
-    """Embedding of the m-th Newton transform: eigenvalue i -> sigma_m(lam|i)."""
-    return spectral_apply(M, lambda lam: symfun.sigma_excl_all(lam, m), tol_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +520,8 @@ def newton_transform(A, m, tol_scale=1e-8):
     sigma_m(lam | i).  Its pairing against a direction E gives the derivative
     of sigma_{m+1} at A."""
     _require_hyperhermitian(A)
-    return QMatrix(newton_transform_chi(A.chi, m, tol_scale), validate=False)
+    lam, V = chi_eigh(A.chi, tol_scale)
+    return QMatrix(chi_from_spectrum(V, symfun.sigma_excl_all(lam, m)), validate=False)
 
 
 def pair_real(S, E):

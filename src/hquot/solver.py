@@ -36,6 +36,7 @@ from . import fields as fl
 from . import symfun
 from .errors import ConeError, ConvergenceError
 from .grid import TorusGrid
+from .quaternion import chi_eigh, chi_from_spectrum
 
 __all__ = [
     "SolverConfig",
@@ -60,6 +61,8 @@ class SolverConfig:
 
     F and the optional diagonal background entries are numpy expressions in
     the grid coordinates x0..x{4n-1} (inactive coordinates evaluate to 0.0).
+    ``seed`` is a config echo: the solver is deterministic and never reads
+    it; the key is accepted and recorded in the solve summary's config.
     """
 
     n: int
@@ -247,38 +250,29 @@ class Linearization:
         return sym
 
 
-def linearize(u, b, omega0, F, grid, k, l, backend="spectral", W=None, eigh_cache=None):
+def linearize(u, b, omega0, F, grid, k, l, backend="spectral", W=None, spectrum=None):
+    """The Linearization of the residual at (u, b).
+
+    Its coefficient matrix G = S_{k-1}(W) - Ft S_{l-1}(W) has the eigenvectors
+    V of W and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft sigma_{l-1}(lam|j),
+    the ellipticity weights; ``spectrum`` = chi_eigh(W) may be precomputed.
+    """
     n = grid.n
     if W is None:
         W = fl.omega_u(omega0, u, 1.0, grid, backend)
+    lam, V = chi_eigh(W) if spectrum is None else spectrum
     coef = _quotient_factor(n, k, l)
     E = coef * np.exp(np.asarray(F, dtype=float) + b)
 
-    if n == 1:
-        lam = fl.eig_field(W)
-        sk1 = symfun.sigma_excl_all(lam, k - 1)
-        sl1 = symfun.sigma_excl_all(lam, l - 1)
-        weights = sk1 - E[..., None] * sl1
-        Gx = weights[..., 0].astype(complex)[..., None, None] * np.eye(1)
-        Gy = np.zeros_like(Gx)
-        lam_for_sig = lam
-    else:
-        if eigh_cache is None:
-            from .quaternion import chi_eigh
-
-            eigh_cache = chi_eigh(W)
-        lam_for_sig, V = eigh_cache
-        Sk = fl.newton_transform_field(W, k - 1, eigh_cache)
-        G = Sk if l == 0 else Sk - E[..., None, None] * fl.newton_transform_field(W, l - 1, eigh_cache)
-        Gx = G[..., :n, :n]
-        Gy = G[..., :n, n:]
-        weights = symfun.sigma_excl_all(lam_for_sig, k - 1)
-        if l > 0:
-            weights = weights - E[..., None] * symfun.sigma_excl_all(lam_for_sig, l - 1)
-
+    weights = symfun.sigma_excl_all(lam, k - 1)
+    if l > 0:
+        weights = weights - E[..., None] * symfun.sigma_excl_all(lam, l - 1)
     ell = float(weights.min())
     if ell <= 0:
         raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e})")
+    G = chi_from_spectrum(V, weights)
+    Gx = G[..., :n, :n]
+    Gy = G[..., :n, n:]
 
     # c'_{PQ} = 1/2 Re(G_{ab} T_{cd}) with b,c from P and a,d from Q; folded
     # over unordered pairs.
@@ -298,7 +292,7 @@ def linearize(u, b, omega0, F, grid, k, l, backend="spectral", W=None, eigh_cach
         key = (P, Q) if P <= Q else (Q, P)
         coeff[key] = coeff.get(key, 0.0) + w
 
-    sl = symfun.sigma(lam_for_sig, l) if l > 0 else 1.0
+    sl = symfun.sigma(lam, l) if l > 0 else 1.0
     b_column = -E * sl
     return Linearization(grid, backend, coeff, b_column, ell)
 
@@ -348,9 +342,12 @@ def _solve_newton_step(lin, R, cfg):
 
 
 def solve(cfg):
-    """Run the damped Newton iteration; returns a SolveResult with sup u = 0."""
+    """Run the damped Newton iteration; returns a SolveResult with sup u = 0.
+
+    Each trial W is diagonalized once; the accepted spectrum is reused.
+    """
     grid, omega0, F = build_problem(cfg)
-    n, k, l = cfg.n, cfg.k, cfg.l
+    k, l = cfg.k, cfg.l
     backend = cfg.backend
 
     lam0 = fl.eig_field(omega0)
@@ -371,21 +368,16 @@ def solve(cfg):
         )
 
     W = fl.omega_u(omega0, u, 1.0, grid, backend)
-    lam = fl.eig_field(W)
-    R = residual(u, b, omega0, F, grid, k, l, backend, W=W, lam=lam)
+    spectrum = chi_eigh(W)
+    R = residual(u, b, omega0, F, grid, k, l, backend, W=W, lam=spectrum[0])
     hist = [float(np.abs(R).max())]
     iterations = 0
 
     for it in range(1, cfg.max_iterations + 1):
         if hist[-1] <= cfg.tolerance:
             break
-        eigh_cache = None
-        if n > 1:
-            from .quaternion import chi_eigh
-
-            eigh_cache = chi_eigh(W)
         try:
-            lin = linearize(u, b, omega0, F, grid, k, l, backend, W=W, eigh_cache=eigh_cache)
+            lin = linearize(u, b, omega0, F, grid, k, l, backend, W=W, spectrum=spectrum)
         except ConeError as exc:
             note = f" [{'; '.join(warnings)}]" if warnings else ""
             raise ConvergenceError(
@@ -400,16 +392,16 @@ def solve(cfg):
             u_try -= u_try.mean()
             b_try = b + step * db
             W_try = fl.omega_u(omega0, u_try, 1.0, grid, backend)
-            lam_try = fl.eig_field(W_try)
-            margin = symfun.gamma_margin(lam_try, k)
+            spectrum_try = chi_eigh(W_try)
+            margin = symfun.gamma_margin(spectrum_try[0], k)
             if np.min(margin) <= cfg.cone_margin:
                 step *= cfg.backtrack_factor
                 continue
             R_try = residual(u_try, b_try, omega0, F, grid, k, l, backend,
-                             W=W_try, lam=lam_try)
+                             W=W_try, lam=spectrum_try[0])
             r_try = float(np.abs(R_try).max())
             if r_try < (1.0 - 1e-4 * step) * hist[-1] or r_try <= cfg.tolerance:
-                u, b, W, lam, R = u_try, b_try, W_try, lam_try, R_try
+                u, b, W, spectrum, R = u_try, b_try, W_try, spectrum_try, R_try
                 hist.append(r_try)
                 accepted = True
                 break
@@ -426,7 +418,7 @@ def solve(cfg):
         )
 
     u_out = normalize_sup(u)
-    gam = fl.in_gamma_k_field(W, k, lam=lam)
+    gam = fl.in_gamma_k_field(W, k, lam=spectrum[0])
     post_cone = fl.check_cone_condition(omega0, F + b, grid, k, l, lam=lam0)
     if not post_cone.satisfied:
         warnings.append(

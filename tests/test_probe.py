@@ -76,6 +76,14 @@ def test_cherrier_no_overflow_at_large_exponent():
     assert np.isfinite(c) and c > 0
 
 
+@pytest.mark.parametrize("p", [0.0, -4.0, float("nan")])
+def test_cherrier_table_rejects_bad_exponent(p):
+    g = TorusGrid(1, (0,), 16)
+    u = 0.1 * np.sin(2 * np.pi * _coords(g, 0))
+    with pytest.raises(ValueError, match="finite and positive"):
+        probe.cherrier_table(u, g, [4.0, p])
+
+
 def test_cherrier_table_shape():
     g = TorusGrid(1, (0,), 16)
     x = _coords(g, 0)
@@ -198,6 +206,22 @@ def test_run_probe_one_eigh_per_node(monkeypatch):
     rep = probe.run_probe(u, om0, F, grid, 2, 1, p_values=(4, 8, 16, 32, 64))
     assert rep.mandatory_ok
     assert 0 < len(calls) <= probe.T_NODES
+
+
+def test_run_probe_one_hessian(monkeypatch):
+    # the sweep, the Simpson means and the homotopy check share one Hessian
+    grid, u, om0, F = manufactured_state(2, 2, 1, (0, 5), 12, amp=0.03)
+    calls = []
+    hessian = fl.quaternionic_hessian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hessian(*args, **kwargs)
+
+    monkeypatch.setattr(fl, "quaternionic_hessian", counted)
+    rep = probe.run_probe(u, om0, F, grid, 2, 1, p_values=(4, 8))
+    assert rep.mandatory_ok
+    assert len(calls) == 1
 
 
 def test_pointwise_sweep_manufactured():

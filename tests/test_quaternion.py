@@ -245,3 +245,36 @@ def test_newton_transform_is_sigma_derivative():
         minus = qt.sigma_k_matrix(QMatrix((A - h * E).chi), k)
         fd = (plus - minus) / (2 * h)
         assert abs(fd - qt.pair_real(S, E)) < 5e-8 * (1 + abs(fd))
+
+
+def test_chi_eigh_one_by_one_without_lapack(monkeypatch):
+    # a hyperhermitian 1 x 1 matrix embeds as lam * Id: the spectrum is read
+    # off the diagonal, with V = Id, and broken structure is still rejected
+    lam = np.array([[-0.5], [2.0], [3.25]])
+    M = lam[..., None] * np.eye(2, dtype=complex)
+    ref_w, _ = np.linalg.eigh(M)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on 2 x 2 embeddings")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+    got, V = qt.chi_eigh(M)
+    assert np.array_equal(got, lam) and np.array_equal(got, ref_w[..., ::2])
+    assert V.shape == M.shape and np.array_equal(V, np.broadcast_to(np.eye(2), M.shape))
+    assert np.array_equal(qt.chi_from_spectrum(V, got), M)
+    for i, j, dev in ((1, 1, 1e-6), (0, 1, 1e-6), (1, 0, 1e-6j), (0, 0, 1e-6j)):
+        bad = M.copy()
+        bad[1, i, j] += dev
+        with pytest.raises(StructureError):
+            qt.chi_eigh(bad)
+        qt.chi_eigh(bad, tol_scale=1e-5)  # within a looser tolerance
+
+
+def test_chi_from_spectrum_reassembles():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 3):
+        A = qt.random_hyperhermitian(rng, n)
+        lam, V = qt.chi_eigh(A.chi)
+        assert np.abs(qt.chi_from_spectrum(V, lam) - A.chi).max() < 1e-12
+        S = qt.chi_from_spectrum(V, np.exp(lam))
+        assert QMatrix(S).is_hyperhermitian()  # validates the chi structure too

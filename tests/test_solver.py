@@ -94,30 +94,36 @@ def test_linearize_b_column_and_laplacian():
     assert np.abs(lin.apply(v) - lap).max() < 1e-10
 
 
-def test_linearize_matches_finite_difference():
-    grid = TorusGrid(2, (0, 5), 8)
+@pytest.mark.parametrize("n,k,l,axes,backend", [
+    pytest.param(2, 2, 1, (0, 5), "spectral", id="n2k2l1-ax05"),
+    pytest.param(1, 1, 0, (0, 1, 2, 3), "fd", id="n1k1l0-ax0123-fd"),
+    pytest.param(3, 2, 1, (0, 5, 10), "spectral", id="n3k2l1-ax0510"),
+])
+def test_linearize_matches_finite_difference(n, k, l, axes, backend):
+    grid = TorusGrid(n, axes, 8)
     om0 = fl.identity_form(grid)
     rng = np.random.default_rng(3)
-    x = np.broadcast_to(grid.coordinate(0), grid.shape)
-    y = np.broadcast_to(grid.coordinate(5), grid.shape)
+    x, y = (np.broadcast_to(grid.coordinate(a), grid.shape) for a in (axes[0], axes[-1]))
     u = 0.004 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    for a in axes[1:-1]:  # couple the middle axes too
+        u = u + 0.002 * np.cos(2 * np.pi * (x + grid.coordinate(a)))
     F = 0.1 * np.sin(2 * np.pi * x)
     b = -0.05
-    k, l = 2, 1
-    lin = linearize(u, b, om0, F, grid, k, l)
+    lin = linearize(u, b, om0, F, grid, k, l, backend)
     assert lin.ellipticity_margin > 0
     a = rng.normal(size=3)
     v = a[0] * np.sin(2 * np.pi * x) + a[1] * np.cos(2 * np.pi * y) \
         + a[2] * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    for c in axes[1:-1]:
+        v = v + np.sin(2 * np.pi * (grid.coordinate(c) - y))
     v -= v.mean()
-    base = residual(u, b, om0, F, grid, k, l)
     eta = 1e-5
-    fd = (residual(u + eta * v, b, om0, F, grid, k, l)
-          - residual(u - eta * v, b, om0, F, grid, k, l)) / (2 * eta)
+    fd = (residual(u + eta * v, b, om0, F, grid, k, l, backend)
+          - residual(u - eta * v, b, om0, F, grid, k, l, backend)) / (2 * eta)
     assert np.abs(fd - lin.apply(v)).max() < 1e-6 * (1 + np.abs(fd).max())
     # b column: d residual / d b
-    fdb = (residual(u, b + eta, om0, F, grid, k, l)
-           - residual(u, b - eta, om0, F, grid, k, l)) / (2 * eta)
+    fdb = (residual(u, b + eta, om0, F, grid, k, l, backend)
+           - residual(u, b - eta, om0, F, grid, k, l, backend)) / (2 * eta)
     assert np.abs(fdb - lin.b_column).max() < 1e-6
 
 
@@ -138,6 +144,31 @@ def test_normalize_sup():
     assert np.array_equal(normalize_sup(v), v)
     assert np.array_equal(normalize_sup(np.full(4, 3.3)), np.zeros(4))
     assert int(np.argmax(u)) == int(np.argmax(v))
+
+
+def test_solve_one_eigendecomposition_per_trial_step(monkeypatch):
+    # every trial W is diagonalized once, and the accepted spectrum is reused
+    # by the residual, the cone margin and the next linearization;
+    # omega_u runs once at the start and once per trial step
+    eig_calls, trials = [], []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+            eig_calls.append(1)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    omega_u = fl.omega_u
+
+    def counted_omega_u(*args, **kwargs):
+        trials.append(1)
+        return omega_u(*args, **kwargs)
+
+    monkeypatch.setattr(fl, "omega_u", counted_omega_u)
+    # forcing along x0 + x5 couples the axes, so no iterate is diagonal
+    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=16, active_axes=(0, 5),
+                       F="0.1*sin(2*pi*(x0 + x5))")
+    res = solve(cfg)
+    assert res.converged and res.iterations >= 2
+    assert 0 < len(eig_calls) <= len(trials)
 
 
 def test_solve_constant_forcing_exact():
