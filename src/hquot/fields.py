@@ -353,11 +353,10 @@ def wedge_minor_coeff(lam, i, l):
     return symfun.sigma_excl(lam, i - 1, l)
 
 
-def newton_transform_field(W, m, spectrum=None):
+def newton_transform_field(W, m):
     """Pointwise m-th Newton transform field (same shape as W): the spectral
-    function lam_j -> sigma_m(lam|j) of W, from ``spectrum`` = chi_eigh(W) if
-    precomputed."""
-    lam, V = chi_eigh(np.asarray(W, dtype=complex)) if spectrum is None else spectrum
+    function lam_j -> sigma_m(lam|j) of W."""
+    lam, V = chi_eigh(np.asarray(W, dtype=complex))
     return chi_from_spectrum(V, symfun.sigma_excl_all(lam, m))
 
 

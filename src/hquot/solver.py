@@ -250,17 +250,18 @@ class Linearization:
         return sym
 
 
-def linearize(u, b, omega0, F, grid, k, l, backend="spectral", W=None, spectrum=None):
+def linearize(u, b, omega0, F, grid, k, l, backend="spectral", spectrum=None):
     """The Linearization of the residual at (u, b).
 
     Its coefficient matrix G = S_{k-1}(W) - Ft S_{l-1}(W) has the eigenvectors
-    V of W and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft sigma_{l-1}(lam|j),
-    the ellipticity weights; ``spectrum`` = chi_eigh(W) may be precomputed.
+    V of W = omega_u and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft
+    sigma_{l-1}(lam|j), the ellipticity weights; ``spectrum`` = chi_eigh(W)
+    may be passed in, else W and its spectrum are built here.
     """
     n = grid.n
-    if W is None:
-        W = fl.omega_u(omega0, u, 1.0, grid, backend)
-    lam, V = chi_eigh(W) if spectrum is None else spectrum
+    if spectrum is None:
+        spectrum = chi_eigh(fl.omega_u(omega0, u, 1.0, grid, backend))
+    lam, V = spectrum
     coef = _quotient_factor(n, k, l)
     E = coef * np.exp(np.asarray(F, dtype=float) + b)
 
@@ -377,7 +378,7 @@ def solve(cfg):
         if hist[-1] <= cfg.tolerance:
             break
         try:
-            lin = linearize(u, b, omega0, F, grid, k, l, backend, W=W, spectrum=spectrum)
+            lin = linearize(u, b, omega0, F, grid, k, l, backend, spectrum=spectrum)
         except ConeError as exc:
             note = f" [{'; '.join(warnings)}]" if warnings else ""
             raise ConvergenceError(
