@@ -101,14 +101,17 @@ def run_solve(config_path, out_dir, seed=None, quiet=False):
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad solve config: {exc}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         result = solve(cfg)
     except (ConvergenceError, ConeError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "solve_summary.json", {"config": cfg.to_dict(),
                                                  "converged": False, "error": str(exc)})
         _echo(quiet, f"solve failed: {exc}")
         return 1
+    except ValueError as exc:  # from build_problem: a bad grid or expression
+        return _fail_usage(f"bad solve config: {exc}")
+    out.mkdir(parents=True, exist_ok=True)
     save_scalar_field(out / "u.csv", result.u, cfg.grid)
     summary = {"config": cfg.to_dict(), **result.summary()}
     _write_json(out / "solve_summary.json", summary)
@@ -124,10 +127,12 @@ def run_cone_check(config_path, out_dir, seed=None, quiet=False):
         raw = _load_json(config_path)
         b_offset = raw.pop("b_offset", "auto")
         cfg = _config_to_solver(raw, seed)
+        grid, omega0, F = build_problem(cfg)
+        b = -float(np.mean(F)) if b_offset == "auto" else float(b_offset)
+        if not math.isfinite(b):
+            raise ValueError(f"b_offset must be finite, got {b_offset!r}")
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad config: {exc}")
-    grid, omega0, F = build_problem(cfg)
-    b = -float(np.mean(F)) if b_offset == "auto" else float(b_offset)
     try:
         report = fl.check_cone_condition(omega0, F + b, grid, cfg.k, cfg.l)
     except ConeError as exc:
@@ -160,9 +165,9 @@ def run_probe_cmd(result_dir, out_dir, p_values, seed=None, quiet=False):
         if grid != cfg.grid:
             raise ValueError("field grid does not match the config grid")
         b = float(summary["b"])
+        _, omega0, F = build_problem(cfg)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad probe input: {exc}")
-    _, omega0, F = build_problem(cfg)
     axes = "-".join(str(a) for a in cfg.active_axes)
     problem_id = f"n{cfg.n}-k{cfg.k}-l{cfg.l}-N{cfg.points_per_axis}-ax{axes}"
     try:

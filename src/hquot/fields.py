@@ -34,14 +34,21 @@ from . import symfun
 from .errors import ConeError
 from .grid import first_derivative, second_derivative
 from .quaternion import (
+    I,
+    J,
+    K,
+    QMatrix,
+    Quaternion,
     chi_eigh,
     chi_eigvals,
     chi_from_spectrum,
+    eig,
     structure_residual,
 )
 
 __all__ = [
     "identity_form",
+    "hessian_basis",
     "quaternionic_hessian",
     "gradient_coefficients",
     "omega_u",
@@ -60,20 +67,8 @@ __all__ = [
     "hyperhermitian_residual_field",
 ]
 
-# e_c * conj(e_d) for the quaternion units (1, i, j, k), as complex pairs
-# (x-part, j-part); row index c, column index d.
-_UNIT_PAIRS = [(1.0 + 0j, 0j), (1j, 0j), (0j, 1.0 + 0j), (0j, 1j)]
-
-
-def _qmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1].conjugate(), a[0] * b[1] + a[1] * b[0].conjugate())
-
-
-def _qconj(a):
-    return (a[0].conjugate(), -a[1])
-
-
-_TABLE = [[_qmul(_UNIT_PAIRS[c], _qconj(_UNIT_PAIRS[d])) for d in range(4)] for c in range(4)]
+# e_c, the quaternion unit of real coordinate 4a + c
+_UNITS = (Quaternion(1.0), I, J, K)
 
 
 def identity_form(grid, scale=1.0):
@@ -84,36 +79,44 @@ def identity_form(grid, scale=1.0):
     return W
 
 
+def hessian_basis(grid):
+    """[(P, Q, B)] over active axes P <= Q: B is the embedding that the
+    quaternionic Hessian gives d2u/dx_P dx_Q, so H(u) = sum B d2u/dx_P dx_Q.
+
+    With P = 4a + c and Q = 4b + d, B is the chi embedding of the
+    quaternionic matrix with (1/2) e_c conj(e_d) in slot (a, b) and its
+    conjugate in slot (b, a).  Pairs of distinct axes of one quaternionic
+    coordinate (a = b, c != d) have B = 0, since e_c conj(e_d) + e_d conj(e_c)
+    = 2 delta_cd, and are left out.
+    """
+    n = grid.n
+    axes = grid.active_axes
+    basis = []
+    for ii, P in enumerate(axes):
+        for Q in axes[ii:]:
+            (a, c), (b, d) = divmod(P, 4), divmod(Q, 4)
+            if a == b and c != d:
+                continue
+            q = 0.5 * _UNITS[c] * _UNITS[d].conjugate()
+            rows = [[0.0] * n for _ in range(n)]
+            rows[a][b], rows[b][a] = q, q.conjugate()
+            basis.append((P, Q, QMatrix.from_entries(rows).chi))
+    return basis
+
+
 def quaternionic_hessian(u, grid, backend="spectral"):
     """The hyperhermitian second-derivative matrix field of u.
 
-    Second partials are computed once per unordered axis pair, which makes
-    the output hyperhermitian by construction up to rounding.
+    Each second partial of hessian_basis is computed once and added into the
+    nonzero slots of its B, so the output is exactly hyperhermitian.
     """
     u = np.asarray(u, dtype=float)
     n = grid.n
-    X = np.zeros(grid.shape + (n, n), dtype=complex)
-    Y = np.zeros_like(X)
-    axes = grid.active_axes
-    d2 = {}
-    for ii, P in enumerate(axes):
-        for Q in axes[ii:]:
-            d2[(P, Q)] = second_derivative(u, grid, P, Q, backend)
-    for P in axes:
-        a, c = divmod(P, 4)
-        for Q in axes:
-            b, d = divmod(Q, 4)
-            tab = _TABLE[c][d]
-            block = d2[(P, Q) if P <= Q else (Q, P)]
-            if tab[0] != 0:
-                X[..., a, b] += 0.5 * tab[0] * block
-            if tab[1] != 0:
-                Y[..., a, b] += 0.5 * tab[1] * block
     W = np.zeros(grid.shape + (2 * n, 2 * n), dtype=complex)
-    W[..., :n, :n] = X
-    W[..., :n, n:] = Y
-    W[..., n:, :n] = -Y.conj()
-    W[..., n:, n:] = X.conj()
+    for P, Q, B in hessian_basis(grid):
+        d2 = second_derivative(u, grid, P, Q, backend)
+        for i, j in zip(*np.nonzero(B)):
+            W[..., i, j] += B[i, j] * d2
     return W
 
 
@@ -326,9 +329,7 @@ def simultaneous_diagonalize(M1, M2, tol=1e-9):
     S = chi_from_spectrum(V1, lam1 ** -0.5)  # M1^(-1/2), stays quaternionic
     B = S @ M2 @ S
     B = (B + B.conj().T) / 2.0
-    from .quaternion import QMatrix, eig as qeig
-
-    lam2, C2 = qeig(QMatrix(B, validate=False))
+    lam2, C2 = eig(QMatrix(B, validate=False))
     C = S @ C2.chi
     r1 = C.conj().T @ M1 @ C
     r2 = C.conj().T @ M2 @ C

@@ -8,7 +8,9 @@ shape ``grid.shape``; form fields carry trailing matrix axes.
 
 Two derivative backends are provided: "spectral" (FFT, exact on band-limited
 data) and "fd" (second-order central differences).  They are independent
-implementations and cross-validate each other.
+implementations and cross-validate each other.  ``symbol`` is the one table
+of their Fourier multipliers: spectral differentiation applies it, and the
+fd stencils act on each Fourier mode exactly as it says.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "TorusGrid",
     "first_derivative",
     "second_derivative",
+    "symbol",
     "integrate",
     "save_scalar_field",
     "load_scalar_field",
@@ -97,21 +100,36 @@ class TorusGrid:
         """{'x0': array_or_0.0, ...} for every real coordinate."""
         return {f"x{a}": self.coordinate(a) for a in range(4 * self.n)}
 
-    def wavenumbers(self, pos, zero_nyquist=False):
-        """Angular wavenumbers along array axis ``pos``, broadcast-shaped."""
-        N = self.points_per_axis
-        k = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
-        if zero_nyquist:
-            k = k.copy()
-            k[N // 2] = 0.0
-        shape = [1] * self.dim
-        shape[pos] = N
-        return k.reshape(shape)
-
 
 def _check_backend(backend):
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+
+
+def symbol(grid, P, Q=None, backend="spectral"):
+    """Fourier multiplier of d/dx_P (Q None) or d2/dx_P dx_Q on active axes.
+
+    The one table of derivative symbols, broadcast-shaped over grid.shape.
+    First order: ik (spectral) or i sin(kh)/h (fd, the central difference),
+    with the Nyquist mode zeroed (the derivative of the Nyquist cosine
+    vanishes at every grid point).  Second order on one axis: -k^2 or
+    -(2 - 2 cos kh)/h^2 (the three-point stencil).  A mixed symbol is the
+    product of its two first-order symbols.
+    """
+    _check_backend(backend)
+    if Q is not None and Q != P:
+        return (symbol(grid, P, None, backend) * symbol(grid, Q, None, backend)).real
+    N = grid.points_per_axis
+    h = grid.spacing
+    k = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
+    if Q is None:
+        k[N // 2] = 0.0
+        s = 1j * np.sin(k * h) / h if backend == "fd" else 1j * k
+    else:
+        s = -(2.0 - 2.0 * np.cos(k * h)) / h**2 if backend == "fd" else -(k**2)
+    shape = [1] * grid.dim
+    shape[grid.axis_position(P)] = N
+    return s.reshape(shape)
 
 
 def first_derivative(u, grid, axis, backend="spectral"):
@@ -125,7 +143,7 @@ def first_derivative(u, grid, axis, backend="spectral"):
         h = grid.spacing
         return (np.roll(u, -1, axis=pos) - np.roll(u, 1, axis=pos)) / (2.0 * h)
     U = np.fft.fft(u, axis=pos)
-    U *= 1j * grid.wavenumbers(pos, zero_nyquist=True)
+    U *= symbol(grid, axis)
     return np.fft.ifft(U, axis=pos).real
 
 
@@ -141,7 +159,7 @@ def second_derivative(u, grid, axis_p, axis_q, backend="spectral"):
             h = grid.spacing
             return (np.roll(u, -1, axis=pp) - 2.0 * u + np.roll(u, 1, axis=pp)) / h**2
         U = np.fft.fft(u, axis=pp)
-        U *= -(grid.wavenumbers(pp) ** 2)
+        U *= symbol(grid, axis_p, axis_p)
         return np.fft.ifft(U, axis=pp).real
     lo, hi = min(axis_p, axis_q), max(axis_p, axis_q)
     return first_derivative(first_derivative(u, grid, lo, backend), grid, hi, backend)

@@ -35,7 +35,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from . import fields as fl
 from . import symfun
 from .errors import ConeError, ConvergenceError
-from .grid import TorusGrid
+from .grid import TorusGrid, second_derivative, symbol
 from .quaternion import chi_eigh, chi_from_spectrum
 
 __all__ = [
@@ -118,19 +118,26 @@ class SolverConfig:
 
 
 def evaluate_expression(expr, grid):
-    """Evaluate a coordinate expression to a full scalar field."""
+    """Evaluate a coordinate expression to a full, finite scalar field."""
     ns = dict(_SAFE_FUNCS)
     ns.update(grid.coordinates())
     try:
-        val = eval(expr, {"__builtins__": {}}, ns)  # trusted config input
+        with np.errstate(all="ignore"):
+            val = eval(expr, {"__builtins__": {}}, ns)  # trusted config input
+        out = np.asarray(val, dtype=float)
     except Exception as exc:
         raise ValueError(f"cannot evaluate expression {expr!r}: {exc}") from None
-    out = np.asarray(val, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"expression {expr!r} is not finite on the grid")
     return np.broadcast_to(out, grid.shape).copy()
 
 
 def build_problem(cfg):
-    """(grid, omega0 field, F field) from a config."""
+    """(grid, omega0 field, F field) from a config.
+
+    Raises ValueError for a bad grid, a wrong number of omega0_diag entries,
+    or an expression that does not evaluate to finite values on the grid.
+    """
     grid = cfg.grid
     F = evaluate_expression(cfg.F, grid)
     if cfg.omega0_diag is None:
@@ -206,13 +213,11 @@ class Linearization:
     def __init__(self, grid, backend, coeff, b_column, ellipticity_margin):
         self.grid = grid
         self.backend = backend
-        self.coeff = coeff  # dict (P, Q) ordered active-axis pairs -> field
+        self.coeff = coeff  # dict (P, Q), active axes P <= Q -> field
         self.b_column = b_column
         self.ellipticity_margin = ellipticity_margin
 
     def apply(self, v):
-        from .grid import second_derivative
-
         out = np.zeros_like(v)
         for (P, Q), c in self.coeff.items():
             out += c * second_derivative(v, self.grid, P, Q, self.backend)
@@ -221,32 +226,12 @@ class Linearization:
     def matvec(self, v, db):
         return self.apply(v) + self.b_column * db
 
-    # -- assembled constant-coefficient symbol for preconditioning ----------
-
     def mean_symbol(self):
-        """Fourier symbol of the spatial-mean coefficient operator."""
-        grid = self.grid
-        sym = np.zeros(grid.shape)
+        """Fourier symbol of the spatial-mean coefficient operator, for
+        preconditioning: sum over pairs of mean(c_PQ) * symbol(P, Q)."""
+        sym = np.zeros(self.grid.shape)
         for (P, Q), c in self.coeff.items():
-            cbar = float(np.mean(c))
-            pp, qq = grid.axis_position(P), grid.axis_position(Q)
-            if self.backend == "spectral":
-                if P == Q:
-                    sym = sym - cbar * grid.wavenumbers(pp) ** 2
-                else:
-                    sym = sym - cbar * (
-                        grid.wavenumbers(pp, zero_nyquist=True)
-                        * grid.wavenumbers(qq, zero_nyquist=True)
-                    )
-            else:
-                h = grid.spacing
-                if P == Q:
-                    kk = grid.wavenumbers(pp) * h
-                    sym = sym - cbar * (2.0 - 2.0 * np.cos(kk)) / h**2
-                else:
-                    kp = grid.wavenumbers(pp, zero_nyquist=True) * h
-                    kq = grid.wavenumbers(qq, zero_nyquist=True) * h
-                    sym = sym - cbar * np.sin(kp) * np.sin(kq) / h**2
+            sym = sym + float(np.mean(c)) * symbol(self.grid, P, Q, self.backend)
         return sym
 
 
@@ -271,27 +256,15 @@ def linearize(u, b, omega0, F, grid, k, l, backend="spectral", spectrum=None):
     ell = float(weights.min())
     if ell <= 0:
         raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e})")
-    G = chi_from_spectrum(V, weights)
-    Gx = G[..., :n, :n]
-    Gy = G[..., :n, n:]
+    G = chi_from_spectrum(V, weights).reshape(-1, 4 * n * n)
 
-    # c'_{PQ} = 1/2 Re(G_{ab} T_{cd}) with b,c from P and a,d from Q; folded
-    # over unordered pairs.
-    ordered = {}
-    for P in grid.active_axes:
-        bq, c = divmod(P, 4)
-        for Q in grid.active_axes:
-            aq, d = divmod(Q, 4)
-            tx, ty = fl._TABLE[c][d]
-            gx = Gx[..., aq, bq]
-            gy = Gy[..., aq, bq]
-            w = 0.5 * (gx * tx - gy * np.conj(ty)).real
-            if np.abs(w).max() > 0:
-                ordered[(P, Q)] = w
+    # c_PQ = 1/2 Re tr(G B_PQ) = 1/2 Re sum_ij G_ij B_ji, B_PQ the Hessian's
+    # embedding of d2/dx_P dx_Q: a matrix-vector product over flattened slots
     coeff = {}
-    for (P, Q), w in ordered.items():
-        key = (P, Q) if P <= Q else (Q, P)
-        coeff[key] = coeff.get(key, 0.0) + w
+    for P, Q, B in fl.hessian_basis(grid):
+        c = 0.5 * (G @ B.T.ravel()).real
+        if np.abs(c).max() > 0:
+            coeff[(P, Q)] = c.reshape(grid.shape)
 
     sl = symfun.sigma(lam, l) if l > 0 else 1.0
     b_column = -E * sl
@@ -346,6 +319,8 @@ def solve(cfg):
     """Run the damped Newton iteration; returns a SolveResult with sup u = 0.
 
     Each trial W is diagonalized once; the accepted spectrum is reused.
+    A config that build_problem cannot turn into a problem raises ValueError;
+    mathematical failures raise ConeError or ConvergenceError.
     """
     grid, omega0, F = build_problem(cfg)
     k, l = cfg.k, cfg.l

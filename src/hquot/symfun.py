@@ -10,8 +10,6 @@ degenerate correctly at l = 0.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConeError
@@ -154,8 +152,3 @@ def garding_pairing(mu, lam, k, check=True):
         _require_gamma(mu, k)
     w = sigma_excl_all(lam, k - 1)
     return (mu * w).sum(axis=-1)
-
-
-def binom(n, k):
-    """Convenience wrapper; C(n, k) as float for formula use."""
-    return float(math.comb(n, k))

@@ -91,6 +91,30 @@ def test_solve_bad_config(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "cone-check"])
+@pytest.mark.parametrize("bad,named", [
+    pytest.param({"F": "0.1*sinn(2*pi*x0)"}, "sinn", id="undefined-name"),
+    pytest.param({"omega0_diag": ["1.0"]}, "omega0_diag", id="short-omega0"),
+    pytest.param({"F": "log(x0)"}, "log(x0)", id="non-finite"),
+])
+def test_bad_problem_is_a_usage_error(tmp_path, capsys, command, bad, named):
+    cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,
+                                       "active_axes": [0], **bad})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("b_offset", ["-inf", "abc"])
+def test_cone_check_rejects_bad_b_offset(tmp_path, capsys, b_offset):
+    cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,
+                                       "active_axes": [0], "b_offset": b_offset})
+    assert main(["cone-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_cone_warning_in_summary(tmp_path):
     cfg = _write(tmp_path / "s.json", {
         "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0],
@@ -149,6 +173,18 @@ def test_probe_malformed_field(tmp_path, solve_cfg):
     rc = main(["probe", "--result", str(tmp_path / "sol"), "--out", str(tmp_path / "pr"),
                "--p", "4", "--quiet"])
     assert rc == 2
+
+
+def test_probe_rejects_bad_problem_in_summary(tmp_path, capsys, solve_cfg):
+    assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol"), "--quiet"]) == 0
+    path = tmp_path / "sol" / "solve_summary.json"
+    summary = json.loads(path.read_text())
+    summary["config"]["F"] = "log(x0)"
+    path.write_text(json.dumps(summary))
+    rc = main(["probe", "--result", str(tmp_path / "sol"), "--out", str(tmp_path / "pr"),
+               "--p", "4", "--quiet"])
+    assert rc == 2 and "log(x0)" in capsys.readouterr().err
+    assert not (tmp_path / "pr").exists()
 
 
 def test_probe_bad_p_list(tmp_path, solve_cfg):

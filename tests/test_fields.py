@@ -189,6 +189,47 @@ def test_hessian_off_diagonal_coupling():
     assert fl.hyperhermitian_residual_field(H) < 1e-10
 
 
+@pytest.mark.parametrize("axes", [(2, 7, 11), (3, 6, 9)], ids=["ax2711", "ax369"])
+def test_hessian_entries_match_defining_formula(axes):
+    # H_ab = 1/2 sum_{c,d} e_c conj(e_d) d2u/dx_{4a+c} dx_{4b+d}, evaluated per
+    # point with explicit quaternion units from the exact second partials of
+    # a band-limited u; cross-coordinate axes reach the j and k components.
+    n = 3
+    g = TorusGrid(n, axes, 8)
+    modes = [(0.7, np.array([1, 2, 0])), (-0.4, np.array([0, 1, -1])),
+             (0.3, np.array([1, 0, 1])), (0.2, np.array([2, -1, 1]))]
+    x = [np.broadcast_to(g.coordinate(a), g.shape) for a in axes]
+    phase = [2 * np.pi * sum(m[i] * x[i] for i in range(3)) for _, m in modes]
+    u = sum(amp * np.sin(ph) for (amp, _), ph in zip(modes, phase))
+    H = fl.quaternionic_hessian(u, g, "spectral")
+    assert np.array_equal(H, np.swapaxes(H, -1, -2).conj())
+    units = (qt.Quaternion(1.0), qt.I, qt.J, qt.K)
+    rng = np.random.default_rng(11)
+    for pt in map(tuple, rng.integers(0, 8, size=(6, 3))):
+        d2 = np.zeros((4 * n, 4 * n))  # exact d2u/dx_P dx_Q at the point
+        for (amp, m), ph in zip(modes, phase):
+            mm = np.zeros(4 * n)
+            mm[list(axes)] = m
+            d2 += -amp * 4 * np.pi**2 * np.sin(ph[pt]) * np.outer(mm, mm)
+        got = qt.QMatrix(H[pt])
+        for a in range(n):
+            for b in range(n):
+                want = qt.Quaternion()
+                for c in range(4):
+                    for d in range(4):
+                        want = want + 0.5 * d2[4 * a + c, 4 * b + d] * (units[c] * units[d].conjugate())
+                assert got.entry(a, b).isclose(want, tol=1e-9), (pt, a, b)
+
+
+def test_hessian_basis_leaves_out_single_coordinate_mixed_pairs():
+    g = TorusGrid(2, (0, 1, 4, 5), 8)
+    pairs = [(P, Q) for P, Q, _ in fl.hessian_basis(g)]
+    assert pairs == [(0, 0), (0, 4), (0, 5), (1, 1), (1, 4), (1, 5), (4, 4), (5, 5)]
+    for P, Q, B in fl.hessian_basis(g):
+        assert np.array_equal(B, B.conj().T)
+        assert qt.structure_residual(B) == 0.0
+
+
 def test_gradient_matches_scalar_derivatives():
     g = TorusGrid(1, (0, 1), 16)
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t)) + _field(g, 1, lambda t: np.cos(4 * np.pi * t))

@@ -2,6 +2,9 @@
 
 Every name a module exports in ``__all__`` must resolve, and no module-level
 import may go unused (a re-export listed in ``__all__`` counts as a use).
+No module reads another hquot module's private (underscore) names, and no
+function imports from the package locally: module-level bindings are what
+the benchmark's tracer rebinds.
 """
 
 import ast
@@ -57,3 +60,35 @@ def test_no_unused_module_imports(path):
     used |= set(_exported(tree))
     unused = {name: line for name, line in _module_imports(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused module-level imports (name: line) {unused}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_names_of_other_modules(path):
+    tree = ast.parse(path.read_text())
+    modules = set()  # local names bound to hquot modules
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hquot"):
+            for alias in node.names:
+                if node.module is None or node.module == "hquot":
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    reads.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            reads.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    assert not reads, f"{path.name}: private names of other hquot modules (line, name) {reads}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_function_local_package_imports(path):
+    tree = ast.parse(path.read_text())
+    top = set(map(id, tree.body))
+    local = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top]
+    assert not local, f"{path.name}: function-local package imports at lines {local}"

@@ -7,6 +7,7 @@ from hquot import fields as fl, symfun
 from hquot.errors import ConeError, ConvergenceError
 from hquot.grid import TorusGrid, integrate
 from hquot.solver import (
+    Linearization,
     SolverConfig,
     build_problem,
     linearize,
@@ -125,6 +126,24 @@ def test_linearize_matches_finite_difference(n, k, l, axes, backend):
     fdb = (residual(u, b + eta, om0, F, grid, k, l, backend)
            - residual(u, b - eta, om0, F, grid, k, l, backend)) / (2 * eta)
     assert np.abs(fdb - lin.b_column).max() < 1e-6
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_mean_symbol_matches_operator_on_every_mode(backend):
+    # constant coefficients on pure pairs and a cross-coordinate pair: apply
+    # (FFT or roll stencils) must act on each Fourier mode as mean_symbol()
+    grid = TorusGrid(2, (0, 5), 8)
+    ones = np.ones(grid.shape)
+    lin = Linearization(grid, backend, {(0, 0): 1.3 * ones, (0, 5): 0.4 * ones,
+                                        (5, 5): 0.7 * ones}, -ones, 0.7)
+    sym = lin.mean_symbol()
+    assert sym.shape == grid.shape
+    x, y = (np.broadcast_to(grid.coordinate(a), grid.shape) for a in (0, 5))
+    freq = np.fft.fftfreq(8, d=1.0 / 8)
+    for i, j in np.ndindex(grid.shape):
+        phase = 2 * np.pi * (freq[i] * x + freq[j] * y)
+        for v in (np.cos(phase), np.sin(phase)):
+            assert np.abs(lin.apply(v) - sym[i, j] * v).max() < 1e-9 * (1 + np.abs(sym).max())
 
 
 def test_residual_invariant_under_constant_shift():
