@@ -7,10 +7,10 @@ Subcommands:
   cone-check  evaluate the cone condition for a problem config
   probe       run the estimate-chain probe on a solve output directory
 
-Exit codes: 0 success, 1 mathematical failure (inequality violation or
-non-convergence), 2 usage/config error.  All randomness is seeded from the
-config (overridable with --seed); reports contain no timestamps, so repeated
-runs are byte-identical.
+Exit codes: 0 success, 1 mathematical failure (inequality violation,
+non-convergence or a failed quaternionic structure check), 2 usage/config
+error.  All randomness is seeded from the config (overridable with --seed);
+reports contain no timestamps, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fields as fl
 from . import oracle
-from .errors import ConeError, ConvergenceError, SamplingError
+from .errors import ConeError, ConvergenceError, SamplingError, StructureError
 from .grid import load_scalar_field, save_scalar_field
 from .probe import run_probe
 from .solver import SolverConfig, build_problem, solve
@@ -213,20 +213,24 @@ def main(argv=None):
     add_common(p_probe, config=False)
 
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return run_verify(args.config, args.out, args.seed, args.quiet)
-    if args.command == "solve":
-        return run_solve(args.config, args.out, args.seed, args.quiet)
-    if args.command == "cone-check":
-        return run_cone_check(args.config, args.out, args.seed, args.quiet)
-    if args.command == "probe":
-        try:
-            p_values = tuple(float(x) for x in args.p.split(","))
-            if not p_values or not all(math.isfinite(p) and p > 0 for p in p_values):
-                raise ValueError
-        except ValueError:
-            return _fail_usage(f"bad probe exponent list: {args.p!r}")
-        return run_probe_cmd(args.result, args.out, p_values, args.seed, args.quiet)
+    try:
+        if args.command == "verify":
+            return run_verify(args.config, args.out, args.seed, args.quiet)
+        if args.command == "solve":
+            return run_solve(args.config, args.out, args.seed, args.quiet)
+        if args.command == "cone-check":
+            return run_cone_check(args.config, args.out, args.seed, args.quiet)
+        if args.command == "probe":
+            try:
+                p_values = tuple(float(x) for x in args.p.split(","))
+                if not p_values or not all(math.isfinite(p) and p > 0 for p in p_values):
+                    raise ValueError
+            except ValueError:
+                return _fail_usage(f"bad probe exponent list: {args.p!r}")
+            return run_probe_cmd(args.result, args.out, p_values, args.seed, args.quiet)
+    except StructureError as exc:  # a quaternionic structure check failed: mathematical
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

@@ -55,6 +55,10 @@ MARGIN = 1e-10
 _CENTER = 0.6
 _RADIUS = 1.4
 
+# matrix-concavity segment scan: an odd node count puts the midpoint on a node
+_SCAN_POINTS = 11
+_MAX_RESAMPLE = 50
+
 
 @dataclass(frozen=True)
 class SampleSpec:
@@ -71,8 +75,8 @@ class SampleSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
 
 
 @dataclass
@@ -203,44 +207,52 @@ def verify_deletion_cone(spec):
     return _tally(args, _concat(slacks))
 
 
-def verify_minor_quotient(spec, l):
-    """sigma_{k-1}(A|i) / sigma_{l-1}(A|i) > sigma_k(A) / sigma_l(A), cross-multiplied."""
+def verify_minor_quotient(spec, ls):
+    """sigma_{k-1}(A|i) / sigma_{l-1}(A|i) > sigma_k(A) / sigma_l(A), cross-multiplied.
+
+    One report per l in ``ls``, in order; the n deletions are diagonalized
+    once and shared by every l.
+    """
     k = spec.k
-    if not 1 <= l < k:
-        raise ValueError(f"need 1 <= l < k, got l={l}, k={k}")
-    args = dict(proposition="matrix-minor-quotient", n=spec.n, k=k, l=l,
-                samples=spec.count, seed=spec.seed)
+    ls = list(ls)
+    for l in ls:
+        if not 1 <= l < k:
+            raise ValueError(f"need 1 <= l < k, got l={l}, k={k}")
     A, lam = sample_hyperhermitian_gamma_k(spec, tag=11, return_eigs=True)
     e = symfun.elementary_all(lam, k)
-    sk, sl = e[:, k], e[:, l]
-    slacks = []
-    for i in range(spec.n):
-        mu = qt.chi_eigvals(qt.chi_delete(A, i))
-        emu = symfun.elementary_all(mu, k - 1)
-        lhs = emu[:, k - 1] * sl
-        rhs = sk * emu[:, l - 1]
-        slacks.append(_normalized_slack(lhs, rhs))
-    return _tally(args, _concat(slacks))
+    emus = [symfun.elementary_all(qt.chi_eigvals(qt.chi_delete(A, i)), k - 1)
+            for i in range(spec.n)]
+    reports = []
+    for l in ls:
+        slacks = [_normalized_slack(emu[:, k - 1] * e[:, l], e[:, k] * emu[:, l - 1])
+                  for emu in emus]
+        reports.append(_tally(dict(proposition="matrix-minor-quotient", n=spec.n, k=k, l=l,
+                                   samples=spec.count, seed=spec.seed), _concat(slacks)))
+    return reports
 
 
-def verify_matrix_concavity(spec, l, scan_points=11, max_resample=50):
+def verify_matrix_concavity(spec, ls):
     """Midpoint concavity of (sigma_k / sigma_l)^(1/(k-l)) on matrix pairs.
 
     Tested only on segments whose scan stays in Gamma_k; exiting pairs are
     resampled (the cone is convex, so exits indicate numerical degeneracy).
+    Cone membership does not depend on l, so one scan serves every l in
+    ``ls``, and its end and middle nodes are A, (A + B)/2 and B.  Returns one
+    report per l, in order.
     """
     k = spec.k
-    if not 0 <= l < k:
-        raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
-    args = dict(proposition="matrix-quotient-concavity", n=spec.n, k=k, l=l,
-                samples=spec.count, seed=spec.seed)
+    ls = list(ls)
+    for l in ls:
+        if not 0 <= l < k:
+            raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
     A = sample_hyperhermitian_gamma_k(spec, tag=12)
     B = sample_hyperhermitian_gamma_k(spec, tag=13)
-    ts = np.linspace(0.0, 1.0, scan_points)
+    ts = np.linspace(0.0, 1.0, _SCAN_POINTS)
     resamples = 0
-    for _ in range(max_resample):
+    for _ in range(_MAX_RESAMPLE):
         seg = A[None] * (1 - ts)[:, None, None, None] + B[None] * ts[:, None, None, None]
-        lam_seg = qt.chi_eigvals(seg.reshape(-1, *A.shape[1:])).reshape(scan_points, spec.count, spec.n)
+        lam_seg = qt.chi_eigvals(seg.reshape(-1, *A.shape[1:]))
+        lam_seg = lam_seg.reshape(_SCAN_POINTS, spec.count, spec.n)
         inside = symfun.in_gamma_k(lam_seg, k).all(axis=0)
         if inside.all():
             break
@@ -250,16 +262,17 @@ def verify_matrix_concavity(spec, l, scan_points=11, max_resample=50):
         resamples += 1
     else:
         raise SamplingError("could not keep concavity segments inside the cone")
-
-    def f(M):
-        lam = qt.chi_eigvals(M)
-        return symfun.quotient_root(lam, k, l, check=False)
-
-    mid = f((A + B) / 2.0)
-    avg = (f(A) + f(B)) / 2.0
-    report = _tally(args, _normalized_slack(mid, avg - 1e-15))
-    report.notes["resample_rounds"] = resamples
-    return report
+    # node j is (1 - t_j) A + t_j B; t = 1/2 is exact, and 0.5 A + 0.5 B == (A + B) / 2
+    ends = lam_seg[[0, _SCAN_POINTS // 2, -1]]
+    reports = []
+    for l in ls:
+        fa, mid, fb = symfun.quotient_root(ends, k, l, check=False)
+        report = _tally(dict(proposition="matrix-quotient-concavity", n=spec.n, k=k, l=l,
+                             samples=spec.count, seed=spec.seed),
+                        _normalized_slack(mid, (fa + fb) / 2.0 - 1e-15))
+        report.notes["resample_rounds"] = resamples
+        reports.append(report)
+    return reports
 
 
 def verify_schur_pairing(spec):
@@ -424,18 +437,18 @@ def verify_moore_realization(spec, tol=1e-8):
 
 
 def verify_sigma_triple_agreement(spec, tol=1e-8):
-    """Eigenvalue, minor-sum, and coefficient routes to sigma_k agree."""
+    """Eigenvalue, minor-sum, and coefficient routes to sigma_k agree.
+
+    Each route runs once on the whole stack of samples.
+    """
     args = dict(proposition="sigma-triple-agreement", n=spec.n, k=spec.k, l=None,
                 samples=spec.count, seed=spec.seed)
-    rng = _rng(spec, 31)
-    rel = np.empty((spec.count, 2))
-    for c in range(spec.count):
-        A = qt.random_hyperhermitian(rng, spec.n, spec.scale)
-        a = qt.sigma_k_matrix(A, spec.k)
-        b = qt.sigma_k_minor_sum(A, spec.k)
-        d = qt.sigma_k_coefficient(A, spec.k)
-        scale = max(abs(a), abs(b), abs(d), 1.0)
-        rel[c] = (abs(a - b) / scale, abs(a - d) / scale)
+    A = qt.random_hyperhermitian_chi(_rng(spec, 31), spec.n, spec.scale, count=spec.count)
+    a = qt.sigma_k_matrix(A, spec.k)
+    b = qt.sigma_k_minor_sum(A, spec.k)
+    d = qt.sigma_k_coefficient(A, spec.k)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(d), 1.0))
+    rel = np.stack([np.abs(a - b) / scale, np.abs(a - d) / scale], axis=1)
     return _tally(args, tol - rel)
 
 
@@ -494,9 +507,9 @@ def run_standard_suite(count, seed, n_values=(2, 3, 4, 5), scale=1.0,
                        propositions=None, algebra_count=None):
     """Run every verifier over all admissible (n, k, l); returns report list.
 
-    ``algebra_count`` caps the per-sample-loop algebra cross-checks
+    ``algebra_count`` sets the sample count of the algebra cross-checks
     (moore-realization, sigma-triple, homomorphism) independently of the
-    vectorized inequality count.
+    inequality count.
     """
     want = set(propositions or STANDARD_PROPOSITIONS)
     unknown = want - set(STANDARD_PROPOSITIONS)
@@ -521,17 +534,22 @@ def run_standard_suite(count, seed, n_values=(2, 3, 4, 5), scale=1.0,
                 reports.append(verify_deletion_cone(spec))
             if "schur-diagonal-pairing" in want:
                 reports.append(verify_schur_pairing(spec))
+            # the matrix verifiers sample once per (n, k) for every l
+            concavity = (verify_matrix_concavity(spec, range(k))
+                         if "matrix-quotient-concavity" in want else [])
+            minor = (verify_minor_quotient(spec, range(1, k))
+                     if "matrix-minor-quotient" in want and k >= 2 else [])
             for l in range(k):
                 if "quotient-monotonicity" in want:
                     reports.append(verify_quotient_monotonicity(spec, l))
                 if "quotient-root-concavity" in want:
                     reports.append(verify_quotient_concavity(spec, l))
-                if "matrix-quotient-concavity" in want:
-                    reports.append(verify_matrix_concavity(spec, l))
+                if concavity:
+                    reports.append(concavity[l])
                 if l >= 1 and "minor-quotient" in want:
                     reports.append(verify_tuple_minor_quotient(spec, l))
-                if l >= 1 and "matrix-minor-quotient" in want:
-                    reports.append(verify_minor_quotient(spec, l))
+                if minor and l >= 1:
+                    reports.append(minor[l - 1])
         aspec = spec_for(n, max(1, n - 1), acount)
         if "moore-realization" in want:
             reports.append(verify_moore_realization(aspec))

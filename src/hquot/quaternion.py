@@ -159,9 +159,17 @@ def structure_residual(M):
 
 
 def _is_exactly_real_diagonal(M):
-    n2 = M.shape[-1]
-    off = M - np.einsum("...ii->...i", M)[..., None] * np.eye(n2)
-    return not off.any() and not M.imag.any()
+    """True iff every matrix of the stack is real, diagonal and finite.
+
+    Counts nonzeros in views of M, without a copy.  A NaN off the diagonal
+    counts as nonzero and a non-finite diagonal entry is rejected, so such
+    input goes to eigvalsh.
+    """
+    if M.imag.any():
+        return False
+    R = M.real
+    d = np.einsum("...ii->...i", R)
+    return bool(np.count_nonzero(R) == np.count_nonzero(d) and np.isfinite(d).all())
 
 
 def chi_eigvals(M, tol_scale=1e-8):
@@ -343,10 +351,19 @@ class QMatrix:
 
 
 def _require_hyperhermitian(A, tol=1e-8):
-    if not A.is_hyperhermitian(tol):
-        raise StructureError(
-            f"matrix is not hyperhermitian (residual {A.hyperhermitian_residual():.3e})"
-        )
+    """The embedding of A, a QMatrix or a stack ``(..., 2n, 2n)``, after
+    checking matrix by matrix that it is hermitian to tol * (1 + |A|)."""
+    M = A.chi if isinstance(A, QMatrix) else np.asarray(A, dtype=complex)
+    axes = (-2, -1)
+    residual = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
+    if np.any(residual > tol * (1.0 + np.abs(M).max(axis=axes, initial=0.0))):
+        raise StructureError(f"matrix is not hyperhermitian (residual {residual.max():.3e})")
+    return M
+
+
+def _scalar_or_stack(x):
+    """A float for one matrix, the array of per-matrix values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +401,18 @@ def realize(A):
 def eigenvalues(A, route="complex", tol_scale=1e-8):
     """Real eigenvalues of a hyperhermitian matrix, ascending.
 
-    route="complex" solves the 2n x 2n embedding (eigenvalues doubled);
-    route="real" solves the 4n x 4n realization (quadrupled).  Either way the
-    multiplicity pattern is enforced at width tol_scale * (1 + |A|).
+    route="complex" solves the 2n x 2n embedding (eigenvalues doubled); it
+    also takes a stack of embeddings ``(..., 2n, 2n)`` and returns ``(..., n)``.
+    route="real" solves the 4n x 4n realization (quadrupled) of a QMatrix.
+    Either way the multiplicity pattern is enforced at width
+    tol_scale * (1 + |A|).
     """
-    _require_hyperhermitian(A)
-    scale_tol = tol_scale
+    M = _require_hyperhermitian(A)
     if route == "complex":
-        return chi_eigvals(A.chi, scale_tol)
+        return chi_eigvals(M, tol_scale)
     if route == "real":
         w = np.linalg.eigvalsh(realize(A))
-        return _collapse_pairs(w, 4, scale_tol)
+        return _collapse_pairs(w, 4, tol_scale)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -445,10 +463,11 @@ def moore_det(A, tol_scale=1e-8):
     """Moore determinant: the product of the real eigenvalues.
 
     Signed (unlike det(realize(A))^(1/4)); satisfies moore_det(Id) = 1 and
-    |moore_det(A)|^4 = det(realize(A)).
+    |moore_det(A)|^4 = det(realize(A)).  A stack of embeddings gives one
+    determinant per matrix.
     """
     lam = eigenvalues(A, tol_scale=tol_scale)
-    return float(np.prod(lam))
+    return _scalar_or_stack(np.prod(lam, axis=-1))
 
 
 def principal_minor_det(A, indices, tol_scale=1e-8):
@@ -457,18 +476,18 @@ def principal_minor_det(A, indices, tol_scale=1e-8):
     ``indices`` is a 0-based set; the full index set yields 1 by convention,
     the empty set yields moore_det(A).  Deleting a symmetric row/column set
     preserves hyperhermitianness, so the sub-determinant is well defined.
+    A stack of embeddings ``(..., 2n, 2n)`` gives one minor per matrix.
     """
+    M = A.chi if isinstance(A, QMatrix) else np.asarray(A, dtype=complex)
+    n = M.shape[-1] // 2
     idx = sorted(set(int(i) for i in indices))
-    n = A.n
     if any(i < 0 or i >= n for i in idx):
         raise ValueError(f"indices out of range for n={n}: {idx}")
-    M = A.chi
     for i in reversed(idx):
         M = chi_delete(M, i)
     if M.shape[-1] == 0:
-        return 1.0
-    lam = chi_eigvals(M, tol_scale)
-    return float(np.prod(lam))
+        return _scalar_or_stack(np.ones(M.shape[:-2]))
+    return _scalar_or_stack(np.prod(chi_eigvals(M, tol_scale), axis=-1))
 
 
 def sigma_k_matrix(A, k, tol_scale=1e-8):
@@ -476,9 +495,11 @@ def sigma_k_matrix(A, k, tol_scale=1e-8):
 
     Equals the sum of all k x k principal minor Moore determinants and the
     coefficient of t^(n-k) in moore_det(A + t*Id); sigma_n is moore_det.
+    Like the two routes below, it takes a QMatrix (returns a float) or a
+    stack of embeddings ``(..., 2n, 2n)`` (returns one value per matrix).
     """
     lam = eigenvalues(A, tol_scale=tol_scale)
-    return float(symfun.sigma(lam, k))
+    return _scalar_or_stack(symfun.sigma(lam, k))
 
 
 def char_expansion(A, t, tol_scale=1e-8):
@@ -496,23 +517,35 @@ def char_expansion(A, t, tol_scale=1e-8):
 
 
 def sigma_k_minor_sum(A, k, tol_scale=1e-8):
-    """sigma_k via the sum of k x k principal minors (deleting n-k indices)."""
-    n = A.n
-    total = 0.0
+    """sigma_k via the sum of k x k principal minors (deleting n-k indices);
+    one eigenvalue solve per index set, shared by a whole stack."""
+    M = _require_hyperhermitian(A)
+    n = M.shape[-1] // 2
+    total = np.zeros(M.shape[:-2])
     for I in itertools.combinations(range(n), n - k):
-        total += principal_minor_det(A, I, tol_scale)
-    return float(total)
+        total += principal_minor_det(M, I, tol_scale)
+    return _scalar_or_stack(total)
 
 
 def sigma_k_coefficient(A, k, tol_scale=1e-8):
-    """sigma_k via polynomial coefficient extraction from moore_det(A + t*Id)."""
-    n = A.n
-    lam = eigenvalues(A, tol_scale=tol_scale)
-    s = 1.0 + float(np.abs(lam).max(initial=0.0))
-    nodes = s * (np.arange(n + 1) - n / 2.0)
-    vals = [moore_det(A.shift(t), tol_scale) for t in nodes]
-    coeffs = np.polyfit(nodes, vals, n)  # highest power first
-    return float(coeffs[k])
+    """sigma_k via polynomial coefficient extraction from moore_det(A + t*Id).
+
+    The n + 1 nodes are t = s * (j - n/2) with s = 1 + max|lam|; a stack
+    makes one eigenvalue solve per node.  The nodes differ from matrix to
+    matrix, so the interpolating polynomial is fitted per matrix.
+    """
+    M = _require_hyperhermitian(A)
+    n = M.shape[-1] // 2
+    lam = chi_eigvals(M, tol_scale)
+    s = 1.0 + np.abs(lam).max(axis=-1, initial=0.0)
+    nodes = s[..., None] * (np.arange(n + 1) - n / 2.0)
+    eye = np.eye(2 * n)
+    vals = np.stack([moore_det(M + nodes[..., j, None, None] * eye, tol_scale)
+                     for j in range(n + 1)], axis=-1)
+    # coefficients come highest power first
+    coeffs = [np.polyfit(x, y, n)[k]
+              for x, y in zip(nodes.reshape(-1, n + 1), vals.reshape(-1, n + 1))]
+    return _scalar_or_stack(np.reshape(coeffs, s.shape))
 
 
 def newton_transform(A, m, tol_scale=1e-8):
@@ -539,12 +572,19 @@ def random_hyperhermitian(rng, n, scale=1.0):
 
     Off-diagonal entries get four independent components; diagonals are real.
     """
-    comp = rng.uniform(-scale, scale, size=(4, n, n))
-    w = (comp[0] + comp[0].T) / 2.0
-    x = (comp[1] - comp[1].T) / 2.0
-    y = (comp[2] - comp[2].T) / 2.0
-    z = (comp[3] - comp[3].T) / 2.0
-    return QMatrix.from_components(w, x, y, z)
+    return QMatrix(random_hyperhermitian_chi(rng, n, scale), validate=False)
+
+
+def random_hyperhermitian_chi(rng, n, scale=1.0, count=None):
+    """Stacked embeddings ``(count, 2n, 2n)`` of random_hyperhermitian
+    matrices, with the same draws from ``rng`` as ``count`` calls of it."""
+    squeeze = count is None
+    comp = rng.uniform(-scale, scale, size=(1 if squeeze else int(count), 4, n, n))
+    T = comp.transpose(0, 1, 3, 2)
+    w = (comp[:, 0] + T[:, 0]) / 2.0
+    x, y, z = ((comp[:, 1:] - T[:, 1:]) / 2.0).transpose(1, 0, 2, 3)
+    M = chi_from_split(w + 1j * x, y + 1j * z)
+    return M[0] if squeeze else M
 
 
 def random_qmatrix(rng, n, scale=1.0):

@@ -187,12 +187,11 @@ def _quotient_factor(n, k, l):
     return math.comb(n, k) / math.comb(n, l)
 
 
-def residual(u, b, omega0, F, grid, k, l, backend="spectral", W=None, lam=None):
-    """Pointwise sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F+b) sigma_l(W_u)."""
-    if W is None:
-        W = fl.omega_u(omega0, u, 1.0, grid, backend)
+def residual(u, b, omega0, F, grid, k, l, backend="spectral", lam=None):
+    """Pointwise sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F+b) sigma_l(W_u); ``lam``
+    = eig_field(W_u) may be passed in, else W_u and its eigenvalues are built here."""
     if lam is None:
-        lam = fl.eig_field(W)
+        lam = fl.eig_field(fl.omega_u(omega0, u, 1.0, grid, backend))
     coef = _quotient_factor(grid.n, k, l)
     E = coef * np.exp(np.asarray(F, dtype=float) + b)
     sk = symfun.sigma(lam, k)
@@ -318,7 +317,8 @@ def _solve_newton_step(lin, R, cfg):
 def solve(cfg):
     """Run the damped Newton iteration; returns a SolveResult with sup u = 0.
 
-    Each trial W is diagonalized once; the accepted spectrum is reused.
+    Each trial W is diagonalized once and only its spectrum is kept (W itself
+    is dropped, which lowers the peak memory); the accepted spectrum is reused.
     A config that build_problem cannot turn into a problem raises ValueError;
     mathematical failures raise ConeError or ConvergenceError.
     """
@@ -343,9 +343,8 @@ def solve(cfg):
             f"(margin {pre_cone.worst_margin:.3e}); the iteration may still converge"
         )
 
-    W = fl.omega_u(omega0, u, 1.0, grid, backend)
-    spectrum = chi_eigh(W)
-    R = residual(u, b, omega0, F, grid, k, l, backend, W=W, lam=spectrum[0])
+    spectrum = chi_eigh(fl.omega_u(omega0, u, 1.0, grid, backend))
+    R = residual(u, b, omega0, F, grid, k, l, backend, lam=spectrum[0])
     hist = [float(np.abs(R).max())]
     iterations = 0
 
@@ -367,17 +366,16 @@ def solve(cfg):
             u_try = u + step * v
             u_try -= u_try.mean()
             b_try = b + step * db
-            W_try = fl.omega_u(omega0, u_try, 1.0, grid, backend)
-            spectrum_try = chi_eigh(W_try)
+            spectrum_try = chi_eigh(fl.omega_u(omega0, u_try, 1.0, grid, backend))
             margin = symfun.gamma_margin(spectrum_try[0], k)
             if np.min(margin) <= cfg.cone_margin:
                 step *= cfg.backtrack_factor
                 continue
             R_try = residual(u_try, b_try, omega0, F, grid, k, l, backend,
-                             W=W_try, lam=spectrum_try[0])
+                             lam=spectrum_try[0])
             r_try = float(np.abs(R_try).max())
             if r_try < (1.0 - 1e-4 * step) * hist[-1] or r_try <= cfg.tolerance:
-                u, b, W, spectrum, R = u_try, b_try, W_try, spectrum_try, R_try
+                u, b, spectrum, R = u_try, b_try, spectrum_try, R_try
                 hist.append(r_try)
                 accepted = True
                 break
@@ -394,7 +392,7 @@ def solve(cfg):
         )
 
     u_out = normalize_sup(u)
-    gam = fl.in_gamma_k_field(W, k, lam=spectrum[0])
+    gam = fl.in_gamma_k_field(None, k, lam=spectrum[0])
     post_cone = fl.check_cone_condition(omega0, F + b, grid, k, l, lam=lam0)
     if not post_cone.satisfied:
         warnings.append(

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from hquot import cli, fields, oracle
 from hquot.cli import main
+from hquot.errors import StructureError
 
 
 def _write(path, obj):
@@ -61,6 +63,39 @@ def test_verify_seed_reruns_byte_identical(tmp_path):
     ra = (tmp_path / "a" / "verify_report.json").read_bytes()
     rb = (tmp_path / "b" / "verify_report.json").read_bytes()
     assert ra == rb
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_verify_rejects_non_finite_scale(tmp_path, capsys, scale):
+    cfg = _write(tmp_path / "v.json", {"count": 50, "n_values": [2], "scale": scale})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scale" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _raise_structure_error(*args, **kwargs):
+    raise StructureError("eigenvalue multiplicity 2 violated")
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "cone-check", "probe"])
+def test_structure_error_is_a_mathematical_failure(tmp_path, capsys, monkeypatch,
+                                                    solve_cfg, command):
+    if command == "probe":
+        assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol"),
+                     "--quiet"]) == 0
+        args = ["--result", str(tmp_path / "sol")]
+    elif command == "verify":
+        args = ["--config", _write(tmp_path / "v.json", {"count": 10, "n_values": [2]})]
+    else:
+        args = ["--config", solve_cfg]
+    monkeypatch.setattr(oracle, "run_standard_suite", _raise_structure_error)
+    monkeypatch.setattr(cli, "solve", _raise_structure_error)
+    monkeypatch.setattr(fields, "check_cone_condition", _raise_structure_error)
+    monkeypatch.setattr(cli, "run_probe", _raise_structure_error)
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: eigenvalue multiplicity 2 violated\n"
 
 
 def test_solve_constant_forcing(tmp_path):

@@ -18,6 +18,12 @@ def test_spec_validation():
         SampleSpec(n=3, k=2, count=5, scale=-1.0)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0])
+def test_spec_rejects_non_finite_or_zero_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        SampleSpec(n=3, k=2, count=5, scale=scale)
+
+
 def test_sampler_membership_and_determinism():
     spec = SampleSpec(n=4, k=3, count=400, seed=99)
     a = oracle.sample_gamma_k(spec)
@@ -84,8 +90,8 @@ def test_schur_pairing_diagonal_equality():
     "fn,extra",
     [
         (oracle.verify_deletion_cone, ()),
-        (oracle.verify_minor_quotient, (1,)),
-        (oracle.verify_matrix_concavity, (1,)),
+        (oracle.verify_minor_quotient, ([1],)),
+        (oracle.verify_matrix_concavity, ([1],)),
         (oracle.verify_schur_pairing, ()),
         (oracle.verify_newton_maclaurin, ()),
         (oracle.verify_quotient_monotonicity, (1,)),
@@ -97,6 +103,8 @@ def test_schur_pairing_diagonal_equality():
 def test_inequality_verifiers_pass(fn, extra):
     spec = SampleSpec(n=4, k=3, count=800, seed=2024)
     report = fn(spec, *extra)
+    if isinstance(report, list):  # the matrix verifiers report per requested l
+        (report,) = report
     assert report.failures == 0
     assert report.checks > 0
     assert report.min_slack > -oracle.MARGIN
@@ -138,3 +146,65 @@ def test_standard_suite_small():
     assert names == set(oracle.STANDARD_PROPOSITIONS)
     with pytest.raises(ValueError):
         oracle.run_standard_suite(count=10, seed=3, n_values=(2,), propositions=["nope"])
+
+
+def test_matrix_verifiers_diagonalize_once_per_n_k(monkeypatch):
+    calls = []
+    real = qt.chi_eigvals
+
+    def counting(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(qt, "chi_eigvals", counting)
+    reports = oracle.run_standard_suite(
+        count=60, seed=5, n_values=(2, 3),
+        propositions=["matrix-quotient-concavity", "matrix-minor-quotient"],
+    )
+    pairs = [(n, k) for n in (2, 3) for k in range(1, n + 1)]
+    # one segment scan per (n, k), plus one per resample round
+    scans = len(pairs) + sum(r.notes["resample_rounds"] for r in reports
+                             if r.proposition == "matrix-quotient-concavity" and r.l == 0)
+    deletions = sum(n for n, k in pairs if k >= 2)
+    assert len(calls) == scans + deletions
+    assert len(reports) == sum(k + (k - 1) for _, k in pairs)
+
+
+def _concavity_reference(spec, l):
+    """The concavity report of one l with separate eigenvalue solves of A,
+    (A + B)/2 and B (valid when the verifier resampled nothing)."""
+    k = spec.k
+    A = oracle.sample_hyperhermitian_gamma_k(spec, tag=12)
+    B = oracle.sample_hyperhermitian_gamma_k(spec, tag=13)
+
+    def f(M):
+        return symfun.quotient_root(qt.chi_eigvals(M), k, l, check=False)
+
+    mid = f((A + B) / 2.0)
+    avg = (f(A) + f(B)) / 2.0 - 1e-15
+    slack = (mid - avg) / (np.abs(mid) + np.abs(avg) + 1.0)
+    failures = int(np.count_nonzero(slack <= -oracle.MARGIN))
+    return oracle.VerificationReport(
+        proposition="matrix-quotient-concavity", n=spec.n, k=k, l=l,
+        samples=spec.count, checks=slack.size, failures=failures,
+        worst_violation=float(slack.min()) if failures else None,
+        min_slack=float(slack.min()), seed=spec.seed, notes={"resample_rounds": 0},
+    )
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 2), (5, 4)])
+def test_per_l_reports_do_not_depend_on_the_l_list(n, k):
+    spec = SampleSpec(n=n, k=k, count=300, seed=41)
+    together = oracle.verify_matrix_concavity(spec, range(k))
+    for l in range(k):
+        alone = oracle.verify_matrix_concavity(spec, [l])[0]
+        assert alone.to_json() == together[l].to_json()
+        assert alone.to_json() == _concavity_reference(spec, l).to_json()
+    minors = oracle.verify_minor_quotient(spec, range(1, k))
+    assert [r.l for r in minors] == list(range(1, k))
+    for l in range(1, k):
+        assert oracle.verify_minor_quotient(spec, [l])[0].to_json() == minors[l - 1].to_json()
+    with pytest.raises(ValueError):
+        oracle.verify_matrix_concavity(spec, [0, k])
+    with pytest.raises(ValueError):
+        oracle.verify_minor_quotient(spec, [0])

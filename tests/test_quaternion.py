@@ -278,3 +278,67 @@ def test_chi_from_spectrum_reassembles():
         assert np.abs(qt.chi_from_spectrum(V, lam) - A.chi).max() < 1e-12
         S = qt.chi_from_spectrum(V, np.exp(lam))
         assert QMatrix(S).is_hyperhermitian()  # validates the chi structure too
+
+
+def _old_is_exactly_real_diagonal(M):
+    """The off-diagonal-copy test that _is_exactly_real_diagonal replaced."""
+    off = M - np.einsum("...ii->...i", M)[..., None] * np.eye(M.shape[-1])
+    return not off.any() and not M.imag.any()
+
+
+def _diagonal_test_cases():
+    rng = np.random.default_rng(83)
+    diag = np.zeros((4, 6, 6), dtype=complex)
+    diag[:, range(6), range(6)] = rng.normal(size=(4, 6))
+    yield pytest.param(diag, id="diagonal")
+    yield pytest.param(qt.random_hyperhermitian_chi(rng, 3, count=4), id="random")
+    yield pytest.param(np.zeros((2, 4, 4), dtype=complex), id="zero")
+    yield pytest.param(np.zeros((3, 0, 0), dtype=complex), id="empty")
+    neg = diag.copy()
+    neg[1, 2, 3] = -0.0
+    neg[2, 0, 0] = -0.0
+    neg[3, 4, 1] = complex(0.0, -0.0)
+    yield pytest.param(neg, id="negative-zero")
+    for bad in (np.nan, np.inf, -np.inf):
+        for place, where in (("diag", (1, 2, 2)), ("off", (1, 2, 3))):
+            for part, value in (("real", complex(bad, 0.0)), ("imag", complex(0.0, bad))):
+                M = diag.copy()
+                M[where] = value
+                yield pytest.param(M, id=f"{bad}-{place}-{part}")
+    imag = diag.copy()
+    imag[0, 1, 1] += 1e-300j
+    yield pytest.param(imag, id="tiny-imaginary")
+
+
+@pytest.mark.parametrize("M", _diagonal_test_cases())
+def test_exact_diagonal_test_matches_off_diagonal_copy(M):
+    with np.errstate(invalid="ignore"):
+        expected = _old_is_exactly_real_diagonal(M)
+    assert qt._is_exactly_real_diagonal(M) is expected
+    if not np.isfinite(M).all():
+        assert not expected  # non-finite input never takes the diagonal shortcut
+
+
+def test_random_hyperhermitian_stack_draws_as_single_matrices():
+    stack = qt.random_hyperhermitian_chi(np.random.default_rng(89), 3, 0.7, count=5)
+    rng = np.random.default_rng(89)
+    singles = [qt.random_hyperhermitian(rng, 3, 0.7).chi for _ in range(5)]
+    assert np.array_equal(stack, np.stack(singles))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sigma_routes_on_a_stack_match_single_matrices(n):
+    rng = np.random.default_rng(97 + n)
+    stack = qt.random_hyperhermitian_chi(rng, n, count=6)
+    routes = (qt.sigma_k_matrix, qt.sigma_k_minor_sum, qt.sigma_k_coefficient)
+    for k in range(n + 1):
+        for route in routes:
+            got = route(stack, k)
+            assert got.shape == (6,)
+            want = np.array([route(QMatrix(M), k) for M in stack])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    bad = stack.copy()
+    bad[3] += 1e-3 * rng.normal(size=bad[3].shape)  # one matrix loses hermiticity
+    for route in routes:
+        with pytest.raises(StructureError):
+            route(bad, min(2, n))
