@@ -43,7 +43,6 @@ from .quaternion import (
     chi_eigvals,
     chi_from_spectrum,
     eig,
-    structure_residual,
 )
 
 __all__ = [
@@ -53,18 +52,15 @@ __all__ = [
     "gradient_coefficients",
     "omega_u",
     "eig_field",
-    "sigma_field",
     "in_gamma_k_field",
     "GammaFieldReport",
     "measure_epsilon",
     "check_cone_condition",
     "ConeConditionReport",
     "simultaneous_diagonalize",
-    "wedge_minor_coeff",
     "newton_transform_field",
     "gradient_pairing",
     "gradient_alpha_pairing",
-    "hyperhermitian_residual_field",
 ]
 
 # e_c, the quaternion unit of real coordinate 4a + c
@@ -120,36 +116,25 @@ def quaternionic_hessian(u, grid, backend="spectral"):
     return W
 
 
-def hyperhermitian_residual_field(W):
-    """Max hermiticity + structure deviation over the grid (bug detector)."""
-    W = np.asarray(W, dtype=complex)
-    herm = float(np.abs(W - np.swapaxes(W, -1, -2).conj()).max())
-    flat = W.reshape(-1, *W.shape[-2:])
-    struct = max(structure_residual(flat[i]) for i in range(min(len(flat), 64)))
-    return max(herm, struct)
-
-
 def gradient_coefficients(u, grid, backend="spectral"):
     """First-derivative coefficients of u in the embedding layout.
 
-    Returns shape grid.shape + (2n,): slot b carries (d_0 - i d_1)u / sqrt2
-    of quaternionic coordinate b, slot n+b carries (d_2 - i d_3)u / sqrt2.
+    Returns shape grid.shape + (2n,).  Axis P = 4b + c contributes
+    conj(e_c) d_P u / sqrt2 to quaternionic coordinate b, whose 2n-vector is
+    column 0 of the chi embedding of the matrix with that entry in row b:
+    slot b carries (d_0 - i d_1)u / sqrt2, slot n+b carries (d_2 - i d_3)u / sqrt2.
     """
     u = np.asarray(u, dtype=float)
     n = grid.n
     g = np.zeros(grid.shape + (2 * n,), dtype=complex)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for P in grid.active_axes:
         b, c = divmod(P, 4)
+        rows = [[0.0] * n for _ in range(n)]
+        rows[b][0] = _UNITS[c].conjugate() * (1.0 / math.sqrt(2.0))
+        v = QMatrix.from_entries(rows).chi[:, 0]
         d1 = first_derivative(u, grid, P, backend)
-        if c == 0:
-            g[..., b] += inv_sqrt2 * d1
-        elif c == 1:
-            g[..., b] += -1j * inv_sqrt2 * d1
-        elif c == 2:
-            g[..., b + n] += inv_sqrt2 * d1
-        else:
-            g[..., b + n] += -1j * inv_sqrt2 * d1
+        for i in np.flatnonzero(v):
+            g[..., i] += v[i] * d1
     return g
 
 
@@ -180,13 +165,6 @@ def eig_field(W, tol_scale=1e-8):
     if n == 1:
         return W[..., :1, 0].real.copy()
     return chi_eigvals(W, tol_scale)
-
-
-def sigma_field(W, k, lam=None):
-    """Pointwise sigma_k of the eigenvalue tuples (= C(n,k) x wedge ratio)."""
-    if lam is None:
-        lam = eig_field(W)
-    return symfun.sigma(lam, k)
 
 
 @dataclass
@@ -342,16 +320,6 @@ def simultaneous_diagonalize(M1, M2, tol=1e-9):
     if err > tol * (1.0 + float(max(np.abs(M1).max(), np.abs(M2).max()))):
         raise ConeError(f"joint diagonalization failed: off-diagonal residual {err:.3e}")
     return C, d1, d2
-
-
-def wedge_minor_coeff(lam, i, l):
-    """sigma_{i-1} of a diagonalized point value with slot l removed.
-
-    In the diagonal frame this is the coefficient relating
-    W^(i-1) ^ Omega^(n-i) ^ (slot-l area element) to (i-1)! (n-i)! Omega^n.
-    """
-    lam = np.asarray(lam, dtype=float)
-    return symfun.sigma_excl(lam, i - 1, l)
 
 
 def newton_transform_field(W, m):

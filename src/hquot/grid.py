@@ -27,8 +27,6 @@ __all__ = [
     "integrate",
     "save_scalar_field",
     "load_scalar_field",
-    "save_form_field",
-    "load_form_field",
 ]
 
 BACKENDS = ("spectral", "fd")
@@ -176,33 +174,29 @@ def integrate(f, grid):
 # field snapshots
 # ---------------------------------------------------------------------------
 #
-# Text format, one point per line in row-major (C) order, values as
-# shortest-roundtrip decimal (exact on reload).  Scalar fields carry one
-# value per line; form fields carry the n*n quaternion entries of the point
-# matrix as 4*n*n values in (row, column, [w x y z]) order.
+# Text format, one value per line in row-major (C) order, values as
+# shortest-roundtrip decimal (exact on reload), after a two-line header.
+
+_MAGIC = "# hquot scalar field v1"
 
 
-def _header(kind, grid):
+def _header(grid):
     axes = ",".join(str(a) for a in grid.active_axes)
-    return (
-        f"# hquot {kind} field v1\n"
-        f"# n={grid.n} N={grid.points_per_axis} axes={axes}\n"
-    )
+    return f"{_MAGIC}\n# n={grid.n} N={grid.points_per_axis} axes={axes}\n"
 
 
-def _parse_header(lines, kind):
-    if len(lines) < 2 or lines[0].strip() != f"# hquot {kind} field v1":
-        raise ValueError(f"not a {kind} field file")
+def _parse_header(lines):
+    if len(lines) < 2 or lines[0].strip() != _MAGIC:
+        raise ValueError("not a scalar field file")
     meta = {}
     for tok in lines[1].lstrip("#").split():
         key, _, val = tok.partition("=")
         meta[key] = val
-    grid = TorusGrid(
+    return TorusGrid(
         n=int(meta["n"]),
         active_axes=tuple(int(a) for a in meta["axes"].split(",")),
         points_per_axis=int(meta["N"]),
     )
-    return grid
 
 
 def save_scalar_field(path, u, grid):
@@ -210,7 +204,7 @@ def save_scalar_field(path, u, grid):
     if u.shape != grid.shape:
         raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
     with open(path, "w") as fh:
-        fh.write(_header("scalar", grid))
+        fh.write(_header(grid))
         for v in u.ravel(order="C"):
             fh.write(repr(float(v)) + "\n")
 
@@ -218,48 +212,9 @@ def save_scalar_field(path, u, grid):
 def load_scalar_field(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
-    grid = _parse_header(lines, "scalar")
+    grid = _parse_header(lines)
     vals = np.array([float(s) for s in lines[2:] if s.strip()], dtype=float)
     if vals.size != grid.num_points:
         raise ValueError(f"expected {grid.num_points} values, found {vals.size}")
     return vals.reshape(grid.shape), grid
 
-
-def save_form_field(path, W, grid):
-    """W is the stacked embedding field, shape grid.shape + (2n, 2n)."""
-    W = np.asarray(W, dtype=complex)
-    n = grid.n
-    if W.shape != grid.shape + (2 * n, 2 * n):
-        raise ValueError("form field shape does not match grid")
-    X = W[..., :n, :n]
-    Y = W[..., :n, n:]
-    comp = np.stack([X.real, X.imag, Y.real, Y.imag], axis=-1)  # (..., n, n, 4)
-    flat = comp.reshape(-1, 4 * n * n)
-    with open(path, "w") as fh:
-        fh.write(_header("form", grid))
-        for row in flat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_form_field(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    grid = _parse_header(lines, "form")
-    n = grid.n
-    rows = [[float(v) for v in s.split()] for s in lines[2:] if s.strip()]
-    flat = np.array(rows, dtype=float)
-    if flat.size == 0:
-        flat = flat.reshape(0, 4 * n * n)
-    if flat.shape != (grid.num_points, 4 * n * n):
-        raise ValueError(
-            f"expected {grid.num_points} x {4 * n * n} values, found {flat.shape}"
-        )
-    comp = flat.reshape(grid.shape + (n, n, 4))
-    X = comp[..., 0] + 1j * comp[..., 1]
-    Y = comp[..., 2] + 1j * comp[..., 3]
-    W = np.zeros(grid.shape + (2 * n, 2 * n), dtype=complex)
-    W[..., :n, :n] = X
-    W[..., :n, n:] = Y
-    W[..., n:, :n] = -Y.conj()
-    W[..., n:, n:] = X.conj()
-    return W, grid

@@ -40,12 +40,8 @@ __all__ = [
     "sigma_k_matrix",
     "sigma_k_minor_sum",
     "sigma_k_coefficient",
-    "char_expansion",
-    "newton_transform",
-    "pair_real",
     "random_hyperhermitian",
     "random_qmatrix",
-    "random_symplectic_unitary",
 ]
 
 # ---------------------------------------------------------------------------
@@ -176,32 +172,42 @@ def chi_eigvals(M, tol_scale=1e-8):
     """Eigenvalues of stacked hyperhermitian embeddings, pair-collapsed.
 
     Input ``(..., 2n, 2n)`` hermitian with the chi structure; output
-    ``(..., n)`` ascending.  The adjacent-pair spread is checked against
-    tol_scale * (1 + max|eig|); violation raises StructureError (it signals a
-    non-hyperhermitian input or an eigensolver failure, never silently fixed).
+    ``(..., n)`` ascending.  Each matrix's eigenvalue pairs (on the exact
+    diagonal shortcut, its diagonal entries i and n + i) must agree to
+    tol_scale * (1 + max|eig| of that matrix); a violation raises
+    StructureError (it signals a non-hyperhermitian input or an eigensolver
+    failure, never silently fixed).
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[-1] // 2
     if _is_exactly_real_diagonal(M):
         d = np.einsum("...ii->...i", M).real
+        if not np.array_equal(d[..., :n], d[..., n:]):  # exact pairs need no spread
+            _require_groups(np.stack([d[..., :n], d[..., n:]], axis=-1), tol_scale)
         return np.sort(d[..., :n], axis=-1)
     w = np.linalg.eigvalsh(M)
     return _collapse_pairs(w, 2, tol_scale)
 
 
-def _collapse_pairs(w, mult, tol_scale):
-    shape = w.shape[:-1] + (w.shape[-1] // mult, mult)
-    grouped = w.reshape(shape)
-    lam = grouped.mean(axis=-1)
-    spread = grouped.max(axis=-1) - grouped.min(axis=-1)
-    scale = 1.0 + np.abs(w).max(initial=0.0)
-    worst = spread.max(initial=0.0)
-    if worst > tol_scale * scale:
+def _require_groups(grouped, tol_scale):
+    """Raise StructureError unless, matrix by matrix, every group (last axis)
+    of ``grouped`` ``(..., n, mult)`` spreads by at most tol_scale * (1 + the
+    largest |value| of that matrix)."""
+    mult = grouped.shape[-1]
+    spread = (grouped.max(axis=-1) - grouped.min(axis=-1)).max(axis=-1, initial=0.0)
+    limit = tol_scale * (1.0 + np.abs(grouped).max(axis=(-2, -1), initial=0.0))
+    if np.any(spread > limit):
+        worst = np.unravel_index(np.argmax(spread - limit), np.shape(spread))
         raise StructureError(
-            f"eigenvalue multiplicity {mult} violated: spread {worst:.3e} "
-            f"exceeds {tol_scale:.1e} * (1 + |A|) = {tol_scale * scale:.3e}"
+            f"eigenvalue multiplicity {mult} violated: spread {spread[worst]:.3e} "
+            f"exceeds {tol_scale:.1e} * (1 + |A|) = {limit[worst]:.3e}"
         )
-    return lam
+
+
+def _collapse_pairs(w, mult, tol_scale):
+    grouped = w.reshape(w.shape[:-1] + (w.shape[-1] // mult, mult))
+    _require_groups(grouped, tol_scale)
+    return grouped.mean(axis=-1)
 
 
 def chi_eigh(M, tol_scale=1e-8):
@@ -331,20 +337,9 @@ class QMatrix:
     def conj_transpose(self):
         return QMatrix(self.chi.conj().T, validate=False)
 
-    def shift(self, t):
-        """A + t * Id."""
-        return QMatrix(self.chi + float(t) * np.eye(2 * self.n), validate=False)
-
     def norm(self):
         """Frobenius norm of the quaternionic matrix (not of the embedding)."""
         return float(np.linalg.norm(self.chi)) / math.sqrt(2.0)
-
-    def hyperhermitian_residual(self):
-        return float(np.abs(self.chi - self.chi.conj().T).max())
-
-    def is_hyperhermitian(self, tol=1e-10):
-        scale = 1.0 + float(np.abs(self.chi).max(initial=0.0))
-        return self.hyperhermitian_residual() <= tol * scale
 
     def __repr__(self):
         return f"QMatrix(n={self.n})"
@@ -502,20 +497,6 @@ def sigma_k_matrix(A, k, tol_scale=1e-8):
     return _scalar_or_stack(symfun.sigma(lam, k))
 
 
-def char_expansion(A, t, tol_scale=1e-8):
-    """sum over index sets I of t^|I| * principal_minor_det(A, I).
-
-    Independent minor-sum evaluation of moore_det(A + t*Id); the two routes
-    agreeing is the cross-check for the sigma_k machinery.
-    """
-    n = A.n
-    total = 0.0
-    for r in range(n + 1):
-        for I in itertools.combinations(range(n), r):
-            total += (t**r) * principal_minor_det(A, I, tol_scale)
-    return float(total)
-
-
 def sigma_k_minor_sum(A, k, tol_scale=1e-8):
     """sigma_k via the sum of k x k principal minors (deleting n-k indices);
     one eigenvalue solve per index set, shared by a whole stack."""
@@ -546,20 +527,6 @@ def sigma_k_coefficient(A, k, tol_scale=1e-8):
     coeffs = [np.polyfit(x, y, n)[k]
               for x, y in zip(nodes.reshape(-1, n + 1), vals.reshape(-1, n + 1))]
     return _scalar_or_stack(np.reshape(coeffs, s.shape))
-
-
-def newton_transform(A, m, tol_scale=1e-8):
-    """The m-th Newton transform of A: same eigenbasis, eigenvalue i mapped to
-    sigma_m(lam | i).  Its pairing against a direction E gives the derivative
-    of sigma_{m+1} at A."""
-    _require_hyperhermitian(A)
-    lam, V = chi_eigh(A.chi, tol_scale)
-    return QMatrix(chi_from_spectrum(V, symfun.sigma_excl_all(lam, m)), validate=False)
-
-
-def pair_real(S, E):
-    """Real part of tr(S E) for quaternionic matrices: (1/2) tr of embeddings."""
-    return float(0.5 * np.einsum("ij,ji->", S.chi, E.chi).real)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +577,3 @@ def random_symplectic_unitary_chi(rng, n, count=None):
     Jp = jprime(n)
     U = np.concatenate([W, -np.einsum("ij,...jm->...im", Jp, W.conj())], axis=-1)
     return U[0] if squeeze else U
-
-
-def random_symplectic_unitary(rng, n):
-    return QMatrix(random_symplectic_unitary_chi(rng, n), validate=True, tol=1e-8)

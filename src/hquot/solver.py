@@ -26,7 +26,9 @@ neither b nor the residual).
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +53,11 @@ __all__ = [
 
 _SAFE_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
-    "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs, "pi": np.pi,
+    "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs,
 }
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 @dataclass
@@ -117,13 +122,34 @@ class SolverConfig:
         return cls(**data)
 
 
+def _evaluate(node, names):
+    """Value of a parsed expression in the documented grammar: numbers, the
+    ``names``, calls of _SAFE_FUNCS, unary +/- and + - * / **.  Numbers are
+    floats, so a huge power overflows at once instead of growing an int."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand, names))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left, names), _evaluate(node.right, names))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _SAFE_FUNCS and not node.keywords):
+        return _SAFE_FUNCS[node.func.id](*(_evaluate(a, names) for a in node.args))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+
+
 def evaluate_expression(expr, grid):
-    """Evaluate a coordinate expression to a full, finite scalar field."""
-    ns = dict(_SAFE_FUNCS)
-    ns.update(grid.coordinates())
+    """Evaluate a coordinate expression to a full, finite scalar field.
+
+    Only the documented grammar is accepted (see _evaluate); anything else,
+    such as an attribute or a subscript, raises ValueError.
+    """
+    names = {"pi": np.pi, **grid.coordinates()}
     try:
         with np.errstate(all="ignore"):
-            val = eval(expr, {"__builtins__": {}}, ns)  # trusted config input
+            val = _evaluate(ast.parse(expr, mode="eval").body, names)
         out = np.asarray(val, dtype=float)
     except Exception as exc:
         raise ValueError(f"cannot evaluate expression {expr!r}: {exc}") from None

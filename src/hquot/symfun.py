@@ -17,7 +17,6 @@ from .errors import ConeError
 __all__ = [
     "elementary_all",
     "sigma",
-    "sigma_excl",
     "sigma_excl_all",
     "in_gamma_k",
     "gamma_margin",
@@ -77,17 +76,6 @@ def sigma_excl_all(lam, k):
     for m in range(1, k + 1):
         s = e[..., m, None] - lam * s
     return s
-
-
-def sigma_excl(lam, k, i):
-    """sigma_k of ``lam`` with entry ``i`` removed."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 0 <= i < n:
-        raise ValueError(f"index i={i} out of range for n={n}")
-    if k == -1:
-        return np.zeros(lam.shape[:-1])[()] if lam.ndim > 1 else 0.0
-    return sigma_excl_all(lam, k)[..., i]
 
 
 def in_gamma_k(lam, k):

@@ -131,6 +131,9 @@ def test_solve_bad_config(tmp_path):
     pytest.param({"F": "0.1*sinn(2*pi*x0)"}, "sinn", id="undefined-name"),
     pytest.param({"omega0_diag": ["1.0"]}, "omega0_diag", id="short-omega0"),
     pytest.param({"F": "log(x0)"}, "log(x0)", id="non-finite"),
+    pytest.param({"F": "().__class__.__bases__[0].__subclasses__().__len__() * 0 + x0"},
+                 "__class__", id="attribute-chain"),
+    pytest.param({"F": "9**9**9**9 + x0"}, "9**9**9**9", id="huge-power"),
 ])
 def test_bad_problem_is_a_usage_error(tmp_path, capsys, command, bad, named):
     cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,

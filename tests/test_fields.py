@@ -10,9 +10,7 @@ from hquot.grid import (
     TorusGrid,
     first_derivative,
     integrate,
-    load_form_field,
     load_scalar_field,
-    save_form_field,
     save_scalar_field,
     second_derivative,
 )
@@ -20,6 +18,20 @@ from hquot.grid import (
 
 def _field(grid, axis, fn):
     return np.broadcast_to(fn(grid.coordinate(axis)), grid.shape).copy()
+
+
+def _sigma(W, k):
+    """Pointwise sigma_k of a matrix field's eigenvalues."""
+    return symfun.sigma(fl.eig_field(W), k)
+
+
+def _unitary(rng, n):
+    return qt.QMatrix(qt.random_symplectic_unitary_chi(rng, n), tol=1e-8)
+
+
+def _assert_hyperhermitian(W):
+    assert np.abs(W - np.swapaxes(W, -1, -2).conj()).max() < 1e-10
+    assert qt.structure_residual(W) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +89,6 @@ def test_scalar_field_roundtrip(tmp_path):
     v, g2 = load_scalar_field(path)
     assert g2 == g
     assert np.array_equal(u, v)
-
-
-def test_form_field_roundtrip(tmp_path):
-    g = TorusGrid(2, (0,), 8)
-    rng = np.random.default_rng(1)
-    W = np.zeros(g.shape + (4, 4), dtype=complex)
-    for i in range(g.points_per_axis):
-        W[i] = qt.random_hyperhermitian(rng, 2).chi
-    path = tmp_path / "w.csv"
-    save_form_field(path, W, g)
-    V, g2 = load_form_field(path)
-    assert g2 == g
-    assert np.array_equal(W, V)
 
 
 def test_malformed_field_file(tmp_path):
@@ -161,9 +160,9 @@ def test_hessian_sine_trace():
     g = TorusGrid(1, (0,), 16)
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t))
     H = fl.quaternionic_hessian(u, g, "spectral")
-    s1 = fl.sigma_field(H, 1)
+    s1 = _sigma(H, 1)
     assert np.abs(s1 - (-2 * np.pi**2) * u).max() < 1e-10
-    assert fl.hyperhermitian_residual_field(H) < 1e-10
+    _assert_hyperhermitian(H)
 
 
 def test_hessian_backend_convergence_order():
@@ -186,7 +185,31 @@ def test_hessian_off_diagonal_coupling():
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t)) * _field(g, 5, lambda t: np.sin(2 * np.pi * t))
     H = fl.quaternionic_hessian(u, g, "spectral")
     assert np.abs(H[..., 0, 1]).max() > 1.0
-    assert fl.hyperhermitian_residual_field(H) < 1e-10
+    _assert_hyperhermitian(H)
+
+
+UNITS = (qt.Quaternion(1.0), qt.I, qt.J, qt.K)  # e_c, unit of real coordinate 4a + c
+
+
+def _band_limited(axes):
+    """A band-limited u on three active axes (n = 3, N = 8), with its Fourier
+    modes [(amplitude, 4n-vector of frequencies)] and their phases, so that
+    u = sum amp * sin(phase) and partials are exact."""
+    n = 3
+    g = TorusGrid(n, axes, 8)
+    modes = []
+    for amp, m in ((0.7, (1, 2, 0)), (-0.4, (0, 1, -1)), (0.3, (1, 0, 1)), (0.2, (2, -1, 1))):
+        mm = np.zeros(4 * n)
+        mm[list(axes)] = m
+        modes.append((amp, mm))
+    x = [np.broadcast_to(g.coordinate(a), g.shape) for a in axes]
+    phase = [2 * np.pi * sum(m[a] * x[i] for i, a in enumerate(axes)) for _, m in modes]
+    u = sum(amp * np.sin(ph) for (amp, _), ph in zip(modes, phase))
+    return g, u, modes, phase
+
+
+def _sample_points():
+    return map(tuple, np.random.default_rng(11).integers(0, 8, size=(6, 3)))
 
 
 @pytest.mark.parametrize("axes", [(2, 7, 11), (3, 6, 9)], ids=["ax2711", "ax369"])
@@ -194,22 +217,13 @@ def test_hessian_entries_match_defining_formula(axes):
     # H_ab = 1/2 sum_{c,d} e_c conj(e_d) d2u/dx_{4a+c} dx_{4b+d}, evaluated per
     # point with explicit quaternion units from the exact second partials of
     # a band-limited u; cross-coordinate axes reach the j and k components.
-    n = 3
-    g = TorusGrid(n, axes, 8)
-    modes = [(0.7, np.array([1, 2, 0])), (-0.4, np.array([0, 1, -1])),
-             (0.3, np.array([1, 0, 1])), (0.2, np.array([2, -1, 1]))]
-    x = [np.broadcast_to(g.coordinate(a), g.shape) for a in axes]
-    phase = [2 * np.pi * sum(m[i] * x[i] for i in range(3)) for _, m in modes]
-    u = sum(amp * np.sin(ph) for (amp, _), ph in zip(modes, phase))
+    g, u, modes, phase = _band_limited(axes)
+    n = g.n
     H = fl.quaternionic_hessian(u, g, "spectral")
     assert np.array_equal(H, np.swapaxes(H, -1, -2).conj())
-    units = (qt.Quaternion(1.0), qt.I, qt.J, qt.K)
-    rng = np.random.default_rng(11)
-    for pt in map(tuple, rng.integers(0, 8, size=(6, 3))):
+    for pt in _sample_points():
         d2 = np.zeros((4 * n, 4 * n))  # exact d2u/dx_P dx_Q at the point
-        for (amp, m), ph in zip(modes, phase):
-            mm = np.zeros(4 * n)
-            mm[list(axes)] = m
+        for (amp, mm), ph in zip(modes, phase):
             d2 += -amp * 4 * np.pi**2 * np.sin(ph[pt]) * np.outer(mm, mm)
         got = qt.QMatrix(H[pt])
         for a in range(n):
@@ -217,8 +231,29 @@ def test_hessian_entries_match_defining_formula(axes):
                 want = qt.Quaternion()
                 for c in range(4):
                     for d in range(4):
-                        want = want + 0.5 * d2[4 * a + c, 4 * b + d] * (units[c] * units[d].conjugate())
+                        unit = UNITS[c] * UNITS[d].conjugate()
+                        want = want + 0.5 * d2[4 * a + c, 4 * b + d] * unit
                 assert got.entry(a, b).isclose(want, tol=1e-9), (pt, a, b)
+
+
+@pytest.mark.parametrize("axes", [(2, 7, 11), (3, 6, 9)], ids=["ax2711", "ax369"])
+def test_gradient_entries_match_defining_formula(axes):
+    # v_b = 2^(-1/2) sum_c conj(e_c) du/dx_{4b+c}, evaluated per point with
+    # explicit quaternion units from the exact first partials.  v_b = X + Y j
+    # is stored as column 0 of its embedding: X in slot b, -conj(Y) in n + b.
+    g, u, modes, phase = _band_limited(axes)
+    n = g.n
+    v = fl.gradient_coefficients(u, g, "spectral")
+    for pt in _sample_points():
+        d1 = np.zeros(4 * n)  # exact du/dx_P at the point
+        for (amp, mm), ph in zip(modes, phase):
+            d1 += amp * 2 * np.pi * np.cos(ph[pt]) * mm
+        for b in range(n):
+            want = qt.Quaternion()
+            for c in range(4):
+                want = want + (d1[4 * b + c] / np.sqrt(2.0)) * UNITS[c].conjugate()
+            got = qt.Quaternion.from_complex_pair(v[pt][b], -np.conj(v[pt][n + b]))
+            assert got.isclose(want, tol=1e-9), (pt, b)
 
 
 def test_hessian_basis_leaves_out_single_coordinate_mixed_pairs():
@@ -262,7 +297,7 @@ def test_sigma_field_identity():
     g = TorusGrid(3, (0,), 8)
     om = fl.identity_form(g)
     for k in range(4):
-        assert np.array_equal(fl.sigma_field(om, k), np.full(g.shape, float(math.comb(3, k))))
+        assert np.array_equal(_sigma(om, k), np.full(g.shape, float(math.comb(3, k))))
 
 
 def test_sigma_field_matches_pointwise_oracle():
@@ -274,7 +309,7 @@ def test_sigma_field_matches_pointwise_oracle():
         A = qt.random_hyperhermitian(rng, 2)
         mats.append(A)
         W[i] = A.chi
-    s2 = fl.sigma_field(W, 2)
+    s2 = _sigma(W, 2)
     for i in range(8):
         assert s2[i] == pytest.approx(qt.sigma_k_matrix(mats[i], 2), rel=1e-10, abs=1e-12)
 
@@ -350,7 +385,7 @@ def test_cone_condition_requires_cone_background():
 def test_simultaneous_diagonalize_equal_forms():
     rng = np.random.default_rng(5)
     lam = np.abs(rng.normal(size=3)) + 0.2
-    V = qt.random_symplectic_unitary(rng, 3)
+    V = _unitary(rng, 3)
     M = (V.conj_transpose() @ qt.QMatrix.diag(lam) @ V).chi
     C, d1, d2 = fl.simultaneous_diagonalize(M, M)
     assert np.allclose(d1, np.ones(3), atol=1e-10)
@@ -368,7 +403,7 @@ def test_simultaneous_diagonalize_identity_first():
 def test_simultaneous_diagonalize_random_pair():
     rng = np.random.default_rng(9)
     lam = np.abs(rng.normal(size=3)) + 0.3
-    V = qt.random_symplectic_unitary(rng, 3)
+    V = _unitary(rng, 3)
     M1 = (V.conj_transpose() @ qt.QMatrix.diag(lam) @ V).chi
     M2 = qt.random_hyperhermitian(rng, 3).chi
     C, d1, d2 = fl.simultaneous_diagonalize(M1, M2)
@@ -390,15 +425,17 @@ def test_simultaneous_diagonalize_requires_positive_first():
 
 
 def test_wedge_minor_coeff():
+    # sigma_{i-1}(lam | l): the coefficient relating W^(i-1) ^ Omega^(n-i) ^
+    # (slot-l area element) to (i-1)! (n-i)! Omega^n in the diagonal frame
     lam = np.ones(4)
     for i in range(1, 5):
-        assert fl.wedge_minor_coeff(lam, i, 2) == math.comb(3, i - 1)
-    assert fl.wedge_minor_coeff(np.array([1.0, 2.0, 3.0]), 1, 0) == 1.0
+        assert symfun.sigma_excl_all(lam, i - 1)[2] == math.comb(3, i - 1)
+    assert symfun.sigma_excl_all(np.array([1.0, 2.0, 3.0]), 0)[0] == 1.0
     rng = np.random.default_rng(11)
     mu = rng.normal(size=5)
     for i in (1, 3, 5):
         for l in range(5):
-            assert fl.wedge_minor_coeff(mu, i, l) == pytest.approx(
+            assert symfun.sigma_excl_all(mu, i - 1)[l] == pytest.approx(
                 symfun.sigma(np.delete(mu, l), i - 1), rel=1e-11, abs=1e-12
             )
 
@@ -471,7 +508,7 @@ def test_mixed_pairing_bound():
     alpha = rng.normal(size=g.shape + (2 * n,)) + 1j * rng.normal(size=g.shape + (2 * n,))
     lhs = np.abs(fl.gradient_alpha_pairing(grad, alpha, W, i))
     gp = fl.gradient_pairing(u, W, i, g, grad=grad)
-    wr = fl.sigma_field(W, i - 1) / math.comb(n, i - 1)
+    wr = _sigma(W, i - 1) / math.comb(n, i - 1)
     amax = np.abs(alpha).max()
     C = max(0.5, amax**2 / 2)
     for d in (0.1, 1.0, 10.0):
@@ -486,7 +523,7 @@ def test_integration_by_parts_adjoint():
     H = fl.quaternionic_hessian(u, g)
     gu = fl.gradient_coefficients(u, g)
     gw = fl.gradient_coefficients(w, g)
-    lhs = integrate(w * fl.sigma_field(H, 1), g)
+    lhs = integrate(w * _sigma(H, 1), g)
     rhs = -integrate(np.einsum("...p,...p->...", gw.conj(), gu).real, g)
     assert abs(lhs - rhs) < 1e-8
 
@@ -500,7 +537,7 @@ def test_weighted_integration_by_parts():
     H = fl.quaternionic_hessian(u, g)
     for p in (2.0, 5.0):
         weight = np.exp(-p * u)
-        lhs = integrate(weight * fl.sigma_field(H, 1), g)
+        lhs = integrate(weight * _sigma(H, 1), g)
         rhs = p * integrate(weight * np.einsum("...p,...p->...", gu.conj(), gu).real, g)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
@@ -508,9 +545,9 @@ def test_weighted_integration_by_parts():
 def test_simultaneous_diagonalize_degenerate_second_form():
     rng = np.random.default_rng(21)
     lam1 = np.abs(rng.normal(size=3)) + 0.5
-    V = qt.random_symplectic_unitary(rng, 3)
+    V = _unitary(rng, 3)
     M1 = (V.conj_transpose() @ qt.QMatrix.diag(lam1) @ V).chi
-    W = qt.random_symplectic_unitary(rng, 3)
+    W = _unitary(rng, 3)
     M2 = (W.conj_transpose() @ qt.QMatrix.diag([2.0, 2.0, -1.0]) @ W).chi
     C, d1, d2 = fl.simultaneous_diagonalize(M1, M2)
     r2 = C.conj().T @ M2 @ C

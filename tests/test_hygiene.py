@@ -4,7 +4,9 @@ Every name a module exports in ``__all__`` must resolve, and no module-level
 import may go unused (a re-export listed in ``__all__`` counts as a use).
 No module reads another hquot module's private (underscore) names, and no
 function imports from the package locally: module-level bindings are what
-the benchmark's tracer rebinds.
+the benchmark's tracer rebinds.  Every public name (``__all__`` entries and
+public ``QMatrix`` methods) is read somewhere in the package outside its own
+definition, unless the package re-exports it or ``KEEP`` names it.
 """
 
 import ast
@@ -92,3 +94,51 @@ def test_no_function_local_package_imports(path):
     local = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top]
     assert not local, f"{path.name}: function-local package imports at lines {local}"
+
+
+# Public names that no package code reads, kept on purpose: one reason each.
+KEEP = {
+    "fields.simultaneous_diagonalize": "README feature; tests check C^H M C is diagonal",
+    "fields.gradient_alpha_pairing": "README feature; tests check it against Newton transforms",
+    "fields.newton_transform_field": "README feature and a benchmark span (perfbench/tracer.py)",
+    "QMatrix.identity": "unit of the exported QMatrix algebra",
+    "QMatrix.conj_transpose": "adjoint of the exported QMatrix algebra",
+    "QMatrix.entry": "reads a quaternion entry of an exported QMatrix",
+}
+
+
+def _package_reads():
+    """Names the package reads: loaded names and attributes, and names one
+    module imports from another (the package's re-exports left out)."""
+    reads = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.stem != "__init__":
+                reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def _public_names():
+    """(qualified name, name) of every __all__ entry of a submodule and every
+    public QMatrix method."""
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        yield from ((f"{path.stem}.{name}", name) for name in _exported(tree))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "QMatrix":
+                yield from ((f"QMatrix.{f.name}", f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller():
+    reads = _package_reads()
+    uncalled = {q for q, name in _public_names()
+                if name not in reads and name not in hquot.__all__}
+    assert not uncalled - set(KEEP), f"no package code reads {sorted(uncalled - set(KEEP))}"
+    assert not set(KEEP) - uncalled, f"KEEP entries with a caller: {sorted(set(KEEP) - uncalled)}"

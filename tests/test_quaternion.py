@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hquot import quaternion as qt
+from hquot import fields as fl, quaternion as qt
 from hquot.errors import StructureError
 from hquot.quaternion import QMatrix, Quaternion
 
@@ -157,7 +157,7 @@ def test_unitary_invariance():
     rng = np.random.default_rng(41)
     A = qt.random_hyperhermitian(rng, 4)
     lam = qt.eigenvalues(A)
-    C = qt.random_symplectic_unitary(rng, 4)
+    C = QMatrix(qt.random_symplectic_unitary_chi(rng, 4), tol=1e-8)
     assert np.abs((C.conj_transpose() @ C).chi - np.eye(8)).max() < 1e-12
     B = C.conj_transpose() @ A @ C
     assert np.allclose(qt.eigenvalues(QMatrix(B.chi)), lam, atol=1e-9)
@@ -193,24 +193,30 @@ def test_sigma_triple_agreement():
             assert abs(a - c) <= 1e-8 * scale
 
 
+def _char_expansion(A, t):
+    """sum_k t^(n-k) sigma_k(A), each sigma_k a sum of principal minors: the
+    minor-sum evaluation of moore_det(A + t*Id)."""
+    return sum(t ** (A.n - k) * qt.sigma_k_minor_sum(A, k) for k in range(A.n + 1))
+
+
 def test_char_expansion_zero_matrix():
     n = 3
     A = QMatrix.from_components(*np.zeros((4, n, n)))
     for t in (0.5, 2.0):
-        assert qt.char_expansion(A, t) == pytest.approx(t**n, rel=1e-12)
+        assert _char_expansion(A, t) == pytest.approx(t**n, rel=1e-12)
 
 
 def test_char_expansion_identity():
     n = 4
-    assert qt.char_expansion(QMatrix.identity(n), 1.0) == pytest.approx(2.0**n, rel=1e-12)
+    assert _char_expansion(QMatrix.identity(n), 1.0) == pytest.approx(2.0**n, rel=1e-12)
 
 
 def test_char_expansion_matches_shifted_det():
     rng = np.random.default_rng(53)
     A = qt.random_hyperhermitian(rng, 3)
     t = 0.7
-    lhs = qt.moore_det(A.shift(t))
-    rhs = qt.char_expansion(A, t)
+    lhs = qt.moore_det(A + t * QMatrix.identity(3))
+    rhs = _char_expansion(A, t)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
 
@@ -226,7 +232,7 @@ def test_structured_eig_diagonalizes():
 
 def test_structured_eig_degenerate_spectrum():
     rng = np.random.default_rng(61)
-    V = qt.random_symplectic_unitary(rng, 3)
+    V = QMatrix(qt.random_symplectic_unitary_chi(rng, 3), tol=1e-8)
     A = V.conj_transpose() @ QMatrix.diag([1.0, 1.0, 2.0]) @ V
     lam, C = qt.eig(QMatrix(A.chi))
     assert np.allclose(lam, [1.0, 1.0, 2.0], atol=1e-10)
@@ -239,12 +245,13 @@ def test_newton_transform_is_sigma_derivative():
     A = qt.random_hyperhermitian(rng, 3)
     E = qt.random_hyperhermitian(rng, 3, 0.5)
     for k in (1, 2, 3):
-        S = qt.newton_transform(A, k - 1)
+        S = fl.newton_transform_field(A.chi, k - 1)
         h = 1e-6
         plus = qt.sigma_k_matrix(QMatrix((A + h * E).chi), k)
         minus = qt.sigma_k_matrix(QMatrix((A - h * E).chi), k)
         fd = (plus - minus) / (2 * h)
-        assert abs(fd - qt.pair_real(S, E)) < 5e-8 * (1 + abs(fd))
+        pairing = 0.5 * np.einsum("ij,ji->", S, E.chi).real  # Re tr(S E) from embeddings
+        assert abs(fd - pairing) < 5e-8 * (1 + abs(fd))
 
 
 def test_chi_eigh_one_by_one_without_lapack(monkeypatch):
@@ -277,7 +284,8 @@ def test_chi_from_spectrum_reassembles():
         lam, V = qt.chi_eigh(A.chi)
         assert np.abs(qt.chi_from_spectrum(V, lam) - A.chi).max() < 1e-12
         S = qt.chi_from_spectrum(V, np.exp(lam))
-        assert QMatrix(S).is_hyperhermitian()  # validates the chi structure too
+        assert qt.structure_residual(S) <= 1e-10 * (1 + np.abs(S).max())
+        assert np.abs(S - S.conj().T).max() <= 1e-10 * (1 + np.abs(S).max())
 
 
 def _old_is_exactly_real_diagonal(M):
@@ -342,3 +350,35 @@ def test_sigma_routes_on_a_stack_match_single_matrices(n):
     for route in routes:
         with pytest.raises(StructureError):
             route(bad, min(2, n))
+
+
+def test_exact_diagonal_shortcut_enforces_pairs():
+    # diag(1, 2, 1 + 1e-4, 2) is no chi embedding: its entries 0 and n + 0
+    # differ by far more than tol_scale * (1 + |A|), as eigvalsh would report
+    M = np.diag([1.0, 2.0, 1.0 + 1e-4, 2.0]).astype(complex)
+    with pytest.raises(StructureError):
+        qt.chi_eigvals(M)
+    with pytest.raises(StructureError):
+        qt.moore_det(M)
+    ok = np.diag([1.0, 2.0, 1.0 + 1e-9, 2.0]).astype(complex)  # within tolerance
+    assert np.array_equal(qt.chi_eigvals(ok), [1.0, 2.0])
+    assert np.array_equal(qt.chi_eigvals(np.stack([ok, QMatrix.diag([3.0, -1.0]).chi])),
+                          [[1.0, 2.0], [-1.0, 3.0]])
+
+
+def test_pair_spread_is_measured_per_matrix():
+    # a hermitian 4 x 4 whose eigenvalue pair spreads by 1e-4 raises alone,
+    # and still raises next to a large chi-structured matrix, whose own
+    # 1 + |A| would allow that spread
+    rng = np.random.default_rng(101)
+    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    _, V = np.linalg.eigh(X + X.conj().T)
+    bad = (V * [1.0, 1.0 + 1e-4, 3.0, 3.0]) @ V.conj().T
+    big = 1e5 * qt.random_hyperhermitian_chi(rng, 2)
+    assert np.abs(qt.chi_eigvals(big)).max() > 1e4
+    for M in (bad, np.stack([bad, big]), np.stack([big, bad])):
+        with pytest.raises(StructureError):
+            qt.chi_eigvals(M)
+    good = qt.random_hyperhermitian_chi(rng, 2, count=3)
+    assert np.array_equal(qt.chi_eigvals(np.concatenate([good, big[None]])),
+                          np.concatenate([qt.chi_eigvals(good), qt.chi_eigvals(big)[None]]))

@@ -32,7 +32,7 @@ def test_sigma_matches_subset_enumeration():
 
 
 def test_sigma_excl_example():
-    assert symfun.sigma_excl([1.0, 2.0, 3.0], 1, 1) == 4.0
+    assert symfun.sigma_excl_all([1.0, 2.0, 3.0], 1)[1] == 4.0
 
 
 def test_sigma_excl_matches_delete():
