@@ -52,17 +52,29 @@ def _echo(quiet, *args):
         print(*args)
 
 
+def _positive_int(value):
+    return type(value) is int and value >= 1
+
+
 def run_verify(config_path, out_dir, seed=None, quiet=False):
     try:
         cfg = _load_json(config_path)
-        count = int(cfg["count"])
+        count = cfg["count"]
         the_seed = int(seed if seed is not None else cfg.get("seed", 20240601))
-        n_values = tuple(cfg.get("n_values", [2, 3, 4, 5]))
+        n_values = cfg.get("n_values", [2, 3, 4, 5])
         scale = float(cfg.get("scale", 1.0))
         props = cfg.get("propositions")
         algebra_count = cfg.get("algebra_count")
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        if not _positive_int(count):
+            raise ValueError(f"count must be an integer >= 1, got {count!r}")
+        if algebra_count is not None and not _positive_int(algebra_count):
+            raise ValueError(f"algebra_count must be an integer >= 1, got {algebra_count!r}")
+        if not (isinstance(n_values, list) and n_values and all(map(_positive_int, n_values))):
+            raise ValueError(f"n_values must be a non-empty list of integers >= 1, "
+                             f"got {n_values!r}")
+        if props is not None and not (isinstance(props, list)
+                                      and all(isinstance(x, str) for x in props)):
+            raise ValueError(f"propositions must be a list of names, got {props!r}")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad verify config: {exc}")
     try:
@@ -75,7 +87,7 @@ def run_verify(config_path, out_dir, seed=None, quiet=False):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "config": {"count": count, "seed": the_seed, "n_values": list(n_values),
+        "config": {"count": count, "seed": the_seed, "n_values": n_values,
                    "scale": scale},
         "reports": [r.to_dict() for r in reports],
         "failures": sum(r.failures for r in reports),
@@ -154,13 +166,13 @@ def run_cone_check(config_path, out_dir, seed=None, quiet=False):
     return 0 if report.satisfied else 1
 
 
-def run_probe_cmd(result_dir, out_dir, p_values, seed=None, quiet=False):
+def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):
     rdir = Path(result_dir)
     try:
         summary = _load_json(rdir / "solve_summary.json")
         if not summary.get("converged"):
             return _fail_usage("solve summary reports no converged state")
-        cfg = _config_to_solver(summary["config"], seed)
+        cfg = _config_to_solver(summary["config"])
         u, grid = load_scalar_field(rdir / "u.csv")
         if grid != cfg.grid:
             raise ValueError("field grid does not match the config grid")
@@ -199,8 +211,8 @@ def main(argv=None):
     def add_common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="JSON config path")
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
 
     add_common(sub.add_parser("verify", help="run the randomized inequality suite"))
@@ -227,7 +239,7 @@ def main(argv=None):
                     raise ValueError
             except ValueError:
                 return _fail_usage(f"bad probe exponent list: {args.p!r}")
-            return run_probe_cmd(args.result, args.out, p_values, args.seed, args.quiet)
+            return run_probe_cmd(args.result, args.out, p_values, args.quiet)
     except StructureError as exc:  # a quaternionic structure check failed: mathematical
         print(f"error: {exc}", file=sys.stderr)
         return 1

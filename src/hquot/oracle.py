@@ -423,16 +423,14 @@ def verify_tuple_minor_quotient(spec, l):
 
 
 def verify_moore_realization(spec, tol=1e-8):
-    """|moore_det|^4 equals det(realize) on random hyperhermitian matrices."""
+    """|moore_det|^4 equals det(realize) on a stack of random hyperhermitian
+    matrices."""
     args = dict(proposition="moore-realization", n=spec.n, k=spec.k, l=None,
                 samples=spec.count, seed=spec.seed)
-    rng = _rng(spec, 30)
-    rel = np.empty(spec.count)
-    for c in range(spec.count):
-        A = qt.random_hyperhermitian(rng, spec.n, spec.scale)
-        p4 = qt.moore_det(A) ** 4
-        d = np.linalg.det(qt.realize(A))
-        rel[c] = abs(p4 - d) / max(abs(p4), abs(d), 1e-12)
+    A = qt.random_hyperhermitian_chi(_rng(spec, 30), spec.n, spec.scale, count=spec.count)
+    p4 = qt.moore_det(A) ** 4
+    d = np.linalg.det(qt.realize(A))
+    rel = np.abs(p4 - d) / np.maximum(np.maximum(np.abs(p4), np.abs(d)), 1e-12)
     return _tally(args, tol - rel)
 
 
@@ -453,17 +451,16 @@ def verify_sigma_triple_agreement(spec, tol=1e-8):
 
 
 def verify_realize_homomorphism(spec, tol=1e-10):
-    """realize(A @ B) == realize(A) @ realize(B) on random quaternionic matrices."""
+    """realize(A @ B) == realize(A) @ realize(B) on stacks of random
+    quaternionic matrices, drawn in the order A_1, B_1, A_2, B_2, ..."""
     args = dict(proposition="realize-homomorphism", n=spec.n, k=spec.k, l=None,
                 samples=spec.count, seed=spec.seed)
-    rng = _rng(spec, 32)
-    rel = np.empty(spec.count)
-    for c in range(spec.count):
-        A = qt.random_qmatrix(rng, spec.n, spec.scale)
-        B = qt.random_qmatrix(rng, spec.n, spec.scale)
-        lhs = qt.realize(A @ B)
-        rhs = qt.realize(A) @ qt.realize(B)
-        rel[c] = np.abs(lhs - rhs).max() / (1.0 + np.abs(rhs).max())
+    M = qt.random_qmatrix_chi(_rng(spec, 32), spec.n, spec.scale, count=2 * spec.count)
+    A, B = M[0::2], M[1::2]
+    lhs = qt.realize(A @ B)
+    rhs = qt.realize(A) @ qt.realize(B)
+    axes = (-2, -1)
+    rel = np.abs(lhs - rhs).max(axis=axes) / (1.0 + np.abs(rhs).max(axis=axes))
     return _tally(args, tol - rel)
 
 
@@ -515,7 +512,7 @@ def run_standard_suite(count, seed, n_values=(2, 3, 4, 5), scale=1.0,
     unknown = want - set(STANDARD_PROPOSITIONS)
     if unknown:
         raise ValueError(f"unknown propositions: {sorted(unknown)}")
-    acount = algebra_count or count
+    acount = count if algebra_count is None else algebra_count
     reports = []
 
     def spec_for(n, k, c=count):

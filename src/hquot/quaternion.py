@@ -15,7 +15,7 @@ real eigenvalues of A, each doubled.  The image of chi is characterised by
 
 which is what `structure_residual` measures.
 
-Batched helpers operate on stacked embeddings of shape ``(..., 2n, 2n)``.
+Batched helpers and the matrix routines take stacks ``(..., 2n, 2n)``.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "sigma_k_matrix",
     "sigma_k_minor_sum",
     "sigma_k_coefficient",
-    "random_hyperhermitian",
-    "random_qmatrix",
 ]
 
 # ---------------------------------------------------------------------------
@@ -312,9 +310,6 @@ class QMatrix:
     def Y(self):
         return self.chi[: self.n, self.n :]
 
-    def components(self):
-        return self.X.real, self.X.imag, self.Y.real, self.Y.imag
-
     def entry(self, a, b):
         return Quaternion.from_complex_pair(self.X[a, b], self.Y[a, b])
 
@@ -345,10 +340,15 @@ class QMatrix:
         return f"QMatrix(n={self.n})"
 
 
+def _embedding(A):
+    """The embedding of a QMatrix, or A itself: one embedding or a stack."""
+    return A.chi if isinstance(A, QMatrix) else np.asarray(A, dtype=complex)
+
+
 def _require_hyperhermitian(A, tol=1e-8):
-    """The embedding of A, a QMatrix or a stack ``(..., 2n, 2n)``, after
-    checking matrix by matrix that it is hermitian to tol * (1 + |A|)."""
-    M = A.chi if isinstance(A, QMatrix) else np.asarray(A, dtype=complex)
+    """The embedding of A after checking matrix by matrix that it is
+    hermitian to tol * (1 + |A|)."""
+    M = _embedding(A)
     axes = (-2, -1)
     residual = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
     if np.any(residual > tol * (1.0 + np.abs(M).max(axis=axes, initial=0.0))):
@@ -376,8 +376,12 @@ def realize(A):
 
     a ring homomorphism on quaternionic matrices, symmetric when A is
     hyperhermitian, with every eigenvalue of multiplicity divisible by 4.
+    A stack of embeddings ``(..., 2n, 2n)`` gives ``(..., 4n, 4n)``.
     """
-    A0, A1, A2, A3 = A.components()
+    M = _embedding(A)
+    n = M.shape[-1] // 2
+    X, Y = M[..., :n, :n], M[..., :n, n:]
+    A0, A1, A2, A3 = X.real, X.imag, Y.real, Y.imag
     return np.block(
         [
             [A0, -A1, -A2, -A3],
@@ -396,17 +400,16 @@ def realize(A):
 def eigenvalues(A, route="complex", tol_scale=1e-8):
     """Real eigenvalues of a hyperhermitian matrix, ascending.
 
-    route="complex" solves the 2n x 2n embedding (eigenvalues doubled); it
-    also takes a stack of embeddings ``(..., 2n, 2n)`` and returns ``(..., n)``.
-    route="real" solves the 4n x 4n realization (quadrupled) of a QMatrix.
-    Either way the multiplicity pattern is enforced at width
-    tol_scale * (1 + |A|).
+    route="complex" solves the 2n x 2n embedding (eigenvalues doubled),
+    route="real" the 4n x 4n realization (quadrupled).  Both take a QMatrix
+    or a stack of embeddings ``(..., 2n, 2n)``, which returns ``(..., n)``,
+    and both enforce the multiplicity pattern at width tol_scale * (1 + |A|).
     """
     M = _require_hyperhermitian(A)
     if route == "complex":
         return chi_eigvals(M, tol_scale)
     if route == "real":
-        w = np.linalg.eigvalsh(realize(A))
+        w = np.linalg.eigvalsh(realize(M))
         return _collapse_pairs(w, 4, tol_scale)
     raise ValueError(f"unknown route {route!r}")
 
@@ -473,7 +476,7 @@ def principal_minor_det(A, indices, tol_scale=1e-8):
     preserves hyperhermitianness, so the sub-determinant is well defined.
     A stack of embeddings ``(..., 2n, 2n)`` gives one minor per matrix.
     """
-    M = A.chi if isinstance(A, QMatrix) else np.asarray(A, dtype=complex)
+    M = _embedding(A)
     n = M.shape[-1] // 2
     idx = sorted(set(int(i) for i in indices))
     if any(i < 0 or i >= n for i in idx):
@@ -534,17 +537,11 @@ def sigma_k_coefficient(A, k, tol_scale=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def random_hyperhermitian(rng, n, scale=1.0):
-    """Random hyperhermitian matrix with components uniform in [-scale, scale].
-
-    Off-diagonal entries get four independent components; diagonals are real.
-    """
-    return QMatrix(random_hyperhermitian_chi(rng, n, scale), validate=False)
-
-
 def random_hyperhermitian_chi(rng, n, scale=1.0, count=None):
-    """Stacked embeddings ``(count, 2n, 2n)`` of random_hyperhermitian
-    matrices, with the same draws from ``rng`` as ``count`` calls of it."""
+    """Embeddings ``(count, 2n, 2n)`` of random hyperhermitian matrices, or
+    one when count is None: components uniform in [-scale, scale], four
+    independent ones off the diagonal, real diagonals.  A stack draws from
+    ``rng`` as ``count`` single draws do."""
     squeeze = count is None
     comp = rng.uniform(-scale, scale, size=(1 if squeeze else int(count), 4, n, n))
     T = comp.transpose(0, 1, 3, 2)
@@ -554,10 +551,12 @@ def random_hyperhermitian_chi(rng, n, scale=1.0, count=None):
     return M[0] if squeeze else M
 
 
-def random_qmatrix(rng, n, scale=1.0):
-    """Random general quaternionic matrix, components uniform in [-scale, scale]."""
-    comp = rng.uniform(-scale, scale, size=(4, n, n))
-    return QMatrix.from_components(*comp)
+def random_qmatrix_chi(rng, n, scale=1.0, count=None):
+    """Random general quaternionic matrices, components uniform in
+    [-scale, scale]; drawn and shaped as by random_hyperhermitian_chi."""
+    comp = rng.uniform(-scale, scale, size=(1 if count is None else int(count), 4, n, n))
+    M = chi_from_split(comp[:, 0] + 1j * comp[:, 1], comp[:, 2] + 1j * comp[:, 3])
+    return M[0] if count is None else M
 
 
 def random_symplectic_unitary_chi(rng, n, count=None):

@@ -59,6 +59,13 @@ _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
 
+# iteration constants: step halving, the cone safeguard on trial steps, and
+# the inner GMRES tolerance and restart-cycle budget
+_BACKTRACK = 0.5
+_CONE_MARGIN = 1e-10
+_LINEAR_RTOL = 1e-12
+_LINEAR_MAXITER = 400
+
 
 @dataclass
 class SolverConfig:
@@ -66,8 +73,9 @@ class SolverConfig:
 
     F and the optional diagonal background entries are numpy expressions in
     the grid coordinates x0..x{4n-1} (inactive coordinates evaluate to 0.0).
-    ``seed`` is a config echo: the solver is deterministic and never reads
-    it; the key is accepted and recorded in the solve summary's config.
+    ``tolerance`` must be finite and positive, ``max_iterations`` an integer
+    >= 1.  ``seed`` is a config echo: the solver is deterministic and never
+    reads it; the key is accepted and recorded in the solve summary's config.
     """
 
     n: int
@@ -79,19 +87,18 @@ class SolverConfig:
     omega0_diag: tuple | None = None  # n expressions; None = identity
     tolerance: float = 1e-9
     max_iterations: int = 30
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    cone_margin: float = 1e-10
     backend: str = "spectral"
     seed: int = 20240601
-    linear_rtol: float = 1e-12
-    linear_maxiter: int = 400
 
     def __post_init__(self):
         if not 0 <= self.l < self.k <= self.n:
             raise ValueError(f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        tol = self.tolerance
+        if not (type(tol) in (int, float) and math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+        if not (type(self.max_iterations) is int and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, "
+                             f"got {self.max_iterations!r}")
         if self.backend not in ("spectral", "fd"):
             raise ValueError(f"unknown backend {self.backend!r}")
         self.active_axes = tuple(int(a) for a in self.active_axes)
@@ -302,7 +309,7 @@ def normalize_sup(u):
     return u - u.max()
 
 
-def _solve_newton_step(lin, R, cfg):
+def _solve_newton_step(lin, R):
     grid = lin.grid
     m = R.size
     shape = R.shape
@@ -331,8 +338,8 @@ def _solve_newton_step(lin, R, cfg):
     A = LinearOperator((m + 1, m + 1), matvec=matvec, dtype=float)
     M = LinearOperator((m + 1, m + 1), matvec=precond, dtype=float)
     rhs = np.concatenate([(-R).ravel(), [0.0]])
-    sol, info = gmres(A, rhs, M=M, rtol=cfg.linear_rtol, atol=1e-14 * max(1.0, np.abs(rhs).max()),
-                      restart=80, maxiter=cfg.linear_maxiter)
+    sol, info = gmres(A, rhs, M=M, rtol=_LINEAR_RTOL, atol=1e-14 * max(1.0, np.abs(rhs).max()),
+                      restart=80, maxiter=_LINEAR_MAXITER)
     if info != 0:
         raise ConvergenceError(f"inner linear solve did not converge (gmres info {info})")
     v = sol[:m].reshape(shape)
@@ -384,9 +391,9 @@ def solve(cfg):
             raise ConvergenceError(
                 f"aborted at iteration {it}: {exc}{note}"
             ) from exc
-        v, db = _solve_newton_step(lin, R, cfg)
+        v, db = _solve_newton_step(lin, R)
 
-        step = cfg.initial_step
+        step = 1.0
         accepted = False
         while step >= 1e-12:
             u_try = u + step * v
@@ -394,8 +401,8 @@ def solve(cfg):
             b_try = b + step * db
             spectrum_try = chi_eigh(fl.omega_u(omega0, u_try, 1.0, grid, backend))
             margin = symfun.gamma_margin(spectrum_try[0], k)
-            if np.min(margin) <= cfg.cone_margin:
-                step *= cfg.backtrack_factor
+            if np.min(margin) <= _CONE_MARGIN:
+                step *= _BACKTRACK
                 continue
             R_try = residual(u_try, b_try, omega0, F, grid, k, l, backend,
                              lam=spectrum_try[0])
@@ -405,7 +412,7 @@ def solve(cfg):
                 hist.append(r_try)
                 accepted = True
                 break
-            step *= cfg.backtrack_factor
+            step *= _BACKTRACK
         if not accepted:
             raise ConvergenceError(
                 f"damping underflow at iteration {it} (residual {hist[-1]:.3e})"

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,24 @@ def test_verify_rejects_non_finite_scale(tmp_path, capsys, scale):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bad,named", [
+    pytest.param({"count": 2.5}, "count", id="fractional-count"),
+    pytest.param({"algebra_count": "abc"}, "algebra_count", id="string-algebra-count"),
+    pytest.param({"algebra_count": 2.5}, "algebra_count", id="fractional-algebra-count"),
+    pytest.param({"algebra_count": 0}, "algebra_count", id="zero-algebra-count"),
+    pytest.param({"n_values": "23"}, "n_values", id="string-n-values"),
+    pytest.param({"n_values": [2, 2.5]}, "n_values", id="fractional-n"),
+    pytest.param({"propositions": "newton-maclaurin"}, "propositions", id="string-propositions"),
+])
+def test_verify_rejects_bad_config(tmp_path, capsys, bad, named):
+    cfg = _write(tmp_path / "v.json", {"count": 10, "n_values": [2], "algebra_count": 3,
+                                       "propositions": ["newton-maclaurin"], **bad})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{named} must be" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _raise_structure_error(*args, **kwargs):
     raise StructureError("eigenvalue multiplicity 2 violated")
 
@@ -138,6 +157,28 @@ def test_solve_bad_config(tmp_path):
 def test_bad_problem_is_a_usage_error(tmp_path, capsys, command, bad, named):
     cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,
                                        "active_axes": [0], **bad})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "cone-check"])
+@pytest.mark.parametrize("bad,named", [
+    pytest.param({"tolerance": float("inf")}, "tolerance", id="infinite-tolerance"),
+    pytest.param({"tolerance": float("nan")}, "tolerance", id="nan-tolerance"),
+    pytest.param({"max_iterations": 2.5}, "max_iterations", id="fractional-iterations"),
+    pytest.param({"max_iterations": 0}, "max_iterations", id="zero-iterations"),
+    # iteration constants are not config keys
+    pytest.param({"initial_step": 0}, "initial_step", id="initial-step"),
+    pytest.param({"backtrack_factor": 0.5}, "backtrack_factor", id="backtrack-factor"),
+    pytest.param({"cone_margin": float("nan")}, "cone_margin", id="cone-margin"),
+    pytest.param({"linear_rtol": 1e-12}, "linear_rtol", id="linear-rtol"),
+    pytest.param({"linear_maxiter": 0}, "linear_maxiter", id="linear-maxiter"),
+])
+def test_bad_iteration_config_is_a_usage_error(tmp_path, capsys, command, bad, named):
+    cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,
+                                       "active_axes": [0, 5], "F": "0.1*sin(2*pi*x0)", **bad})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
@@ -255,3 +296,20 @@ def test_full_pipeline_byte_identical(tmp_path, solve_cfg):
             (pr / "cherrier.csv").read_bytes(),
         ))
     assert payloads[0] == payloads[1]
+
+
+def _options(text):
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+
+
+def test_readme_usage_matches_parser(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    usage = {line.split()[1]: _options(line) for line in block.splitlines()
+             if line.startswith("hquot ")}
+    assert set(usage) == {"verify", "solve", "cone-check", "probe"}
+    for command, documented in usage.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        parsed = _options(capsys.readouterr().out) - {"--help"}
+        assert documented == parsed, f"hquot {command}: README {sorted(documented)}"

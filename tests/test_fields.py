@@ -29,6 +29,10 @@ def _unitary(rng, n):
     return qt.QMatrix(qt.random_symplectic_unitary_chi(rng, n), tol=1e-8)
 
 
+def _hyperhermitian(rng, n):
+    return qt.QMatrix(qt.random_hyperhermitian_chi(rng, n), validate=False)
+
+
 def _assert_hyperhermitian(W):
     assert np.abs(W - np.swapaxes(W, -1, -2).conj()).max() < 1e-10
     assert qt.structure_residual(W) < 1e-10
@@ -306,7 +310,7 @@ def test_sigma_field_matches_pointwise_oracle():
     W = np.zeros(g.shape + (4, 4), dtype=complex)
     mats = []
     for i in range(8):
-        A = qt.random_hyperhermitian(rng, 2)
+        A = _hyperhermitian(rng, 2)
         mats.append(A)
         W[i] = A.chi
     s2 = _sigma(W, 2)
@@ -394,7 +398,7 @@ def test_simultaneous_diagonalize_equal_forms():
 
 def test_simultaneous_diagonalize_identity_first():
     rng = np.random.default_rng(7)
-    A = qt.random_hyperhermitian(rng, 3)
+    A = _hyperhermitian(rng, 3)
     C, d1, d2 = fl.simultaneous_diagonalize(np.eye(6, dtype=complex), A.chi)
     assert np.allclose(d1, np.ones(3), atol=1e-10)
     assert np.allclose(np.sort(d2), qt.eigenvalues(A), atol=1e-9)
@@ -405,7 +409,7 @@ def test_simultaneous_diagonalize_random_pair():
     lam = np.abs(rng.normal(size=3)) + 0.3
     V = _unitary(rng, 3)
     M1 = (V.conj_transpose() @ qt.QMatrix.diag(lam) @ V).chi
-    M2 = qt.random_hyperhermitian(rng, 3).chi
+    M2 = qt.random_hyperhermitian_chi(rng, 3)
     C, d1, d2 = fl.simultaneous_diagonalize(M1, M2)
     assert np.allclose(d1, np.ones(3), atol=1e-9)
     assert qt.structure_residual(C) < 1e-9

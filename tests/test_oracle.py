@@ -170,6 +170,64 @@ def test_matrix_verifiers_diagonalize_once_per_n_k(monkeypatch):
     assert len(reports) == sum(k + (k - 1) for _, k in pairs)
 
 
+@pytest.mark.parametrize("proposition,per_report", [("moore-realization", 1),
+                                                    ("realize-homomorphism", 3)])
+def test_algebra_checks_realize_each_stack_once(monkeypatch, proposition, per_report):
+    # no loop over samples: one realize call per stack, whatever the count
+    calls = []
+    real = qt.realize
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return real(A)
+
+    monkeypatch.setattr(qt, "realize", counting)
+    reports = oracle.run_standard_suite(count=5, seed=7, n_values=(2, 3),
+                                        propositions=[proposition], algebra_count=9)
+    assert [(r.proposition, r.n, r.checks) for r in reports] == [
+        (proposition, 2, 9), (proposition, 3, 9)]
+    assert len(calls) == per_report * len(reports)
+    assert all(shape[0] == 9 for shape in calls)
+
+
+def _moore_realization_slack(spec):
+    """Per-sample reference: one QMatrix at a time from the verifier's stream."""
+    rng = oracle._rng(spec, 30)
+    mats = [qt.QMatrix(qt.random_hyperhermitian_chi(rng, spec.n, spec.scale), validate=False)
+            for _ in range(spec.count)]
+    p4 = np.array([qt.moore_det(A) for A in mats]) ** 4  # the verifier's array power
+    d = [np.linalg.det(qt.realize(A)) for A in mats]
+    return [1e-8 - abs(p - q) / max(abs(p), abs(q), 1e-12) for p, q in zip(p4, d)]
+
+
+def _realize_homomorphism_slack(spec):
+    """Per-sample reference drawing A_1, B_1, A_2, B_2, ... from the
+    verifier's stream."""
+    rng = oracle._rng(spec, 32)
+    slack = []
+    for _ in range(spec.count):
+        A, B = (qt.QMatrix(qt.random_qmatrix_chi(rng, spec.n, spec.scale), validate=False)
+                for _ in range(2))
+        lhs, rhs = qt.realize(A @ B), qt.realize(A) @ qt.realize(B)
+        slack.append(1e-10 - np.abs(lhs - rhs).max() / (1.0 + np.abs(rhs).max()))
+    return slack
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("verify,reference", [
+    pytest.param(oracle.verify_moore_realization, _moore_realization_slack,
+                 id="moore-realization"),
+    pytest.param(oracle.verify_realize_homomorphism, _realize_homomorphism_slack,
+                 id="realize-homomorphism"),
+])
+def test_stacked_algebra_checks_match_per_sample_loop(verify, reference, n):
+    spec = SampleSpec(n=n, k=n - 1, count=40, seed=11, scale=0.8)
+    report = verify(spec)
+    slack = reference(spec)
+    assert report.checks == len(slack) == spec.count
+    assert report.min_slack == min(slack)
+
+
 def _concavity_reference(spec, l):
     """The concavity report of one l with separate eigenvalue solves of A,
     (A + B)/2 and B (valid when the verifier resampled nothing)."""

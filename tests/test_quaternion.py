@@ -6,6 +6,14 @@ from hquot.errors import StructureError
 from hquot.quaternion import QMatrix, Quaternion
 
 
+def _hyperhermitian(rng, n, scale=1.0):
+    return QMatrix(qt.random_hyperhermitian_chi(rng, n, scale), validate=False)
+
+
+def _qmatrix(rng, n):
+    return QMatrix(qt.random_qmatrix_chi(rng, n), validate=False)
+
+
 def test_multiplication_table():
     i, j, k = qt.I, qt.J, qt.K
     assert (i * j).isclose(k)
@@ -47,7 +55,7 @@ def test_realize_real_diagonal():
 
 def test_realize_symmetric_for_hyperhermitian():
     rng = np.random.default_rng(11)
-    A = qt.random_hyperhermitian(rng, 4)
+    A = _hyperhermitian(rng, 4)
     R = qt.realize(A)
     assert np.array_equal(R, R.T)
 
@@ -55,8 +63,8 @@ def test_realize_symmetric_for_hyperhermitian():
 def test_realize_homomorphism():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        A = qt.random_qmatrix(rng, 3)
-        B = qt.random_qmatrix(rng, 3)
+        A = _qmatrix(rng, 3)
+        B = _qmatrix(rng, 3)
         lhs = qt.realize(A @ B)
         rhs = qt.realize(A) @ qt.realize(B)
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -108,14 +116,19 @@ def test_eigenvalues_two_by_two_closed_form():
 
 
 def test_eigenvalue_routes_agree():
+    # a QMatrix, its embedding, and a stack of embeddings take either route
     rng = np.random.default_rng(23)
-    A = qt.random_hyperhermitian(rng, 4)
-    assert np.allclose(qt.eigenvalues(A, "complex"), qt.eigenvalues(A, "real"), atol=1e-10)
+    A = _hyperhermitian(rng, 4)
+    stack = qt.random_hyperhermitian_chi(rng, 4, count=3)
+    for B in (A, A.chi, stack):
+        real = qt.eigenvalues(B, "real")
+        assert real.shape == np.shape(B)[:-2] + (4,)
+        assert np.allclose(qt.eigenvalues(B, "complex"), real, atol=1e-10)
 
 
 def test_non_hyperhermitian_rejected():
     rng = np.random.default_rng(29)
-    B = qt.random_qmatrix(rng, 3)
+    B = _qmatrix(rng, 3)
     with pytest.raises(StructureError):
         qt.eigenvalues(B)
     with pytest.raises(StructureError):
@@ -147,7 +160,7 @@ def test_moore_det_vs_realization():
     rng = np.random.default_rng(37)
     for n in (2, 3, 4):
         for _ in range(25):
-            A = qt.random_hyperhermitian(rng, n)
+            A = _hyperhermitian(rng, n)
             p4 = qt.moore_det(A) ** 4
             d = np.linalg.det(qt.realize(A))
             assert abs(p4 - d) <= 1e-8 * max(abs(p4), abs(d), 1e-12)
@@ -155,7 +168,7 @@ def test_moore_det_vs_realization():
 
 def test_unitary_invariance():
     rng = np.random.default_rng(41)
-    A = qt.random_hyperhermitian(rng, 4)
+    A = _hyperhermitian(rng, 4)
     lam = qt.eigenvalues(A)
     C = QMatrix(qt.random_symplectic_unitary_chi(rng, 4), tol=1e-8)
     assert np.abs((C.conj_transpose() @ C).chi - np.eye(8)).max() < 1e-12
@@ -176,14 +189,14 @@ def test_sigma_matrix_basics():
     A = QMatrix.diag([1.0, 2.0, 3.0])
     assert qt.sigma_k_matrix(A, 1) == pytest.approx(6.0, abs=1e-14)
     rng = np.random.default_rng(43)
-    B = qt.random_hyperhermitian(rng, 3)
+    B = _hyperhermitian(rng, 3)
     assert qt.sigma_k_matrix(B, 3) == pytest.approx(qt.moore_det(B), rel=1e-12, abs=1e-14)
 
 
 def test_sigma_triple_agreement():
     rng = np.random.default_rng(47)
     for _ in range(10):
-        A = qt.random_hyperhermitian(rng, 3)
+        A = _hyperhermitian(rng, 3)
         for k in range(4):
             a = qt.sigma_k_matrix(A, k)
             b = qt.sigma_k_minor_sum(A, k)
@@ -213,7 +226,7 @@ def test_char_expansion_identity():
 
 def test_char_expansion_matches_shifted_det():
     rng = np.random.default_rng(53)
-    A = qt.random_hyperhermitian(rng, 3)
+    A = _hyperhermitian(rng, 3)
     t = 0.7
     lhs = qt.moore_det(A + t * QMatrix.identity(3))
     rhs = _char_expansion(A, t)
@@ -222,7 +235,7 @@ def test_char_expansion_matches_shifted_det():
 
 def test_structured_eig_diagonalizes():
     rng = np.random.default_rng(59)
-    A = qt.random_hyperhermitian(rng, 4)
+    A = _hyperhermitian(rng, 4)
     lam, C = qt.eig(A)
     D = (C.conj_transpose() @ A @ C).chi
     assert np.abs(D - QMatrix.diag(lam).chi).max() < 1e-10
@@ -242,8 +255,8 @@ def test_structured_eig_degenerate_spectrum():
 
 def test_newton_transform_is_sigma_derivative():
     rng = np.random.default_rng(67)
-    A = qt.random_hyperhermitian(rng, 3)
-    E = qt.random_hyperhermitian(rng, 3, 0.5)
+    A = _hyperhermitian(rng, 3)
+    E = _hyperhermitian(rng, 3, 0.5)
     for k in (1, 2, 3):
         S = fl.newton_transform_field(A.chi, k - 1)
         h = 1e-6
@@ -280,7 +293,7 @@ def test_chi_eigh_one_by_one_without_lapack(monkeypatch):
 def test_chi_from_spectrum_reassembles():
     rng = np.random.default_rng(71)
     for n in (1, 2, 3):
-        A = qt.random_hyperhermitian(rng, n)
+        A = _hyperhermitian(rng, n)
         lam, V = qt.chi_eigh(A.chi)
         assert np.abs(qt.chi_from_spectrum(V, lam) - A.chi).max() < 1e-12
         S = qt.chi_from_spectrum(V, np.exp(lam))
@@ -330,8 +343,28 @@ def test_exact_diagonal_test_matches_off_diagonal_copy(M):
 def test_random_hyperhermitian_stack_draws_as_single_matrices():
     stack = qt.random_hyperhermitian_chi(np.random.default_rng(89), 3, 0.7, count=5)
     rng = np.random.default_rng(89)
-    singles = [qt.random_hyperhermitian(rng, 3, 0.7).chi for _ in range(5)]
+    singles = [qt.random_hyperhermitian_chi(rng, 3, 0.7) for _ in range(5)]
     assert np.array_equal(stack, np.stack(singles))
+
+
+def test_random_qmatrix_stack_draws_as_single_matrices():
+    stack = qt.random_qmatrix_chi(np.random.default_rng(90), 3, 0.7, count=5)
+    rng = np.random.default_rng(90)
+    singles = [qt.random_qmatrix_chi(rng, 3, 0.7) for _ in range(5)]
+    assert np.array_equal(stack, np.stack(singles))
+    assert qt.structure_residual(stack) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_realize_on_a_stack_matches_single_matrices(n):
+    rng = np.random.default_rng(113 + n)
+    for stack in (qt.random_qmatrix_chi(rng, n, count=3),
+                  qt.random_hyperhermitian_chi(rng, n, count=3)):
+        R = qt.realize(stack)
+        assert R.shape == (3, 4 * n, 4 * n)
+        for M, R1 in zip(stack, R):
+            assert np.array_equal(R1, qt.realize(QMatrix(M)))
+        assert np.array_equal(qt.realize(stack[None]), R[None])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
