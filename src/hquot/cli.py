@@ -60,11 +60,13 @@ def run_verify(config_path, out_dir, seed=None, quiet=False):
     try:
         cfg = _load_json(config_path)
         count = cfg["count"]
-        the_seed = int(seed if seed is not None else cfg.get("seed", 20240601))
+        the_seed = seed if seed is not None else cfg.get("seed", 20240601)
         n_values = cfg.get("n_values", [2, 3, 4, 5])
         scale = float(cfg.get("scale", 1.0))
         props = cfg.get("propositions")
         algebra_count = cfg.get("algebra_count")
+        if type(the_seed) is not int:
+            raise ValueError(f"seed must be an integer, got {the_seed!r}")
         if not _positive_int(count):
             raise ValueError(f"count must be an integer >= 1, got {count!r}")
         if algebra_count is not None and not _positive_int(algebra_count):
@@ -139,14 +141,14 @@ def run_cone_check(config_path, out_dir, seed=None, quiet=False):
         raw = _load_json(config_path)
         b_offset = raw.pop("b_offset", "auto")
         cfg = _config_to_solver(raw, seed)
-        grid, omega0, F = build_problem(cfg)
+        _, omega0, F = build_problem(cfg)
         b = -float(np.mean(F)) if b_offset == "auto" else float(b_offset)
         if not math.isfinite(b):
             raise ValueError(f"b_offset must be finite, got {b_offset!r}")
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad config: {exc}")
     try:
-        report = fl.check_cone_condition(omega0, F + b, grid, cfg.k, cfg.l)
+        report = fl.check_cone_condition(fl.eig_field(omega0), F + b, cfg.k, cfg.l)
     except ConeError as exc:
         return _fail_usage(str(exc))
     out = Path(out_dir)

@@ -65,13 +65,16 @@ __all__ = [
 
 # e_c, the quaternion unit of real coordinate 4a + c
 _UNITS = (Quaternion(1.0), I, J, K)
+# measure_epsilon keeps this fraction of the bisected margin, so the measured
+# eps leaves both cone conditions strictly satisfied
+_EPS_SHAVE = 0.995
 
 
-def identity_form(grid, scale=1.0):
+def identity_form(grid):
     """The constant identity matrix field (the flat background form)."""
     n = grid.n
     W = np.zeros(grid.shape + (2 * n, 2 * n), dtype=complex)
-    W[...] = scale * np.eye(2 * n)
+    W[...] = np.eye(2 * n)
     return W
 
 
@@ -138,11 +141,13 @@ def gradient_coefficients(u, grid, backend="spectral"):
     return g
 
 
-def omega_u(omega0, u, t, grid, backend="spectral", hessian=None):
-    """omega0 + t * quaternionic_hessian(u); ``hessian`` may be precomputed."""
-    if hessian is None:
-        hessian = quaternionic_hessian(u, grid, backend)
-    return np.asarray(omega0, dtype=complex) + float(t) * hessian
+def omega_u(omega0, u, grid, backend="spectral"):
+    """W_u = omega0 + quaternionic_hessian(u)."""
+    # a named Hessian gets a fresh array for the sum: numpy would otherwise
+    # reuse the temporary in place, which shifts glibc's mmap threshold and
+    # raised the solve-4axis benchmark's peak RSS from 157.8 to 160.3 MB
+    hessian = quaternionic_hessian(u, grid, backend)
+    return np.asarray(omega0, dtype=complex) + hessian
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +159,7 @@ def _n_of(W):
     return W.shape[-1] // 2
 
 
-def eig_field(W, tol_scale=1e-8):
+def eig_field(W):
     """Pointwise eigenvalue tuples, shape grid.shape + (n,), ascending.
 
     n = 1 matrices are real scalars and are read off directly; exactly
@@ -164,7 +169,7 @@ def eig_field(W, tol_scale=1e-8):
     n = _n_of(W)
     if n == 1:
         return W[..., :1, 0].real.copy()
-    return chi_eigvals(W, tol_scale)
+    return chi_eigvals(W)
 
 
 @dataclass
@@ -178,15 +183,14 @@ class GammaFieldReport:
         return self.ok
 
 
-def in_gamma_k_field(W, k, lam=None):
-    """Cone membership at every grid point, with the worst sigma_i slack.
+def in_gamma_k_field(lam, k):
+    """Cone membership at every grid point of the eigenvalue field ``lam``,
+    with the worst sigma_i slack.
 
     Returns a GammaFieldReport: ok iff min over points and 1 <= i <= k of
-    sigma_i(eigenvalues) is strictly positive; ``where``/``order`` locate the
+    sigma_i(lam) is strictly positive; ``where``/``order`` locate the
     minimizing point and order.
     """
-    if lam is None:
-        lam = eig_field(np.asarray(W, dtype=complex))
     e = symfun.elementary_all(lam, k)[..., 1 : k + 1]
     worst = float(e.min())
     flat_idx = int(np.argmin(e))
@@ -195,11 +199,10 @@ def in_gamma_k_field(W, k, lam=None):
                             where=tuple(int(i) for i in idx[:-1]), order=int(idx[-1]) + 1)
 
 
-def measure_epsilon(omega0, k, lam=None, safety=0.995):
-    """Largest eps (shaved by ``safety``) with omega0 - eps*Id and
-    Id - eps*omega0 both in Gamma_k at every point, found by bisection."""
-    if lam is None:
-        lam = eig_field(np.asarray(omega0, dtype=complex))
+def measure_epsilon(lam, k):
+    """Largest eps (shaved by 0.5%) with omega0 - eps*Id and Id - eps*omega0
+    both in Gamma_k at every point, found by bisection on the eigenvalue
+    field ``lam`` of omega0."""
 
     def feasible(eps):
         return bool(
@@ -216,14 +219,14 @@ def measure_epsilon(omega0, k, lam=None, safety=0.995):
         else:
             break
     else:
-        return safety * lo
+        return _EPS_SHAVE * lo
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    return safety * lo
+    return _EPS_SHAVE * lo
 
 
 @dataclass
@@ -250,18 +253,17 @@ class ConeConditionReport:
         return self.satisfied
 
 
-def check_cone_condition(omega0, F, grid, k, l, lam=None):
-    n = grid.n
+def check_cone_condition(lam, F, k, l):
+    """The ConeConditionReport of the eigenvalue field ``lam`` of the
+    background against the forcing field F; raises ConeError if ``lam`` is
+    not in Gamma_k."""
+    n = lam.shape[-1]
     if not 0 <= l < k <= n:
         raise ValueError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
-    W = np.asarray(omega0, dtype=complex)
-    if lam is None:
-        lam = eig_field(W)
-    gam = in_gamma_k_field(W, k, lam=lam)
+    gam = in_gamma_k_field(lam, k)
     if not gam.ok:
         raise ConeError(f"background field not in Gamma_{k} (margin {gam.worst_margin:.3e})")
-    F = np.broadcast_to(np.asarray(F, dtype=float), grid.shape)
-    ft = (math.comb(n, k) / math.comb(n, l)) * np.exp(F)
+    ft = symfun.forcing_factor(n, k, l, F)
     sk1 = symfun.sigma_excl_all(lam, k - 1)
     if l == 0:
         margin = sk1
@@ -329,48 +331,42 @@ def newton_transform_field(W, m):
     return chi_from_spectrum(V, symfun.sigma_excl_all(lam, m))
 
 
-def _spectral_pairing(v, a, W, i, spectrum=None):
+def _spectral_pairing(v, a, spectrum, i):
     """c_i sum_j conj((V^H v)_j) (V^H a)_j sigma_{i-1}(lam|j) = c_i v^H S_{i-1}(W) a,
 
-    c_i = (i-1)!(n-i)!/n!, from the spectrum (lam, V) of W, each collapsed
-    eigenvalue weighting its two embedding slots.  Order 1 needs no spectrum.
+    c_i = (i-1)!(n-i)!/n!, from the spectrum (lam, V) = chi_eigh(W), each
+    collapsed eigenvalue weighting its two embedding slots.  Order 1 reads
+    no eigenvectors, so V may be None there.
     """
-    n = _n_of(W)
+    lam, V = spectrum
+    n = lam.shape[-1]
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}")
     c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
     if i == 1:
         return c * np.einsum("...p,...p->...", v.conj(), a)
-    lam, V = chi_eigh(W) if spectrum is None else spectrum
     pv = np.einsum("...pj,...p->...j", V.conj(), v)
     pa = np.einsum("...pj,...p->...j", V.conj(), a)
     s = np.repeat(symfun.sigma_excl_all(lam, i - 1), 2, axis=-1)
     return c * np.einsum("...j,...j,...j->...", pv.conj(), s, pa)
 
 
-def gradient_pairing(u, W, i, grid, backend="spectral", grad=None, validate=True,
-                     spectrum=None):
+def gradient_pairing(grad, spectrum, i):
     """The scalar field  (i-1)! (n-i)! / n! * sum_l m_l sigma_{i-1}(lam(W)|l),
 
-    where m_l is the squared magnitude of the two gradient coefficients of
-    direction l in the frame diagonalizing W (``spectrum``, if precomputed).
-    Equals v^H S_{i-1}(W) v; nonnegative whenever W is in Gamma_i pointwise.
+    where m_l is the squared magnitude of the two coefficients of direction l
+    of ``grad`` (from gradient_coefficients) in the frame diagonalizing W,
+    given by ``spectrum`` = chi_eigh(W).  Equals v^H S_{i-1}(W) v;
+    nonnegative whenever W is in Gamma_i pointwise.
     """
-    W = np.asarray(W, dtype=complex)
-    n = _n_of(W)
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}")
-    if validate:
-        rep = in_gamma_k_field(W, i)
-        if not rep.ok:
-            raise ConeError(f"field not in Gamma_{i} (margin {rep.worst_margin:.3e})")
-    if grad is None:
-        grad = gradient_coefficients(u, grid, backend)
-    return _spectral_pairing(grad, grad, W, i, spectrum).real
+    return _spectral_pairing(grad, grad, spectrum, i).real
 
 
-def gradient_alpha_pairing(grad, alpha, W, i):
+def gradient_alpha_pairing(grad, alpha, spectrum, i):
     """Complex field  (i-1)! (n-i)! / n! * sum_l <v_l, a_l> sigma_{i-1}(W|l),
 
-    the mixed gradient/one-form pairing in the frame diagonalizing W.  The
-    inner product couples the two embedding coefficients of each direction.
+    the mixed gradient/one-form pairing in the frame diagonalizing W, given
+    by ``spectrum`` = chi_eigh(W).  The inner product couples the two
+    embedding coefficients of each direction.
     """
-    return _spectral_pairing(grad, alpha, np.asarray(W, dtype=complex), i)
+    return _spectral_pairing(grad, alpha, spectrum, i)

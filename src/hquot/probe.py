@@ -5,11 +5,11 @@ homotopy family W_t = W_0 + t H(u).  With the identity background, the
 dictionary between forms and symmetric functions is
 
     W_t^m ^ Omega^(n-m) / Omega^n                     = sigma_m(W_t) / C(n, m)
-    du ^ d_J u ^ W_t^(i-1) ^ Omega^(n-i) / Omega^n    = gradient_pairing(u, W_t, i)
+    du ^ d_J u ^ W_t^(i-1) ^ Omega^(n-i) / Omega^n    = gradient_pairing(v, chi_eigh(W_t), i)
 
-and exp(-p u) weights are stabilized by shifting u to min 0 (the reported
-slacks are relative, so the shift cancels; p * osc(u) never reaches the
-exponent range).
+with v = gradient_coefficients(u), and exp(-p u) weights are stabilized by
+shifting u to min 0 (the reported slacks are relative, so the shift cancels;
+p * osc(u) never reaches the exponent range).
 
 Measured constants:
 
@@ -70,13 +70,11 @@ SWEEP_T = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 SHAVE = 0.995
 
 
-def simpson_nodes(a, count=T_NODES):
-    """Composite Simpson nodes and weights on [0, a] (count odd)."""
-    if count < 3 or count % 2 == 0:
-        raise ValueError("Simpson rule needs an odd node count >= 3")
-    t = np.linspace(0.0, a, count)
-    h = a / (count - 1)
-    w = np.ones(count)
+def simpson_nodes(a):
+    """Composite Simpson nodes and weights on [0, a], T_NODES (odd) of them."""
+    t = np.linspace(0.0, a, T_NODES)
+    h = a / (T_NODES - 1)
+    w = np.ones(T_NODES)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return t, w * (h / 3.0)
@@ -120,38 +118,35 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
     return rows
 
 
-def homotopy_means(u, omega0, grid, k, backend="spectral", hessian=None):
+def homotopy_means(u, omega0, hessian, grid, k, backend="spectral"):
     """Pointwise t-integrals over [0, 1/2]: (L, G) with L = int sigma_{k-1}(W_t) dt
-    and G[i-1] = int gradient_pairing(u, W_t, i) dt for i = 1..k.
+    and G[i-1] = int gradient_pairing(v(u), chi_eigh(W_t), i) dt for i = 1..k,
+    W_t = omega0 + t * hessian, ``hessian`` the quaternionic Hessian of u.
 
     Each Simpson node is diagonalized once for all orders (order 1 needs no
-    eigenvectors).  Neither field depends on p.  ``hessian`` (the quaternionic
-    Hessian of u) may be precomputed.
+    eigenvectors).  Neither field depends on p.
     """
-    u = np.asarray(u, dtype=float)
-    hess = fl.quaternionic_hessian(u, grid, backend) if hessian is None else hessian
     grad = fl.gradient_coefficients(u, grid, backend)
     L = np.zeros(grid.shape)
     G = np.zeros((k,) + grid.shape)
     for t, w in zip(*simpson_nodes(0.5)):
-        Wt = omega0 + t * hess
+        Wt = omega0 + t * hessian
         spectrum = chi_eigh(Wt) if k > 1 else (fl.eig_field(Wt), None)
         L += w * symfun.sigma(spectrum[0], k - 1)
         for i in range(1, k + 1):
-            G[i - 1] += w * fl.gradient_pairing(u, Wt, i, grid, backend, grad=grad,
-                                                validate=False, spectrum=spectrum)
+            G[i - 1] += w * fl.gradient_pairing(grad, spectrum, i)
     return L, G
 
 
-def homotopy_integral_check(u, omega0, grid, k, p, a=1.0, eps=None, backend="spectral",
-                            means=None, hessian=None):
+def homotopy_integral_check(u, omega0, hessian, means, grid, k, p, eps):
     """Slack records for the homotopy integral inequalities, one per order i < k.
 
-    Unweighted (parameter ``a``): pointwise in z,
+    Unweighted: pointwise in z,
 
         eps^(k-i) * S_{i-1}(z)/C(n,i-1)  <=  (k/i) * S_{k-1}(z)/C(n,k-1),
 
-    with S_m(z) = integral_0^a sigma_m(W_t(z)) dt; ``slack`` is the worst
+    with S_m(z) = integral_0^1 sigma_m(W_t(z)) dt, W_t = omega0 + t * hessian
+    (the quaternionic Hessian of u); ``slack`` is the worst
     relative slack over the grid.  Weighted (fixed upper limit 1/2):
 
         eps^(k-i) * G_{i-1}  <=  (k/i) * G_{k-1},
@@ -160,20 +155,14 @@ def homotopy_integral_check(u, omega0, grid, k, p, a=1.0, eps=None, backend="spe
     gradient pairing at order m+1 (``means``, from ``homotopy_means``).
     Each record also carries the single-eps display variant with raw sigma
     integrands (logged only; see the module notes).  The i = k row is the
-    trivial equality and is flagged.  ``hessian`` may be precomputed.
+    trivial equality and is flagged.
     """
-    u = np.asarray(u, dtype=float)
     n = grid.n
-    if eps is None:
-        eps = fl.measure_epsilon(omega0, k)
-    hess = fl.quaternionic_hessian(u, grid, backend) if hessian is None else hessian
-    if means is None:
-        means = homotopy_means(u, omega0, grid, k, backend, hessian=hess)
     weight = _shifted_weight(u, p)
 
     S = {m: np.zeros(grid.shape) for m in range(k)}
-    for t, wa in zip(*simpson_nodes(a)):
-        lam_t = fl.eig_field(omega0 + t * hess)
+    for t, wa in zip(*simpson_nodes(1.0)):
+        lam_t = fl.eig_field(omega0 + t * hessian)
         for m in range(k):
             S[m] += wa * symfun.sigma(lam_t, m)
     G = [integrate(weight * g, grid) for g in means[1]]
@@ -191,7 +180,7 @@ def homotopy_integral_check(u, omega0, grid, k, p, a=1.0, eps=None, backend="spe
         records.append({
             "i": i,
             "k": k,
-            "a": float(a),
+            "a": 1.0,
             "eps": float(eps),
             "trivial_equality": trivial,
             "slack": float(rel.min()),
@@ -207,25 +196,21 @@ def homotopy_integral_check(u, omega0, grid, k, p, a=1.0, eps=None, backend="spe
     return records
 
 
-def weighted_energy_check(u, omega0, grid, k, p, eps=None, backend="spectral", means=None):
+def weighted_energy_check(u, means, grid, k, p, eps):
     """Measure the smallest C with
 
         L <= C (p * G + M0),
 
     L  = int_0^(1/2) dt int exp(-pu) sigma_{k-1}(W_t)/C(n,k-1),
-    G  = int_0^(1/2) dt int exp(-pu) * gradient_pairing(u, W_t, k),
+    G  = int_0^(1/2) dt int exp(-pu) * gradient_pairing(v(u), chi_eigh(W_t), k),
     M0 = int exp(-pu).
 
     The t-integrals are taken pointwise first (``means``, from
     ``homotopy_means``).  The constant is existential in the underlying
     estimate, so the check reports c_min = L / (p G + M0) per p; families of
-    states are compared through their recorded c_min values.
+    states are compared through their recorded c_min values.  ``eps`` is
+    echoed into the record.
     """
-    u = np.asarray(u, dtype=float)
-    if eps is None:
-        eps = fl.measure_epsilon(omega0, k)
-    if means is None:
-        means = homotopy_means(u, omega0, grid, k, backend)
     weight = _shifted_weight(u, p)
     L = integrate(weight * means[0], grid) / math.comb(grid.n, k - 1)
     G = integrate(weight * means[1][k - 1], grid)
@@ -285,9 +270,10 @@ class SweepReport:
         }
 
 
-def pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend="spectral", t_grid=SWEEP_T,
-                          eps=None, hessian=None):
-    """Evaluate the pointwise homotopy inequalities on the t-grid.
+def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
+    """Evaluate the pointwise homotopy inequalities on the t-grid SWEEP_T, for
+    W_t = omega0 + t * hessian (the quaternionic Hessian of u), with ``lam0``
+    = eig_field(omega0).
 
     With Ft = C(n,k)/C(n,l) exp(F) and the measured eps, delta (both shaved
     by 0.5% so the extremal points keep a strictly positive margin):
@@ -302,25 +288,19 @@ def pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend="spectral", t_grid=S
                                    >= (k-l) Ft^(1-r) delta (1-t) k!(n-k)! C(n-1,l-1) ((1-t) eps)^(l-1)
                             (l=0)  sigma_{k-1}(W_t|j) >= ((1-t) eps)^(k-1) C(n-1,k-1)
 
-    ``F`` must be the forcing for which u actually solves the equation
-    (include any normalization constant); ``eps`` and ``hessian`` may be
-    precomputed.
+    ``F`` must be the forcing field for which u actually solves the equation
+    (include any normalization constant).
     """
-    u = np.asarray(u, dtype=float)
-    n = grid.n
-    F = np.broadcast_to(np.asarray(F, dtype=float), grid.shape)
-    if eps is None:
-        eps = fl.measure_epsilon(omega0, k)
-    cone = fl.check_cone_condition(omega0, F, grid, k, l)
+    n = lam0.shape[-1]
+    cone = fl.check_cone_condition(lam0, F, k, l)
     if not cone.satisfied:
         raise ConeError(
             f"cone condition fails (margin {cone.worst_margin:.3e}); the sweep "
             "hypotheses are void"
         )
     delta = SHAVE * cone.delta
-    ft = (math.comb(n, k) / math.comb(n, l)) * np.exp(F)
-    hess = fl.quaternionic_hessian(u, grid, backend) if hessian is None else hessian
-    lam1 = fl.eig_field(omega0 + hess)
+    ft = symfun.forcing_factor(n, k, l, F)
+    lam1 = fl.eig_field(omega0 + hessian)
     sig1 = {i: symfun.sigma(lam1, i) for i in range(1, k + 1)}
 
     names = ("excluded-sigma-lower-bound", "power-scaling-bound",
@@ -331,8 +311,8 @@ def pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend="spectral", t_grid=S
     kf = math.factorial(k) * math.factorial(n - k)
     lf = math.factorial(l) * math.factorial(n - l)
 
-    for t in t_grid:
-        lam_t = fl.eig_field(omega0 + t * hess)
+    for t in SWEEP_T:
+        lam_t = fl.eig_field(omega0 + t * hessian)
         excl = {m: symfun.sigma_excl_all(lam_t, m) for m in {k - 1, l - 1} | set(range(1, k))}
 
         if k >= 2:
@@ -382,7 +362,7 @@ def pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend="spectral", t_grid=S
             margins[name] = min(finite)
     by_t = {name: vals for name, vals in by_t.items() if name in margins}
     return SweepReport(
-        k=k, l=l, eps=float(eps), delta=float(delta), t_grid=tuple(float(t) for t in t_grid),
+        k=k, l=l, eps=float(eps), delta=float(delta), t_grid=tuple(float(t) for t in SWEEP_T),
         margins=margins, margins_by_t=by_t,
         equality_residuals={k2: float(v) for k2, v in equality.items()},
     )
@@ -449,19 +429,18 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64),
     ``F`` is the effective forcing of the solved state (normalization
     constant included).  The homotopy records are evaluated at the smallest
     probed p; the weighted-energy constants at every p.  Both checks share
-    one set of t-integrated fields from ``homotopy_means``, and every check
-    one quaternionic Hessian of u.
+    one set of t-integrated fields from ``homotopy_means``, every check one
+    quaternionic Hessian of u, and eps and the sweep one spectrum of omega0.
     """
     u = np.asarray(u, dtype=float)
-    eps = fl.measure_epsilon(omega0, k)
+    lam0 = fl.eig_field(omega0)
+    eps = fl.measure_epsilon(lam0, k)
     hess = fl.quaternionic_hessian(u, grid, backend)
-    sweep = pointwise_lemma_sweep(u, omega0, F, grid, k, l, backend, eps=eps, hessian=hess)
-    means = homotopy_means(u, omega0, grid, k, backend, hessian=hess)
-    homotopy = homotopy_integral_check(u, omega0, grid, k, float(min(p_values)), a=1.0,
-                                       eps=eps, backend=backend, means=means, hessian=hess)
-    weighted = [weighted_energy_check(u, omega0, grid, k, p, eps=eps, backend=backend,
-                                      means=means)
-                for p in p_values]
+    sweep = pointwise_lemma_sweep(omega0, hess, lam0, F, k, l, eps)
+    means = homotopy_means(u, omega0, hess, grid, k, backend)
+    homotopy = homotopy_integral_check(u, omega0, hess, means, grid, k,
+                                       float(min(p_values)), eps)
+    weighted = [weighted_energy_check(u, means, grid, k, p, eps) for p in p_values]
     cher = cherrier_table(u, grid, p_values, backend)
     return ProbeReport(
         problem_id=problem_id,

@@ -73,9 +73,11 @@ class SolverConfig:
 
     F and the optional diagonal background entries are numpy expressions in
     the grid coordinates x0..x{4n-1} (inactive coordinates evaluate to 0.0).
-    ``tolerance`` must be finite and positive, ``max_iterations`` an integer
-    >= 1.  ``seed`` is a config echo: the solver is deterministic and never
-    reads it; the key is accepted and recorded in the solve summary's config.
+    ``n``, ``k``, ``l``, ``points_per_axis``, ``seed`` and each active axis
+    must be integers (not bools or floats), ``tolerance`` finite and positive,
+    ``max_iterations`` an integer >= 1.  ``seed`` is a config echo: the solver
+    is deterministic and never reads it; the key is accepted and recorded in
+    the solve summary's config.
     """
 
     n: int
@@ -91,6 +93,13 @@ class SolverConfig:
     seed: int = 20240601
 
     def __post_init__(self):
+        for key in ("n", "k", "l", "points_per_axis", "seed"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        axes = self.active_axes
+        if not (isinstance(axes, (list, tuple)) and all(type(a) is int for a in axes)):
+            raise ValueError(f"active_axes must be a list of integers, got {axes!r}")
+        self.active_axes = tuple(axes)
         if not 0 <= self.l < self.k <= self.n:
             raise ValueError(f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
         tol = self.tolerance
@@ -101,7 +110,6 @@ class SolverConfig:
                              f"got {self.max_iterations!r}")
         if self.backend not in ("spectral", "fd"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        self.active_axes = tuple(int(a) for a in self.active_axes)
 
     @property
     def grid(self):
@@ -216,17 +224,10 @@ class SolveResult:
         }
 
 
-def _quotient_factor(n, k, l):
-    return math.comb(n, k) / math.comb(n, l)
-
-
-def residual(u, b, omega0, F, grid, k, l, backend="spectral", lam=None):
-    """Pointwise sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F+b) sigma_l(W_u); ``lam``
-    = eig_field(W_u) may be passed in, else W_u and its eigenvalues are built here."""
-    if lam is None:
-        lam = fl.eig_field(fl.omega_u(omega0, u, 1.0, grid, backend))
-    coef = _quotient_factor(grid.n, k, l)
-    E = coef * np.exp(np.asarray(F, dtype=float) + b)
+def residual(lam, b, F, k, l):
+    """Pointwise sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F+b) sigma_l(W_u) from the
+    eigenvalue field ``lam`` of W_u."""
+    E = symfun.forcing_factor(lam.shape[-1], k, l, F + b)
     sk = symfun.sigma(lam, k)
     sl = symfun.sigma(lam, l) if l > 0 else 1.0
     return sk - E * sl
@@ -267,20 +268,18 @@ class Linearization:
         return sym
 
 
-def linearize(u, b, omega0, F, grid, k, l, backend="spectral", spectrum=None):
-    """The Linearization of the residual at (u, b).
+def linearize(spectrum, b, F, grid, k, l, backend="spectral"):
+    """The Linearization of the residual at (u, b), from ``spectrum`` =
+    chi_eigh(W_u).
 
     Its coefficient matrix G = S_{k-1}(W) - Ft S_{l-1}(W) has the eigenvectors
-    V of W = omega_u and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft
-    sigma_{l-1}(lam|j), the ellipticity weights; ``spectrum`` = chi_eigh(W)
-    may be passed in, else W and its spectrum are built here.
+    V of W_u and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft
+    sigma_{l-1}(lam|j), the ellipticity weights: the cone condition's
+    margins at Ft = C(n,k)/C(n,l) e^(F+b).
     """
     n = grid.n
-    if spectrum is None:
-        spectrum = chi_eigh(fl.omega_u(omega0, u, 1.0, grid, backend))
     lam, V = spectrum
-    coef = _quotient_factor(n, k, l)
-    E = coef * np.exp(np.asarray(F, dtype=float) + b)
+    E = symfun.forcing_factor(n, k, l, F + b)
 
     weights = symfun.sigma_excl_all(lam, k - 1)
     if l > 0:
@@ -360,7 +359,7 @@ def solve(cfg):
     backend = cfg.backend
 
     lam0 = fl.eig_field(omega0)
-    gam0 = fl.in_gamma_k_field(omega0, k, lam=lam0)
+    gam0 = fl.in_gamma_k_field(lam0, k)
     if not gam0.ok:
         raise ConeError(
             f"background field not in Gamma_{k} (margin {gam0.worst_margin:.3e})"
@@ -369,15 +368,15 @@ def solve(cfg):
     warnings = []
     u = np.zeros(grid.shape)
     b = -float(np.mean(F))
-    pre_cone = fl.check_cone_condition(omega0, F, grid, k, l, lam=lam0)
+    pre_cone = fl.check_cone_condition(lam0, F, k, l)
     if not pre_cone.satisfied:
         warnings.append(
             f"cone condition violated for the configured forcing "
             f"(margin {pre_cone.worst_margin:.3e}); the iteration may still converge"
         )
 
-    spectrum = chi_eigh(fl.omega_u(omega0, u, 1.0, grid, backend))
-    R = residual(u, b, omega0, F, grid, k, l, backend, lam=spectrum[0])
+    spectrum = chi_eigh(fl.omega_u(omega0, u, grid, backend))
+    R = residual(spectrum[0], b, F, k, l)
     hist = [float(np.abs(R).max())]
     iterations = 0
 
@@ -385,7 +384,7 @@ def solve(cfg):
         if hist[-1] <= cfg.tolerance:
             break
         try:
-            lin = linearize(u, b, omega0, F, grid, k, l, backend, spectrum=spectrum)
+            lin = linearize(spectrum, b, F, grid, k, l, backend)
         except ConeError as exc:
             note = f" [{'; '.join(warnings)}]" if warnings else ""
             raise ConvergenceError(
@@ -399,13 +398,12 @@ def solve(cfg):
             u_try = u + step * v
             u_try -= u_try.mean()
             b_try = b + step * db
-            spectrum_try = chi_eigh(fl.omega_u(omega0, u_try, 1.0, grid, backend))
+            spectrum_try = chi_eigh(fl.omega_u(omega0, u_try, grid, backend))
             margin = symfun.gamma_margin(spectrum_try[0], k)
             if np.min(margin) <= _CONE_MARGIN:
                 step *= _BACKTRACK
                 continue
-            R_try = residual(u_try, b_try, omega0, F, grid, k, l, backend,
-                             lam=spectrum_try[0])
+            R_try = residual(spectrum_try[0], b_try, F, k, l)
             r_try = float(np.abs(R_try).max())
             if r_try < (1.0 - 1e-4 * step) * hist[-1] or r_try <= cfg.tolerance:
                 u, b, spectrum, R = u_try, b_try, spectrum_try, R_try
@@ -425,8 +423,8 @@ def solve(cfg):
         )
 
     u_out = normalize_sup(u)
-    gam = fl.in_gamma_k_field(None, k, lam=spectrum[0])
-    post_cone = fl.check_cone_condition(omega0, F + b, grid, k, l, lam=lam0)
+    gam = fl.in_gamma_k_field(spectrum[0], k)
+    post_cone = fl.check_cone_condition(lam0, F + b, k, l)
     if not post_cone.satisfied:
         warnings.append(
             f"cone condition violated at the solved normalization "

@@ -10,6 +10,8 @@ degenerate correctly at l = 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConeError
@@ -22,6 +24,7 @@ __all__ = [
     "gamma_margin",
     "quotient",
     "quotient_root",
+    "forcing_factor",
     "garding_pairing",
 ]
 
@@ -123,6 +126,12 @@ def quotient_root(lam, k, l, check=True):
     """(sigma_k / sigma_l)^(1/(k-l)); concave and degree-1 homogeneous on Gamma_k."""
     q = quotient(lam, k, l, check=check)
     return q ** (1.0 / (k - l))
+
+
+def forcing_factor(n, k, l, F):
+    """Ft = C(n,k)/C(n,l) exp(F): the factor of sigma_l in sigma_k = Ft sigma_l,
+    the quotient equation with the identity background; broadcasts over F."""
+    return math.comb(n, k) / math.comb(n, l) * np.exp(np.asarray(F, dtype=float))
 
 
 def garding_pairing(mu, lam, k, check=True):

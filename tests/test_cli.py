@@ -83,6 +83,8 @@ def test_verify_rejects_non_finite_scale(tmp_path, capsys, scale):
     pytest.param({"n_values": "23"}, "n_values", id="string-n-values"),
     pytest.param({"n_values": [2, 2.5]}, "n_values", id="fractional-n"),
     pytest.param({"propositions": "newton-maclaurin"}, "propositions", id="string-propositions"),
+    pytest.param({"seed": 2.5}, "seed", id="fractional-seed"),
+    pytest.param({"seed": True}, "seed", id="bool-seed"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, bad, named):
     cfg = _write(tmp_path / "v.json", {"count": 10, "n_values": [2], "algebra_count": 3,
@@ -153,6 +155,12 @@ def test_solve_bad_config(tmp_path):
     pytest.param({"F": "().__class__.__bases__[0].__subclasses__().__len__() * 0 + x0"},
                  "__class__", id="attribute-chain"),
     pytest.param({"F": "9**9**9**9 + x0"}, "9**9**9**9", id="huge-power"),
+    pytest.param({"active_axes": [0, 5.7]}, "active_axes must be", id="fractional-axis"),
+    pytest.param({"active_axes": [0, True]}, "active_axes must be", id="bool-axis"),
+    pytest.param({"n": 2.0}, "n must be", id="fractional-n"),
+    pytest.param({"k": True}, "k must be", id="bool-k"),
+    pytest.param({"points_per_axis": 8.0}, "points_per_axis must be", id="fractional-points"),
+    pytest.param({"seed": 2.5}, "seed must be", id="fractional-seed"),
 ])
 def test_bad_problem_is_a_usage_error(tmp_path, capsys, command, bad, named):
     cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,

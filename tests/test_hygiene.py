@@ -6,7 +6,9 @@ No module reads another hquot module's private (underscore) names, and no
 function imports from the package locally: module-level bindings are what
 the benchmark's tracer rebinds.  Every public name (``__all__`` entries and
 public ``QMatrix`` methods) is read somewhere in the package outside its own
-definition, unless the package re-exports it or ``KEEP`` names it.
+definition, unless the package re-exports it or ``KEEP`` names it.  In the
+numerical modules, every defaulted parameter is set by some package call,
+unless ``KEEP_DEFAULTS`` names it: a default nobody overrides is a constant.
 """
 
 import ast
@@ -142,3 +144,64 @@ def test_every_public_name_has_a_caller():
                 if name not in reads and name not in hquot.__all__}
     assert not uncalled - set(KEEP), f"no package code reads {sorted(uncalled - set(KEEP))}"
     assert not set(KEEP) - uncalled, f"KEEP entries with a caller: {sorted(set(KEEP) - uncalled)}"
+
+
+# Defaulted parameters that no package call sets, kept on purpose: one reason each.
+KEEP_DEFAULTS = {
+    "fields.simultaneous_diagonalize.tol": "README feature without a package caller",
+}
+DEFAULT_MODULES = ("grid", "fields", "solver", "probe", "symfun")
+
+
+def _package_calls():
+    """Callee name -> [(positional argument count, keyword names)] of every
+    call in the package; a starred argument counts as every position, and a
+    ``**`` argument as every keyword (the name None)."""
+    calls = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            npos = float("inf") if starred else len(node.args)
+            calls.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _defaulted_params(tree):
+    """(qualified function name, function name, position or None, parameter)
+    of every parameter with a default, in module functions and methods (the
+    position counts from the first argument a caller passes)."""
+    owners = [(tree, "", 0)] + [(node, f"{node.name}.", 1) for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+    for owner, prefix, skip in owners:
+        for fn in owner.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            for i in range(first, len(args)):
+                yield prefix + fn.name, fn.name, i - (0 if static else skip), args[i].arg
+            for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if d is not None:
+                    yield prefix + fn.name, fn.name, None, a.arg
+
+
+def test_every_default_is_set_by_a_package_call():
+    calls = _package_calls()
+    unset = set()
+    for path in MODULES:
+        if path.stem not in DEFAULT_MODULES:
+            continue
+        for qual, name, pos, param in _defaulted_params(ast.parse(path.read_text())):
+            if not any(param in kws or None in kws or (pos is not None and npos > pos)
+                       for npos, kws in calls.get(name, [])):
+                unset.add(f"{path.stem}.{qual}.{param}")
+    assert not unset - set(KEEP_DEFAULTS), \
+        f"defaulted parameters no package call sets {sorted(unset - set(KEEP_DEFAULTS))}"
+    assert not set(KEEP_DEFAULTS) - unset, \
+        f"KEEP_DEFAULTS entries a package call sets: {sorted(set(KEEP_DEFAULTS) - unset)}"

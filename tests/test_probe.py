@@ -10,6 +10,14 @@ from hquot.grid import TorusGrid, integrate
 from hquot.solver import residual
 
 
+def _inputs(u, omega0, grid, k):
+    """What run_probe hands the checks: the Hessian of u, eig_field(omega0),
+    eps and the Simpson means."""
+    hess = fl.quaternionic_hessian(u, grid)
+    lam0 = fl.eig_field(omega0)
+    return hess, lam0, fl.measure_epsilon(lam0, k), probe.homotopy_means(u, omega0, hess, grid, k)
+
+
 def _coords(grid, axis):
     return np.broadcast_to(grid.coordinate(axis), grid.shape).copy()
 
@@ -27,8 +35,7 @@ def manufactured_state(n, k, l, axes, N, amp=0.03, seed=0):
         u = u + amp * float(rng.uniform(0.5, 1.0)) * np.sin(2 * np.pi * _coords(grid, axis))
     u -= u.max()
     omega0 = fl.identity_form(grid)
-    W = fl.omega_u(omega0, u, 1.0, grid)
-    lam = fl.eig_field(W)
+    lam = fl.eig_field(fl.omega_u(omega0, u, grid))
     sk = symfun.sigma(lam, k)
     sl = symfun.sigma(lam, l) if l > 0 else 1.0
     F = np.log(sk / sl * math.comb(n, l) / math.comb(n, k))
@@ -37,7 +44,7 @@ def manufactured_state(n, k, l, axes, N, amp=0.03, seed=0):
 
 def test_manufactured_state_is_exact():
     grid, u, om0, F = manufactured_state(2, 2, 1, (0, 5), 12)
-    R = residual(u, 0.0, om0, F, grid, 2, 1)
+    R = residual(fl.eig_field(fl.omega_u(om0, u, grid)), 0.0, F, 2, 1)
     assert np.abs(R).max() < 1e-12
 
 
@@ -48,8 +55,6 @@ def test_simpson_nodes():
     # exact on cubics
     val = (w * t**3).sum()
     assert val == pytest.approx(0.5**4 / 4, rel=1e-12)
-    with pytest.raises(ValueError):
-        probe.simpson_nodes(1.0, count=4)
 
 
 def test_cherrier_zero_potential():
@@ -114,9 +119,10 @@ def test_homotopy_check_zero_potential_binomials():
     n, k = 3, 3
     g = TorusGrid(n, (0,), 8)
     om0 = fl.identity_form(g)
+    u = np.zeros(g.shape)
+    hess, _, eps, means = _inputs(u, om0, g, k)
+    recs = probe.homotopy_integral_check(u, om0, hess, means, g, k, 4.0, eps)
     a = 1.0
-    recs = probe.homotopy_integral_check(np.zeros(g.shape), om0, g, k, p=4.0, a=a)
-    eps = fl.measure_epsilon(om0, k)
     for r in recs:
         i = r["i"]
         assert r["display_lhs"] == pytest.approx(eps * math.comb(n, i - 1) * a, rel=1e-12)
@@ -129,7 +135,8 @@ def test_homotopy_check_zero_potential_binomials():
 
 def test_homotopy_check_solved_state():
     grid, u, om0, F = manufactured_state(3, 3, 0, (0,), 12, amp=0.04)
-    recs = probe.homotopy_integral_check(u, om0, grid, 3, p=4.0)
+    hess, _, eps, means = _inputs(u, om0, grid, 3)
+    recs = probe.homotopy_integral_check(u, om0, hess, means, grid, 3, 4.0, eps)
     assert {r["i"] for r in recs} == {1, 2, 3}
     for r in recs:
         assert r["slack"] >= -1e-9
@@ -140,9 +147,10 @@ def test_weighted_energy_zero_potential():
     # u = 0: the gradient term vanishes and c_min = (1/2) sigma_{k-1}(Id)/C(n,k-1)
     n, k = 2, 2
     g = TorusGrid(n, (0,), 8)
-    om0 = fl.identity_form(g)
+    u = np.zeros(g.shape)
+    _, _, eps, means = _inputs(u, fl.identity_form(g), g, k)
     for p in (4.0, 16.0):
-        rec = probe.weighted_energy_check(np.zeros(g.shape), om0, g, k, p)
+        rec = probe.weighted_energy_check(u, means, g, k, p, eps)
         assert rec["gradient_term"] == pytest.approx(0.0, abs=1e-20)
         assert rec["c_min"] == pytest.approx(0.5, rel=1e-12)
 
@@ -151,7 +159,8 @@ def test_weighted_energy_stable_in_amplitude():
     vals = []
     for amp in (1e-3, 1e-4):
         grid, u, om0, F = manufactured_state(2, 2, 0, (0,), 12, amp=amp)
-        rec = probe.weighted_energy_check(u, om0, grid, 2, 8.0)
+        _, _, eps, means = _inputs(u, om0, grid, 2)
+        rec = probe.weighted_energy_check(u, means, grid, 2, 8.0, eps)
         vals.append(rec["c_min"])
     assert vals[0] == pytest.approx(vals[1], rel=1e-2)
     assert vals[1] == pytest.approx(0.5, rel=1e-3)
@@ -159,7 +168,8 @@ def test_weighted_energy_stable_in_amplitude():
 
 def test_weighted_energy_bounded_over_p():
     grid, u, om0, F = manufactured_state(2, 2, 0, (0, 4), 12, amp=0.05)
-    cs = [probe.weighted_energy_check(u, om0, grid, 2, p)["c_min"] for p in (4, 8, 16, 32)]
+    _, _, eps, means = _inputs(u, om0, grid, 2)
+    cs = [probe.weighted_energy_check(u, means, grid, 2, p, eps)["c_min"] for p in (4, 8, 16, 32)]
     assert all(np.isfinite(c) and 0 < c < 10 for c in cs)
     assert max(cs) / min(cs) < 2.0
 
@@ -169,10 +179,9 @@ def test_weighted_energy_matches_per_node_reference():
     # Simpson node and forming the Newton transform there, for every p
     grid, u, om0, F = manufactured_state(3, 2, 1, (0, 4), 12, amp=0.05)
     n, k = 3, 2
-    hess = fl.quaternionic_hessian(u, grid)
+    hess, _, eps, means = _inputs(u, om0, grid, k)
     grad = fl.gradient_coefficients(u, grid)
     c = math.factorial(k - 1) * math.factorial(n - k) / math.factorial(n)
-    means = probe.homotopy_means(u, om0, grid, k)
     for p in (4, 8, 16, 32, 64):
         weight = np.exp(-p * (u - u.min()))
         L = G = 0.0
@@ -184,11 +193,10 @@ def test_weighted_energy_matches_per_node_reference():
             gp = c * np.einsum("...p,...pq,...q->...", grad.conj(), S, grad).real
             G += w * integrate(weight * gp, grid)
         M0 = integrate(weight, grid)
-        for rec in (probe.weighted_energy_check(u, om0, grid, k, p),
-                    probe.weighted_energy_check(u, om0, grid, k, p, means=means)):
-            assert rec["lhs"] == pytest.approx(L, rel=1e-12)
-            assert rec["gradient_term"] == pytest.approx(G, rel=1e-12)
-            assert rec["c_min"] == pytest.approx(L / (p * G + M0), rel=1e-12)
+        rec = probe.weighted_energy_check(u, means, grid, k, p, eps)
+        assert rec["lhs"] == pytest.approx(L, rel=1e-12)
+        assert rec["gradient_term"] == pytest.approx(G, rel=1e-12)
+        assert rec["c_min"] == pytest.approx(L / (p * G + M0), rel=1e-12)
 
 
 def test_run_probe_one_eigh_per_node(monkeypatch):
@@ -226,7 +234,8 @@ def test_run_probe_one_hessian(monkeypatch):
 
 def test_pointwise_sweep_manufactured():
     grid, u, om0, F = manufactured_state(2, 2, 1, (0, 5), 12, amp=0.03)
-    rep = probe.pointwise_lemma_sweep(u, om0, F, grid, 2, 1)
+    hess, lam0, eps, _ = _inputs(u, om0, grid, 2)
+    rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 2, 1, eps)
     assert set(rep.margins) == {
         "excluded-sigma-lower-bound",
         "power-scaling-bound",
@@ -241,14 +250,16 @@ def test_pointwise_sweep_manufactured():
 
 def test_pointwise_sweep_monge_ampere_case():
     grid, u, om0, F = manufactured_state(3, 3, 0, (0,), 12, amp=0.05)
-    rep = probe.pointwise_lemma_sweep(u, om0, F, grid, 3, 0)
+    hess, lam0, eps, _ = _inputs(u, om0, grid, 3)
+    rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 3, 0, eps)
     assert rep.all_strict_positive
     assert "cone-gap-floor" in rep.margins
 
 
 def test_pointwise_sweep_k1():
     grid, u, om0, F = manufactured_state(1, 1, 0, (0,), 16, amp=0.05)
-    rep = probe.pointwise_lemma_sweep(u, om0, F, grid, 1, 0)
+    hess, lam0, eps, _ = _inputs(u, om0, grid, 1)
+    rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 1, 0, eps)
     assert rep.all_strict_positive
     assert "excluded-sigma-lower-bound" not in rep.margins  # no admissible order
     assert "cone-gap-floor" not in rep.margins  # degenerate at k = 1
@@ -260,8 +271,9 @@ def test_pointwise_sweep_rejects_cone_violation():
     om0 = fl.identity_form(g)
     u = np.zeros(g.shape)
     F = np.full(g.shape, 2.0)  # Ft = e^2 / 2 > 1: condition fails
+    hess, lam0, eps, _ = _inputs(u, om0, g, k)
     with pytest.raises(ConeError):
-        probe.pointwise_lemma_sweep(u, om0, F, g, k, l)
+        probe.pointwise_lemma_sweep(om0, hess, lam0, F, k, l, eps)
 
 
 def test_probe_with_varying_background():

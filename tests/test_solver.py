@@ -6,6 +6,7 @@ import pytest
 from hquot import fields as fl, symfun
 from hquot.errors import ConeError, ConvergenceError
 from hquot.grid import TorusGrid, integrate
+from hquot.quaternion import chi_eigh
 from hquot.solver import (
     Linearization,
     SolverConfig,
@@ -15,6 +16,16 @@ from hquot.solver import (
     residual,
     solve,
 )
+
+
+def _lam(om0, u, grid, backend="spectral"):
+    """eig_field(W_u): the residual's input at the potential u."""
+    return fl.eig_field(fl.omega_u(om0, u, grid, backend))
+
+
+def _spectrum(om0, u, grid, backend="spectral"):
+    """chi_eigh(W_u): linearize's input at the potential u."""
+    return chi_eigh(fl.omega_u(om0, u, grid, backend))
 
 
 def _sine(grid, axis, amp=1.0, freq=1):
@@ -54,9 +65,9 @@ def test_residual_trivial_zeros():
         u = np.zeros(grid.shape)
         c = 0.4
         F = np.full(grid.shape, c)
-        R = residual(u, -c, om0, F, grid, k, l)
+        R = residual(_lam(om0, u, grid), -c, F, k, l)
         assert np.abs(R).max() < 1e-14
-        R0 = residual(u, 0.0, om0, np.zeros(grid.shape), grid, k, l)
+        R0 = residual(_lam(om0, u, grid), 0.0, np.zeros(grid.shape), k, l)
         assert np.abs(R0).max() < 1e-14
 
 
@@ -70,12 +81,13 @@ def test_residual_first_order_perturbation():
     x = np.broadcast_to(grid.coordinate(0), grid.shape)
     y = np.broadcast_to(grid.coordinate(4), grid.shape)
     v = 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    base = residual(np.zeros(grid.shape), 0.0, om0, F, grid, k, l)
-    lin = linearize(np.zeros(grid.shape), 0.0, om0, F, grid, k, l)
+    zero = np.zeros(grid.shape)
+    base = residual(_lam(om0, zero, grid), 0.0, F, k, l)
+    lin = linearize(_spectrum(om0, zero, grid), 0.0, F, grid, k, l)
     predicted = lin.apply(v)
     rema = []
     for eta in (1e-2, 1e-3):
-        pert = residual(eta * v, 0.0, om0, F, grid, k, l)
+        pert = residual(_lam(om0, eta * v, grid), 0.0, F, k, l)
         rema.append(np.abs(pert - base - eta * predicted).max())
     assert rema[0] < 1e-2
     assert rema[1] < rema[0] / 50  # quadratic remainder: factor 100 per decade
@@ -85,7 +97,7 @@ def test_linearize_b_column_and_laplacian():
     grid = TorusGrid(2, (0, 4), 8)
     om0 = fl.identity_form(grid)
     F = np.zeros(grid.shape)
-    lin = linearize(np.zeros(grid.shape), 0.0, om0, F, grid, 1, 0)
+    lin = linearize(_spectrum(om0, np.zeros(grid.shape), grid), 0.0, F, grid, 1, 0)
     coef = math.comb(2, 1)
     assert np.allclose(lin.b_column, -coef)
     v = _sine(grid, 0) + 0.5 * _sine(grid, 4, freq=2)
@@ -110,7 +122,7 @@ def test_linearize_matches_finite_difference(n, k, l, axes, backend):
         u = u + 0.002 * np.cos(2 * np.pi * (x + grid.coordinate(a)))
     F = 0.1 * np.sin(2 * np.pi * x)
     b = -0.05
-    lin = linearize(u, b, om0, F, grid, k, l, backend)
+    lin = linearize(_spectrum(om0, u, grid, backend), b, F, grid, k, l, backend)
     assert lin.ellipticity_margin > 0
     a = rng.normal(size=3)
     v = a[0] * np.sin(2 * np.pi * x) + a[1] * np.cos(2 * np.pi * y) \
@@ -119,12 +131,12 @@ def test_linearize_matches_finite_difference(n, k, l, axes, backend):
         v = v + np.sin(2 * np.pi * (grid.coordinate(c) - y))
     v -= v.mean()
     eta = 1e-5
-    fd = (residual(u + eta * v, b, om0, F, grid, k, l, backend)
-          - residual(u - eta * v, b, om0, F, grid, k, l, backend)) / (2 * eta)
+    fd = (residual(_lam(om0, u + eta * v, grid, backend), b, F, k, l)
+          - residual(_lam(om0, u - eta * v, grid, backend), b, F, k, l)) / (2 * eta)
     assert np.abs(fd - lin.apply(v)).max() < 1e-6 * (1 + np.abs(fd).max())
     # b column: d residual / d b
-    fdb = (residual(u, b + eta, om0, F, grid, k, l, backend)
-           - residual(u, b - eta, om0, F, grid, k, l, backend)) / (2 * eta)
+    lam = _lam(om0, u, grid, backend)
+    fdb = (residual(lam, b + eta, F, k, l) - residual(lam, b - eta, F, k, l)) / (2 * eta)
     assert np.abs(fdb - lin.b_column).max() < 1e-6
 
 
@@ -151,8 +163,8 @@ def test_residual_invariant_under_constant_shift():
     om0 = fl.identity_form(grid)
     F = 0.2 * np.broadcast_to(np.sin(2 * np.pi * grid.coordinate(0)), grid.shape)
     u = 0.03 * np.broadcast_to(np.cos(2 * np.pi * grid.coordinate(0)), grid.shape)
-    r1 = residual(u, -0.1, om0, F, grid, 2, 0)
-    r2 = residual(u + 5.0, -0.1, om0, F, grid, 2, 0)
+    r1 = residual(_lam(om0, u, grid), -0.1, F, 2, 0)
+    r2 = residual(_lam(om0, u + 5.0, grid), -0.1, F, 2, 0)
     assert np.abs(r1 - r2).max() < 1e-12 * (1 + np.abs(r1).max())
 
 
@@ -212,7 +224,7 @@ def test_solve_sine_monge_ampere():
     assert res.residual_history[-1] / res.residual_history[-2] <= 0.1
     # mean-zero gauge: residual unchanged by the sup shift
     grid, om0, F = build_problem(cfg)
-    R = residual(res.u, res.b, om0, F, grid, 1, 0)
+    R = residual(_lam(om0, res.u, grid), res.b, F, 1, 0)
     assert np.abs(R).max() <= 2e-9
 
 
@@ -234,8 +246,22 @@ def test_solve_quotient_case_with_background():
     assert res.converged and res.residual_history[-1] <= 1e-9
     assert res.cone_report.satisfied
     grid, om0, F = build_problem(cfg)
-    W = fl.omega_u(om0, res.u, 1.0, grid)
-    assert fl.in_gamma_k_field(W, 2).ok
+    assert fl.in_gamma_k_field(_lam(om0, res.u, grid), 2).ok
+
+
+def test_ellipticity_margin_is_the_cone_margin():
+    # on a coupled solved state, linearize's weights are the cone condition's
+    # margins at the solved normalization F + b
+    k, l = 2, 1
+    cfg = SolverConfig(n=2, k=k, l=l, points_per_axis=12, active_axes=(0, 5),
+                       F="0.1*sin(2*pi*(x0 + x5))")
+    res = solve(cfg)
+    grid, om0, F = build_problem(cfg)
+    W = fl.omega_u(om0, res.u, grid)
+    assert np.abs(W[..., 0, 1]).max() > 1e-3  # eigenvectors mix the axes
+    lin = linearize(chi_eigh(W), res.b, F, grid, k, l)
+    cone = fl.check_cone_condition(fl.eig_field(W), F + res.b, k, l)
+    assert lin.ellipticity_margin == pytest.approx(cone.worst_margin, rel=1e-12)
 
 
 def test_solve_warns_on_cone_violation():
