@@ -123,7 +123,7 @@ def run_solve(config_path, out_dir, seed=None, quiet=False):
                                                  "converged": False, "error": str(exc)})
         _echo(quiet, f"solve failed: {exc}")
         return 1
-    except ValueError as exc:  # from build_problem: a bad grid or expression
+    except ValueError as exc:  # from build_problem: a bad expression
         return _fail_usage(f"bad solve config: {exc}")
     out.mkdir(parents=True, exist_ok=True)
     save_scalar_field(out / "u.csv", result.u, cfg.grid)

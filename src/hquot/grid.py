@@ -40,6 +40,7 @@ class TorusGrid:
     active_axes: which real coordinates the fields vary along (at most 4;
         the matrix algebra still runs at full n).
     points_per_axis: N points per active axis, spacing 1/N; N even, >= 4.
+    n, points_per_axis and each axis must be integers (not bools or floats).
     """
 
     n: int
@@ -47,7 +48,13 @@ class TorusGrid:
     points_per_axis: int
 
     def __post_init__(self):
-        axes = tuple(int(a) for a in self.active_axes)
+        for key in ("n", "points_per_axis"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        axes = self.active_axes
+        if not (isinstance(axes, (list, tuple)) and all(type(a) is int for a in axes)):
+            raise ValueError(f"active_axes must be a list of integers, got {axes!r}")
+        axes = tuple(axes)
         object.__setattr__(self, "active_axes", axes)
         if self.n < 1:
             raise ValueError("n must be >= 1")

@@ -16,9 +16,10 @@ with L the second-order coefficient operator obtained by differentiating the
 residual through the eigenvalues (Newton transforms), and g the derivative in
 b.  L is elliptic exactly while the iterate stays inside Gamma_k, which the
 damping enforces: any trial step whose cone margin drops below the safeguard
-is rejected and the step halved.  The linear solves use GMRES preconditioned
-by the constant-coefficient symbol on the torus, so constant-coefficient
-problems converge in a single inner iteration.
+is rejected and the step halved.  The linear solves use restarted GMRES
+(Saad & Schultz 1986), right-preconditioned by the constant-coefficient
+symbol on the torus, so constant-coefficient problems converge in a single
+inner iteration.
 
 Returned potentials are shifted to sup u = 0 (the constant shift changes
 neither b nor the residual).
@@ -32,7 +33,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import fields as fl
 from . import symfun
@@ -48,6 +48,7 @@ __all__ = [
     "residual",
     "linearize",
     "normalize_sup",
+    "gmres",
     "solve",
 ]
 
@@ -74,10 +75,10 @@ class SolverConfig:
     F and the optional diagonal background entries are numpy expressions in
     the grid coordinates x0..x{4n-1} (inactive coordinates evaluate to 0.0).
     ``n``, ``k``, ``l``, ``points_per_axis``, ``seed`` and each active axis
-    must be integers (not bools or floats), ``tolerance`` finite and positive,
-    ``max_iterations`` an integer >= 1.  ``seed`` is a config echo: the solver
-    is deterministic and never reads it; the key is accepted and recorded in
-    the solve summary's config.
+    must be integers (not bools or floats), the grid valid for TorusGrid,
+    ``tolerance`` finite and positive, ``max_iterations`` an integer >= 1.
+    ``seed`` is a config echo: the solver is deterministic and never reads
+    it; the key is accepted and recorded in the solve summary's config.
     """
 
     n: int
@@ -93,13 +94,11 @@ class SolverConfig:
     seed: int = 20240601
 
     def __post_init__(self):
-        for key in ("n", "k", "l", "points_per_axis", "seed"):
+        for key in ("k", "l", "seed"):
             if type(getattr(self, key)) is not int:
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        axes = self.active_axes
-        if not (isinstance(axes, (list, tuple)) and all(type(a) is int for a in axes)):
-            raise ValueError(f"active_axes must be a list of integers, got {axes!r}")
-        self.active_axes = tuple(axes)
+        # TorusGrid checks n, points_per_axis and the axes
+        self.active_axes = self.grid.active_axes
         if not 0 <= self.l < self.k <= self.n:
             raise ValueError(f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
         tol = self.tolerance
@@ -176,8 +175,8 @@ def evaluate_expression(expr, grid):
 def build_problem(cfg):
     """(grid, omega0 field, F field) from a config.
 
-    Raises ValueError for a bad grid, a wrong number of omega0_diag entries,
-    or an expression that does not evaluate to finite values on the grid.
+    Raises ValueError for a wrong number of omega0_diag entries, or an
+    expression that does not evaluate to finite values on the grid.
     """
     grid = cfg.grid
     F = evaluate_expression(cfg.F, grid)
@@ -308,16 +307,70 @@ def normalize_sup(u):
     return u - u.max()
 
 
+def gmres(matvec, rhs, precond, *, rtol, atol, restart, maxiter):
+    """Solve A x = rhs by restarted GMRES, right-preconditioned: each cycle
+    minimizes ||rhs - A x|| over x0 + M K, K the Krylov space of A M.
+
+    ``matvec`` applies A and ``precond`` applies M, both linear maps of
+    vectors.  A cycle takes at most ``restart`` Arnoldi steps (modified
+    Gram-Schmidt, Givens rotations); at most ``maxiter`` cycles run.  The
+    stopping test reads the true residual: ||rhs - A x|| <= max(atol,
+    rtol ||rhs||).  Returns (x, info, iterations, relres): info is 0 on
+    convergence and ``maxiter`` otherwise, iterations counts Arnoldi steps
+    over all cycles, and relres = ||rhs - A x|| / ||rhs|| (0 for rhs = 0).
+    """
+    eps = np.finfo(float).eps
+    bnorm = float(np.linalg.norm(rhs))
+    tol = max(atol, rtol * bnorm)
+    x = np.zeros_like(rhs)
+    r, rnorm = rhs, bnorm
+    iterations = 0
+    for _ in range(maxiter):
+        if rnorm <= tol:
+            break
+        V = np.empty((restart + 1, rhs.size))
+        H = np.zeros((restart + 1, restart))
+        cs, sn = np.zeros(restart), np.zeros(restart)
+        g = np.zeros(restart + 1)
+        g[0] = rnorm
+        V[0] = r / rnorm
+        for j in range(restart):
+            w = matvec(precond(V[j]))
+            w0 = np.linalg.norm(w)
+            for i in range(j + 1):
+                H[i, j] = V[i] @ w
+                w -= H[i, j] * V[i]
+            h = np.linalg.norm(w)
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            d = math.hypot(H[j, j], h)
+            cs[j], sn[j] = H[j, j] / d, h / d
+            H[j, j] = d
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            iterations += 1
+            if abs(g[j + 1]) <= tol or h <= eps * w0:  # converged, or exact breakdown
+                break
+            V[j + 1] = w / h
+        y = np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
+        x = x + precond(y @ V[: j + 1])
+        r = rhs - matvec(x)
+        rnorm = float(np.linalg.norm(r))
+    info = 0 if rnorm <= tol else maxiter
+    return x, info, iterations, rnorm / bnorm if bnorm else 0.0
+
+
 def _solve_newton_step(lin, R):
-    grid = lin.grid
     m = R.size
     shape = R.shape
     g = lin.b_column
     gbar = float(np.mean(g))
-    sym = lin.mean_symbol()
-    sym_flat = sym.ravel()
-    zero = np.abs(sym_flat) < 1e-300
-    inv_sym = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, sym_flat)).reshape(shape)
+    # the symbol is real and even, so the preconditioner runs on real FFTs
+    # and keeps the half-spectrum of 1/symbol
+    sym = lin.mean_symbol()[..., : shape[-1] // 2 + 1]
+    zero = np.abs(sym) < 1e-300
+    inv_sym = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, sym))
 
     def matvec(z):
         v = z[:m].reshape(shape)
@@ -329,18 +382,19 @@ def _solve_newton_step(lin, R):
         r = z[:m].reshape(shape)
         rho = z[m]
         db = float(r.mean()) / gbar
-        rhat = np.fft.fftn(r)
+        rhat = np.fft.rfftn(r)
         rhat.flat[0] = 0.0  # mean component is carried by db
-        v = np.fft.ifftn(rhat * inv_sym).real + rho
+        v = np.fft.irfftn(rhat * inv_sym, s=shape, axes=range(len(shape))) + rho
         return np.concatenate([v.ravel(), [db]])
 
-    A = LinearOperator((m + 1, m + 1), matvec=matvec, dtype=float)
-    M = LinearOperator((m + 1, m + 1), matvec=precond, dtype=float)
     rhs = np.concatenate([(-R).ravel(), [0.0]])
-    sol, info = gmres(A, rhs, M=M, rtol=_LINEAR_RTOL, atol=1e-14 * max(1.0, np.abs(rhs).max()),
-                      restart=80, maxiter=_LINEAR_MAXITER)
+    sol, info, iterations, relres = gmres(
+        matvec, rhs, precond, rtol=_LINEAR_RTOL, atol=1e-14 * max(1.0, np.abs(rhs).max()),
+        restart=80, maxiter=_LINEAR_MAXITER)
     if info != 0:
-        raise ConvergenceError(f"inner linear solve did not converge (gmres info {info})")
+        raise ConvergenceError(
+            f"inner linear solve did not converge: {iterations} GMRES iterations, "
+            f"relative residual {relres:.3e}")
     v = sol[:m].reshape(shape)
     v = v - v.mean()
     return v, float(sol[m])

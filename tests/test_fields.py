@@ -57,6 +57,19 @@ def test_grid_validation():
     assert g.axis_position(2) is None
 
 
+@pytest.mark.parametrize("args, field", [
+    pytest.param((2, (0, 5.7), 8), "active_axes", id="fractional-axis"),
+    pytest.param((2, (0, True), 8), "active_axes", id="bool-axis"),
+    pytest.param((2.0, (0,), 8), "n", id="float-n"),
+    pytest.param((True, (0,), 8), "n", id="bool-n"),
+    pytest.param((2, (0,), 8.0), "points_per_axis", id="float-points"),
+])
+def test_grid_rejects_non_integers(args, field):
+    # no silent truncation: (0, 5.7) is not the grid on axes (0, 5)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TorusGrid(*args)
+
+
 def test_first_derivative_backends():
     g = TorusGrid(1, (0,), 32)
     x = _field(g, 0, lambda t: t)

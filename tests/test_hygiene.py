@@ -9,10 +9,14 @@ public ``QMatrix`` methods) is read somewhere in the package outside its own
 definition, unless the package re-exports it or ``KEEP`` names it.  In the
 numerical modules, every defaulted parameter is set by some package call,
 unless ``KEEP_DEFAULTS`` names it: a default nobody overrides is a constant.
+Importing ``hquot.cli`` in a fresh interpreter loads no scipy module.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,3 +209,13 @@ def test_every_default_is_set_by_a_package_call():
         f"defaulted parameters no package call sets {sorted(unset - set(KEEP_DEFAULTS))}"
     assert not set(KEEP_DEFAULTS) - unset, \
         f"KEEP_DEFAULTS entries a package call sets: {sorted(set(KEEP_DEFAULTS) - unset)}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: every command's start-up would pay for it
+    src = str(Path(hquot.__file__).parent.parent)
+    code = "import sys, hquot.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]", f"import hquot.cli loads {out.strip()}"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hquot import fields as fl, symfun
+from hquot import fields as fl, solver, symfun
 from hquot.errors import ConeError, ConvergenceError
 from hquot.grid import TorusGrid, integrate
 from hquot.quaternion import chi_eigh
@@ -11,6 +11,7 @@ from hquot.solver import (
     Linearization,
     SolverConfig,
     build_problem,
+    gmres,
     linearize,
     normalize_sup,
     residual,
@@ -318,3 +319,59 @@ def test_solution_matches_compatibility_constant():
     # integral of sigma_1(W_u) - e^(F+b) sigma_0 = 0 and mean(H) = 0 forces
     # mean(e^(F+b)) = sigma_1(identity) = 1
     assert integrate(np.exp(F + res.b), grid) == pytest.approx(1.0, abs=1e-10)
+
+
+def _nonsymmetric_system(size=30):
+    """A well-conditioned nonsymmetric system whose diagonal spans [1, 10],
+    so a Jacobi preconditioner changes the iteration."""
+    rng = np.random.default_rng(7)
+    A = np.diag(np.linspace(1.0, 10.0, size)) + 0.5 * rng.standard_normal((size, size)) / np.sqrt(size)
+    return A, rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("jacobi", [False, True], ids=["identity", "jacobi"])
+def test_gmres_matches_dense_solve(jacobi):
+    A, rhs = _nonsymmetric_system()
+    d = np.diag(A)
+    precond = (lambda v: v / d) if jacobi else (lambda v: v)
+    x, info, iterations, relres = gmres(lambda v: A @ v, rhs, precond,
+                                        rtol=1e-12, atol=0.0, restart=5, maxiter=100)
+    assert info == 0
+    assert iterations > 5  # more than one cycle: the restart path ran
+    true_relres = np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
+    assert relres == true_relres <= 1e-12
+    np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=1e-10, atol=1e-12)
+
+
+def test_gmres_zero_rhs():
+    A, _ = _nonsymmetric_system()
+    x, info, iterations, relres = gmres(lambda v: A @ v, np.zeros(len(A)), lambda v: v,
+                                        rtol=1e-12, atol=0.0, restart=5, maxiter=100)
+    assert info == 0 and iterations == 0 and relres == 0.0
+    assert not x.any()
+
+
+def test_gmres_reports_an_exhausted_budget():
+    A, rhs = _nonsymmetric_system()
+    x, info, iterations, relres = gmres(lambda v: A @ v, rhs, lambda v: v,
+                                        rtol=1e-12, atol=0.0, restart=3, maxiter=2)
+    assert info == 2 and iterations == 6
+    assert 1e-12 < relres == np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
+
+
+def test_newton_step_raises_when_gmres_does_not_converge(monkeypatch):
+    # a variable-coefficient step needs several inner iterations; allow two
+    grid = TorusGrid(2, (0, 5), 8)
+    om0 = fl.identity_form(grid)
+    F = np.zeros(grid.shape)
+    x0, x5 = grid.coordinate(0), grid.coordinate(5)
+    u = 0.002 * (np.sin(2 * np.pi * (x0 + x5)) + np.cos(2 * np.pi * x0))
+    lin = linearize(_spectrum(om0, u, grid), 0.0, F, grid, 2, 1)
+    R = residual(_lam(om0, u, grid), 0.0, F, 2, 1)
+    step, _ = solver._solve_newton_step(lin, R)
+    assert np.isfinite(step).all()
+    real = solver.gmres
+    monkeypatch.setattr(solver, "gmres",
+                        lambda *args, **kw: real(*args, **{**kw, "restart": 2, "maxiter": 1}))
+    with pytest.raises(ConvergenceError, match=r"2 GMRES iterations, relative residual \d"):
+        solver._solve_newton_step(lin, R)
