@@ -20,6 +20,7 @@ Batched helpers and the matrix routines take stacks ``(..., 2n, 2n)``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -181,21 +182,20 @@ def chi_eigvals(M, tol_scale=1e-8):
     if _is_exactly_real_diagonal(M):
         d = np.einsum("...ii->...i", M).real
         if not np.array_equal(d[..., :n], d[..., n:]):  # exact pairs need no spread
-            _require_groups(np.stack([d[..., :n], d[..., n:]], axis=-1), tol_scale)
+            _require_spread(np.abs(d[..., :n] - d[..., n:]), d, 2, tol_scale)
         return np.sort(d[..., :n], axis=-1)
     w = np.linalg.eigvalsh(M)
     return _collapse_pairs(w, 2, tol_scale)
 
 
-def _require_groups(grouped, tol_scale):
-    """Raise StructureError unless, matrix by matrix, every group (last axis)
-    of ``grouped`` ``(..., n, mult)`` spreads by at most tol_scale * (1 + the
-    largest |value| of that matrix)."""
-    mult = grouped.shape[-1]
-    spread = (grouped.max(axis=-1) - grouped.min(axis=-1)).max(axis=-1, initial=0.0)
-    limit = tol_scale * (1.0 + np.abs(grouped).max(axis=(-2, -1), initial=0.0))
-    if np.any(spread > limit):
-        worst = np.unravel_index(np.argmax(spread - limit), np.shape(spread))
+def _require_spread(spread, values, mult, tol_scale):
+    """Raise StructureError unless, matrix by matrix, every group spread
+    ``(..., n)`` is at most tol_scale * (1 + the largest |value| of that
+    matrix) over ``values`` ``(..., m)``; a NaN spread is a violation."""
+    spread = spread.max(axis=-1, initial=0.0)
+    limit = tol_scale * (1.0 + np.abs(values).max(axis=-1, initial=0.0))
+    if not np.all(spread <= limit):
+        worst = np.unravel_index(np.argmax(~(spread <= limit)), np.shape(spread))
         raise StructureError(
             f"eigenvalue multiplicity {mult} violated: spread {spread[worst]:.3e} "
             f"exceeds {tol_scale:.1e} * (1 + |A|) = {limit[worst]:.3e}"
@@ -203,32 +203,123 @@ def _require_groups(grouped, tol_scale):
 
 
 def _collapse_pairs(w, mult, tol_scale):
-    grouped = w.reshape(w.shape[:-1] + (w.shape[-1] // mult, mult))
-    _require_groups(grouped, tol_scale)
-    return grouped.mean(axis=-1)
+    """Means of the ascending eigenvalues ``w`` ``(..., mult n)`` in groups
+    of ``mult``, after checking each group's spread (last minus first)."""
+    groups = [w[..., i::mult] for i in range(mult)]
+    _require_spread(groups[-1] - groups[0], w, mult, tol_scale)
+    return functools.reduce(np.add, groups) / mult + 0.0  # + 0.0: no -0.0 means
+
+
+def _require_finite(M):
+    """Raise StructureError naming the first non-finite entry of M, if any."""
+    bad = ~np.isfinite(M)
+    if bad.any():
+        where = np.unravel_index(np.argmax(bad), M.shape)
+        raise StructureError(
+            f"embedding has a non-finite entry {complex(M[where])} at {tuple(map(int, where))}"
+        )
 
 
 def chi_eigh(M, tol_scale=1e-8):
     """Batched (eigenvalues, eigenvectors) of hyperhermitian embeddings.
 
-    Eigenvalues come back pair-collapsed ``(..., n)``; the eigenvector matrix
-    is the raw complex one from eigh, shape ``(..., 2n, 2n)``.  Spectral
-    functions built from these (``chi_from_spectrum``) automatically land back
-    in the quaternionic subalgebra because paired eigenvalues receive
-    identical weights.  At n = 1 the embedding is lam * Id: lam is read off
-    the diagonal and V is a read-only identity, without LAPACK, and any other
-    entry beyond tol_scale * (1 + |lam|) raises StructureError.
+    Eigenvalues come back pair-collapsed ``(..., n)``, ascending, with the
+    eigenvector matrix ``(..., 2n, 2n)``: columns 2i and 2i + 1 span the
+    eigenspace of eigenvalue i.  Spectral functions built from these
+    (``chi_from_spectrum``) land back in the quaternionic subalgebra because
+    paired eigenvalues receive identical weights.  Non-finite input raises
+    StructureError naming the entry.  At n = 1 the embedding is lam * Id: lam
+    is read off the diagonal and V is a read-only identity, without LAPACK,
+    and any other entry beyond tol_scale * (1 + |lam|) raises StructureError.
+    At n = 2, (lam, V) come in closed form (`_chi_eigh_2x2`), not from eigh;
+    from n = 3 on, V is the raw complex one from eigh.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-1] == 2:
         lam = M[..., :1, 0].real.copy()
-        worst = np.abs(M - lam[..., None] * np.eye(2)).max(initial=0.0)
-        if worst > tol_scale * (1.0 + np.abs(lam).max(initial=0.0)):
-            raise StructureError(f"1 x 1 embedding is not a real multiple of Id: {worst:.3e}")
+        worst = np.abs(M - lam[..., None] * np.eye(2)).max(axis=(-2, -1))
+        ok = worst <= tol_scale * (1.0 + np.abs(lam[..., 0]))
+        if not ok.all():
+            _require_finite(M)
+            raise StructureError(f"1 x 1 embedding is not a real multiple of Id: {worst[~ok].max():.3e}")
         return lam, np.broadcast_to(np.eye(2, dtype=complex), M.shape)
+    if M.shape[-1] == 4:
+        return _chi_eigh_2x2(M, tol_scale)
+    _require_finite(M)
     w, V = np.linalg.eigh(M)
     lam = _collapse_pairs(w, 2, tol_scale)
     return lam, V
+
+
+def _chi_eigh_2x2(M, tol_scale):
+    """chi_eigh of 4 x 4 embeddings of [[a, q], [conj(q), c]], q = x + y j.
+
+    With r = |q|, diag(1, w), w = conj(q)/r, turns A into the real
+    [[a, r], [r, c]] (w = 1 where r = 0), which one Givens pair (cs, sn)
+    diagonalizes (Golub & Van Loan, sym.schur2; Le Bihan & Sangwine 2007):
+    the quaternionic eigenvectors are (cs, w sn) for lam_0 and (-sn, w cs)
+    for lam_1.  The larger-magnitude eigenvalue is mean +- hypot((c-a)/2, r),
+    the other det / big as in LAPACK's dlaev2; an exactly diagonal matrix
+    returns (min(a, c), max(a, c)) exactly.  Each of the 16 slots must lie
+    within tol_scale * (1 + max|lam|) of the value that (a, c, x, y) dictate;
+    a c and |q|^2 are formed, so entries beyond about 1e150 in magnitude
+    overflow and raise StructureError too.  Works slot-major on one
+    contiguous (16, P) copy of the stack.
+    """
+    lead = M.shape[:-2]
+    S = np.moveaxis(M, (-2, -1), (0, 1)).reshape(16, -1)
+    # non-finite or overflowing values fail the slot check, which names them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, c, x, y = S[0].real, S[5].real, S[1], S[3]
+        xc, yc = x.conj(), y.conj()
+        r2 = x.real * x.real + x.imag * x.imag + y.real * y.real + y.imag * y.imag
+        r = np.sqrt(r2)
+        diagonal = r == 0
+        mean, d = 0.5 * (a + c), 0.5 * (c - a)
+        h = np.hypot(d, r)
+        big = np.where(mean < 0, mean - h, mean + h)
+        small = (a * c - r2) / big
+        lo = np.where(diagonal, np.minimum(a, c), np.minimum(big, small))
+        hi = np.where(diagonal, np.maximum(a, c), np.maximum(big, small))
+
+        # row-major, M must read  a x 0 y / conj(x) c -y 0 / 0 -conj(y) a conj(x) /
+        # conj(y) 0 x c;  slots 0 and 5 must be real, and x, y are read from 1, 3
+        worst = np.abs(S[0].imag)
+        for dev in (S[5].imag, S[2], S[7], S[8], S[13], S[4] - xc, S[11] - xc, S[14] - x,
+                    S[6] + y, S[9] + yc, S[12] - yc, S[10] - a, S[15] - c):
+            np.maximum(worst, np.abs(dev), out=worst)
+        limit = tol_scale * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        ok = (worst <= limit) & (limit < np.inf)  # NaN fails; so does an infinite lam
+        if not ok.all():
+            _require_finite(M)
+            i = np.argmax(~ok)
+            if not limit[i] < np.inf:
+                raise StructureError(f"4 x 4 closed form overflows: a c or |q|^2 leaves the "
+                                     f"float range (a = {a[i]:.3e}, c = {c[i]:.3e}, |q| = {r[i]:.3e})")
+            raise StructureError(
+                f"4 x 4 embedding is not hyperhermitian: slot deviation {worst[i]:.3e} "
+                f"exceeds {tol_scale:.1e} * (1 + |lam|) = {limit[i]:.3e}"
+            )
+
+        # (cs, sn): unit eigenvector of [[a, r], [r, c]] for lam_0, from
+        # t = r / (|d| + hypot(d, r)) <= 1 without cancellation
+        t = np.where(diagonal, 0.0, r / (np.abs(d) + h))
+        g = 1.0 / np.sqrt(1.0 + t * t)
+        tg = t * g
+        cs = np.where(d >= 0, g, tg)
+        sn = np.where(d >= 0, 0.0 - tg, -g)
+        u = np.where(diagonal, 1.0, xc / r)  # conj(x) / r: the complex part of w
+        v = np.where(diagonal, 0.0, yc / r)  # conj(y) / r: minus j-part of w, conjugated
+    del S, a, c, x, y, xc, yc, worst
+    # column (alpha, -conj(beta)) of each eigenvector alpha + beta j, then its
+    # j-partner (beta, conj(alpha))
+    V = np.zeros((4, 4) + r.shape, dtype=complex)
+    V[0, 0], V[1, 0], V[3, 0] = cs, sn * u, sn * v
+    V[1, 1], V[2, 1], V[3, 1] = -sn * v.conj(), cs, sn * u.conj()
+    V[0, 2], V[1, 2], V[3, 2] = -sn, cs * u, cs * v
+    V[1, 3], V[2, 3], V[3, 3] = -cs * v.conj(), -sn, cs * u.conj()
+    lam = np.stack([lo, hi], axis=-1) + 0.0  # + 0.0: no -0.0, as eigh's pair means
+    return lam.reshape(lead + (2,)), np.moveaxis(V, -1, 0).reshape(lead + (4, 4))
 
 
 def chi_from_spectrum(V, s):

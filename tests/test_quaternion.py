@@ -287,6 +287,8 @@ def test_chi_eigh_one_by_one_without_lapack(monkeypatch):
         bad[1, i, j] += dev
         with pytest.raises(StructureError):
             qt.chi_eigh(bad)
+        with pytest.raises(StructureError):  # next to a large matrix, whose 1 + |lam| would allow it
+            qt.chi_eigh(np.concatenate([bad, 1e5 * M]))
         qt.chi_eigh(bad, tol_scale=1e-5)  # within a looser tolerance
 
 
@@ -415,3 +417,184 @@ def test_pair_spread_is_measured_per_matrix():
     good = qt.random_hyperhermitian_chi(rng, 2, count=3)
     assert np.array_equal(qt.chi_eigvals(np.concatenate([good, big[None]])),
                           np.concatenate([qt.chi_eigvals(good), qt.chi_eigvals(big)[None]]))
+
+
+def _no_lapack(monkeypatch):
+    def raising(*args, **kwargs):
+        raise AssertionError("LAPACK called on 4 x 4 embeddings")
+
+    monkeypatch.setattr(np.linalg, "eigh", raising)
+
+
+def _check_two_by_two_spectrum(M, lam, V, tol):
+    """lam ascending, V unitary, M V = V diag(lam doubled), and V's columns
+    2i, 2i + 1 one quaternionic eigenvector and its j-partner."""
+    assert lam.shape == M.shape[:-2] + (2,) and V.shape == M.shape
+    assert np.all(lam[..., 0] <= lam[..., 1])
+    scale = 1.0 + np.abs(lam).max(axis=-1)[..., None, None]
+    eye = np.eye(4)
+    assert np.all(np.abs(np.swapaxes(V, -1, -2).conj() @ V - eye) <= tol)
+    assert np.all(np.abs(qt.chi_from_spectrum(V, lam) - M) <= tol * scale)
+    assert np.all(np.abs(M @ V - V * np.repeat(lam, 2, axis=-1)[..., None, :]) <= tol * scale)
+    Jp = qt.jprime(2)
+    assert np.array_equal(V[..., 1::2], -(Jp @ V[..., 0::2].conj()))
+    assert qt.structure_residual(V[..., [0, 2, 1, 3]]) == 0.0
+
+
+def test_chi_eigh_two_by_two_without_lapack(monkeypatch):
+    # n = 2 is diagonalized in closed form: it agrees with LAPACK on random
+    # stacks of several scales and needs no eigh call
+    rng = np.random.default_rng(127)
+    M = np.concatenate([qt.random_hyperhermitian_chi(rng, 2, scale, count=200)
+                        for scale in (1e-3, 1.0, 1e3)]).reshape(3, 200, 4, 4)
+    ref = np.linalg.eigh(M)[0][..., ::2]
+    _no_lapack(monkeypatch)
+    lam, V = qt.chi_eigh(M)
+    assert np.all(np.abs(lam - ref) <= 1e-14 * np.abs(ref).max(axis=-1, keepdims=True))
+    _check_two_by_two_spectrum(M, lam, V, 1e-14)
+    one, V1 = qt.chi_eigh(M[1, 7])  # a single matrix
+    assert np.array_equal(one, lam[1, 7]) and np.array_equal(V1, V[1, 7])
+
+
+@pytest.mark.parametrize("a, c", [(3.0, -1.5), (-1.5, 3.0), (2.0, 2.0), (-0.0, 0.0),
+                                  (0.0, -0.0), (-0.0, -0.0), (-0.0, 1.0), (1e-300, -0.0)])
+def test_chi_eigh_two_by_two_diagonal_is_exact(monkeypatch, a, c):
+    # an exactly diagonal matrix returns its sorted diagonal bit for bit, as
+    # the pair means of LAPACK do at normal magnitudes (a zero eigenvalue
+    # comes back as +0.0; LAPACK rescales 1e-300 and may move the last bit)
+    M = QMatrix.diag([a, c]).chi
+    ref = qt._collapse_pairs(np.linalg.eigh(M)[0], 2, 1e-8)
+    _no_lapack(monkeypatch)
+    lam, V = qt.chi_eigh(M)
+    assert lam.tobytes() == (np.sort([a, c]) + 0.0).tobytes()
+    assert lam.tobytes() == ref.tobytes() or np.abs(lam).max() < 1e-290
+    assert np.array_equal(qt.chi_from_spectrum(V, lam), M)
+    _check_two_by_two_spectrum(M, lam, V, 0.0)
+
+
+def test_chi_eigh_two_by_two_pure_j_part(monkeypatch):
+    # q = 0.75 j + 0.5 k has no complex part: the rotation lives in Y alone
+    q = Quaternion(0.0, 0.0, 0.75, 0.5)
+    M = QMatrix.from_entries([[1.0, q], [q.conjugate(), -2.0]]).chi
+    assert M[0, 1] == 0 and M[0, 3] != 0
+    ref = np.linalg.eigh(M)[0][::2]
+    _no_lapack(monkeypatch)
+    lam, V = qt.chi_eigh(M)
+    assert np.abs(lam - ref).max() <= 1e-14 * np.abs(ref).max()
+    h = np.hypot(1.5, abs(q))
+    assert np.abs(lam - [-0.5 - h, -0.5 + h]).max() <= 1e-15 * h
+    _check_two_by_two_spectrum(M, lam, V, 1e-15)
+
+
+@pytest.mark.parametrize("slot", range(16))
+def test_chi_eigh_two_by_two_checks_every_slot(monkeypatch, slot):
+    # every slot is compared with the value a, c, x = X[0, 1], y = Y[0, 1]
+    # dictate, matrix by matrix (LAPACK's eigh reads the lower triangle only)
+    rng = np.random.default_rng(131)
+    M = qt.random_hyperhermitian_chi(rng, 2, count=3)
+    big = 1e5 * qt.random_hyperhermitian_chi(rng, 2)  # its 1 + |lam| would allow 1e-6
+    _no_lapack(monkeypatch)
+    for dev in (1e-6, 1e-6j):
+        bad = np.concatenate([M, big[None]])
+        bad[1].flat[slot] += dev
+        with pytest.raises(StructureError, match="not hyperhermitian"):
+            qt.chi_eigh(bad)
+        qt.chi_eigh(bad, tol_scale=1e-5)  # within a looser tolerance
+
+
+def test_chi_eigh_two_by_two_wide_range_against_exact_values():
+    # log-uniform positive definite [[a, q], [conj(q), c]], all entries in
+    # 10^(+-8): the larger eigenvalue has no cancellation, and the smaller one,
+    # det / big, is as accurate as the determinant a c - |q|^2, whose relative
+    # condition is kappa = (a c + |q|^2) / (a c - |q|^2)
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    def dec(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    rng = np.random.default_rng(137)
+    mats, exact, kappa = [], [], []
+    with localcontext() as ctx:
+        ctx.prec = 80
+        while len(mats) < 300:
+            a, c = 10.0 ** rng.uniform(-8, 8, size=2)
+            q = rng.choice([-1.0, 1.0], size=4) * 10.0 ** rng.uniform(-8, 8, size=4)
+            fa, fc, r2 = Fraction(a), Fraction(c), sum(Fraction(v) ** 2 for v in q)
+            if r2 >= fa * fc:
+                continue
+            mats.append(QMatrix.from_components([[a, q[0]], [q[0], c]], [[0, q[1]], [-q[1], 0]],
+                                                [[0, q[2]], [-q[2], 0]], [[0, q[3]], [-q[3], 0]]).chi)
+            big = dec((fa + fc) / 2) + (dec((fc - fa) / 2) ** 2 + dec(r2)).sqrt()
+            exact.append([float(dec(fa * fc - r2) / big), float(big)])
+            kappa.append(float((fa * fc + r2) / (fa * fc - r2)))
+    lam, V = qt.chi_eigh(np.array(mats))
+    err = np.abs(lam - exact) / np.array(exact)
+    eps = np.finfo(float).eps
+    assert err[:, 1].max() <= 4 * eps
+    assert np.all(err[:, 0] <= 4 * eps * (1.0 + np.array(kappa)))
+    assert err.max() <= 2e-14
+
+
+def test_chi_eigh_rejects_non_finite_input():
+    # every branch names the non-finite entry; before, a NaN off the diagonal
+    # of a 4 x 4 identity returned [1, 1] and an inf on it [nan, nan]
+    cases = []
+    for size in (2, 4, 6):
+        for where in ((0, 1), (1, 1), (size - 1, 0)):
+            for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)):
+                M = np.eye(size, dtype=complex)
+                M[where] = value
+                cases.append(M)
+    for slot in range(16):
+        M = np.stack([np.eye(4, dtype=complex)] * 3)
+        M[2].flat[slot] = np.nan
+        cases.append(M)
+    for M in cases:
+        with pytest.raises(StructureError, match="non-finite entry"):
+            qt.chi_eigh(M)
+
+
+def test_chi_eigh_two_by_two_overflow_is_named():
+    M = qt.chi_from_split(np.array([[1e200, 1e180], [1e180, 2.0]]), np.zeros((2, 2)))
+    with pytest.raises(StructureError, match="overflows"):
+        qt.chi_eigh(M)
+
+
+def test_pair_check_counts_nan_spread_as_violation():
+    w = np.array([[1.0, 1.0, 2.0, np.nan]])
+    with pytest.raises(StructureError, match="multiplicity 2"):
+        qt._collapse_pairs(w, 2, 1e-8)
+
+
+def _old_collapse_pairs(w, mult, tol_scale):
+    """The grouped reduction that the stride slices of _collapse_pairs replaced."""
+    grouped = w.reshape(w.shape[:-1] + (w.shape[-1] // mult, mult))
+    spread = (grouped.max(axis=-1) - grouped.min(axis=-1)).max(axis=-1, initial=0.0)
+    limit = tol_scale * (1.0 + np.abs(grouped).max(axis=(-2, -1), initial=0.0))
+    if np.any(spread > limit):
+        raise StructureError("eigenvalue multiplicity violated")
+    return grouped.mean(axis=-1)
+
+
+@pytest.mark.parametrize("mult", [2, 4])
+def test_collapse_pairs_matches_grouped_reduction(mult):
+    # bit for bit, zeros and wide ranges included, and raising alike
+    rng = np.random.default_rng(139)
+    for shape in ((500, 4 * mult), (7, 9, 3 * mult), (5, 0)):
+        base = np.sort(rng.normal(size=shape[:-1] + (shape[-1] // mult,))
+                       * 10.0 ** rng.uniform(-8, 8, size=shape[:-1] + (1,)), axis=-1)
+        w = np.repeat(base, mult, axis=-1) * (1.0 + 1e-12 * rng.uniform(size=shape))
+        w = np.sort(w, axis=-1)
+        if w.size:
+            w.reshape(-1, shape[-1])[:3] = 0.0
+            w.reshape(-1, shape[-1])[3:5] = -0.0
+        got, want = qt._collapse_pairs(w, mult, 1e-8), _old_collapse_pairs(w, mult, 1e-8)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        bad = w.copy()
+        if bad.size:
+            bad.reshape(-1, shape[-1])[4, -1] += 1.0
+            with pytest.raises(StructureError):
+                _old_collapse_pairs(bad, mult, 1e-8)
+            with pytest.raises(StructureError):
+                qt._collapse_pairs(bad, mult, 1e-8)

@@ -178,29 +178,46 @@ def test_normalize_sup():
     assert int(np.argmax(u)) == int(np.argmax(v))
 
 
+def _count_eigendecompositions(monkeypatch, cfg):
+    """Solve cfg, counting chi_eigh calls (through solver's bound name),
+    np.linalg eigensolver calls and omega_u calls (the trial W's)."""
+    counts = {"chi_eigh": 0, "lapack": 0, "omega_u": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted("lapack", getattr(np.linalg, name)))
+    monkeypatch.setattr(solver, "chi_eigh", counted("chi_eigh", solver.chi_eigh))
+    monkeypatch.setattr(fl, "omega_u", counted("omega_u", fl.omega_u))
+    res = solve(cfg)
+    assert res.converged and res.iterations >= 2
+    return counts
+
+
 def test_solve_one_eigendecomposition_per_trial_step(monkeypatch):
     # every trial W is diagonalized once, and the accepted spectrum is reused
     # by the residual, the cone margin and the next linearization;
-    # omega_u runs once at the start and once per trial step
-    eig_calls, trials = [], []
-    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        def counted(*args, _f=getattr(np.linalg, name), **kwargs):
-            eig_calls.append(1)
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    omega_u = fl.omega_u
-
-    def counted_omega_u(*args, **kwargs):
-        trials.append(1)
-        return omega_u(*args, **kwargs)
-
-    monkeypatch.setattr(fl, "omega_u", counted_omega_u)
+    # omega_u runs once at the start and once per trial step.  At n = 2
+    # chi_eigh is closed-form, so LAPACK is never called
     # forcing along x0 + x5 couples the axes, so no iterate is diagonal
     cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=16, active_axes=(0, 5),
                        F="0.1*sin(2*pi*(x0 + x5))")
-    res = solve(cfg)
-    assert res.converged and res.iterations >= 2
-    assert 0 < len(eig_calls) <= len(trials)
+    counts = _count_eigendecompositions(monkeypatch, cfg)
+    assert 0 < counts["chi_eigh"] <= counts["omega_u"]
+    assert counts["lapack"] == 0
+
+
+def test_solve_n3_one_lapack_eigendecomposition_per_trial_step(monkeypatch):
+    # from n = 3 on, each chi_eigh is one LAPACK eigh and nothing else
+    # diagonalizes: the same bound holds for the np.linalg calls
+    cfg = SolverConfig(n=3, k=2, l=1, points_per_axis=8, active_axes=(0, 5, 10),
+                       F="0.1*sin(2*pi*(x0 + x5)) + 0.05*cos(2*pi*(x5 - x10))")
+    counts = _count_eigendecompositions(monkeypatch, cfg)
+    assert 0 < counts["lapack"] == counts["chi_eigh"] <= counts["omega_u"]
 
 
 def test_solve_constant_forcing_exact():
