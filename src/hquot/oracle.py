@@ -54,6 +54,7 @@ MARGIN = 1e-10
 # into negative coordinates so that k < n samples exercise the full cone
 _CENTER = 0.6
 _RADIUS = 1.4
+_MAX_ROUNDS = 1000  # its retry budget, in rounds of max(count, 256) draws
 
 # matrix-concavity segment scan: an odd node count puts the midpoint on a node
 _SCAN_POINTS = 11
@@ -144,17 +145,17 @@ def _tally(report_args, slack):
 # ---------------------------------------------------------------------------
 
 
-def sample_gamma_k(spec, tag=0, max_rounds=1000):
+def sample_gamma_k(spec, tag=0):
     """Tuples in Gamma_k, shape (count, n), by rejection from a shifted ball.
 
-    Deterministic for a given spec; raises SamplingError if the retry budget
-    is exhausted (the default ball accepts a healthy fraction for all k <= n <= 8).
+    Deterministic for a given spec; raises SamplingError after 1000 rounds
+    (the default ball accepts a healthy fraction for all k <= n <= 8).
     """
     rng = _rng(spec, ("gamma", tag))
     out = np.empty((spec.count, spec.n))
     filled = 0
     chunk = max(spec.count, 256)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         direction = rng.normal(size=(chunk, spec.n))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = rng.uniform(0.0, 1.0, size=(chunk, 1)) ** (1.0 / spec.n)
@@ -166,24 +167,24 @@ def sample_gamma_k(spec, tag=0, max_rounds=1000):
         if filled == spec.count:
             return out
     raise SamplingError(
-        f"Gamma_{spec.k} sampler exhausted {max_rounds} rounds at {filled}/{spec.count}"
+        f"Gamma_{spec.k} sampler exhausted {_MAX_ROUNDS} rounds at {filled}/{spec.count}"
     )
 
 
-def sample_hyperhermitian_gamma_k(spec, tag=0, return_eigs=False, max_rounds=1000):
-    """Stacked embeddings (count, 2n, 2n) with eigenvalue tuples in Gamma_k.
+def sample_hyperhermitian_gamma_k(spec, tag=0):
+    """(A, lam): stacked embeddings A (count, 2n, 2n) with eigenvalue tuples
+    lam (count, n) in Gamma_k, sorted ascending.
 
     Conjugates diag(lam) with random quaternionic unitaries, so the seeded
-    eigenvalues are known exactly.  With return_eigs=True also returns the
-    (sorted ascending) seed tuples.
+    eigenvalues are known exactly.
     """
-    lam = np.sort(sample_gamma_k(spec, tag=tag, max_rounds=max_rounds), axis=1)
+    lam = np.sort(sample_gamma_k(spec, tag=tag), axis=1)
     rng = _rng(spec, ("unitary", tag))
     U = qt.random_symplectic_unitary_chi(rng, spec.n, count=spec.count)
     D = np.concatenate([lam, lam], axis=1)
     A = np.einsum("cji,cj,cjk->cik", U.conj(), D, U)
     A = (A + A.conj().transpose(0, 2, 1)) / 2.0
-    return (A, lam) if return_eigs else A
+    return A, lam
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def verify_deletion_cone(spec):
                 samples=spec.count, seed=spec.seed)
     if spec.k < 2:
         return _tally(args, np.array([]))
-    A = sample_hyperhermitian_gamma_k(spec, tag=10)
+    A, _ = sample_hyperhermitian_gamma_k(spec, tag=10)
     slacks = []
     for i in range(spec.n):
         sub = qt.chi_delete(A, i)
@@ -218,7 +219,7 @@ def verify_minor_quotient(spec, ls):
     for l in ls:
         if not 1 <= l < k:
             raise ValueError(f"need 1 <= l < k, got l={l}, k={k}")
-    A, lam = sample_hyperhermitian_gamma_k(spec, tag=11, return_eigs=True)
+    A, lam = sample_hyperhermitian_gamma_k(spec, tag=11)
     e = symfun.elementary_all(lam, k)
     emus = [symfun.elementary_all(qt.chi_eigvals(qt.chi_delete(A, i)), k - 1)
             for i in range(spec.n)]
@@ -245,8 +246,8 @@ def verify_matrix_concavity(spec, ls):
     for l in ls:
         if not 0 <= l < k:
             raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
-    A = sample_hyperhermitian_gamma_k(spec, tag=12)
-    B = sample_hyperhermitian_gamma_k(spec, tag=13)
+    A, _ = sample_hyperhermitian_gamma_k(spec, tag=12)
+    B, _ = sample_hyperhermitian_gamma_k(spec, tag=13)
     ts = np.linspace(0.0, 1.0, _SCAN_POINTS)
     resamples = 0
     for _ in range(_MAX_RESAMPLE):
@@ -258,7 +259,7 @@ def verify_matrix_concavity(spec, ls):
             break
         bad = np.flatnonzero(~inside)
         repl = SampleSpec(spec.n, spec.k, len(bad), spec.seed + 1 + resamples, spec.scale)
-        B[bad] = sample_hyperhermitian_gamma_k(repl, tag=14)
+        B[bad], _ = sample_hyperhermitian_gamma_k(repl, tag=14)
         resamples += 1
     else:
         raise SamplingError("could not keep concavity segments inside the cone")
@@ -288,7 +289,7 @@ def verify_schur_pairing(spec):
     args = dict(proposition="schur-diagonal-pairing", n=spec.n, k=k, l=None,
                 samples=spec.count, seed=spec.seed)
     lam = np.sort(sample_gamma_k(spec, tag=15), axis=1)
-    B, mu = sample_hyperhermitian_gamma_k(spec, tag=16, return_eigs=True)
+    B, mu = sample_hyperhermitian_gamma_k(spec, tag=16)
     w = symfun.sigma_excl_all(lam, k - 1)
     diag = np.einsum("cii->ci", B)[:, : spec.n].real
     lhs = (diag * w).sum(axis=1)
@@ -303,15 +304,15 @@ def verify_schur_pairing(spec):
 # ---------------------------------------------------------------------------
 
 
-def verify_sigma_identities(spec, tol=1e-10):
+def verify_sigma_identities(spec):
     """The three split identities for deleted symmetric functions:
 
         sigma_k = sigma_k(.|i) + lam_i sigma_{k-1}(.|i)
         sum_i lam_i sigma_{k-1}(.|i) = k sigma_k
         sum_i sigma_k(.|i) = (n - k) sigma_k
 
-    checked as relative deviations on unconstrained random tuples (the
-    identities are polynomial, no cone needed), every order and index.
+    checked as relative deviations, to 1e-10, on unconstrained random tuples
+    (the identities are polynomial, no cone needed), every order and index.
     """
     n, k = spec.n, spec.k
     args = dict(proposition="sigma-split-identities", n=n, k=k, l=None,
@@ -326,7 +327,7 @@ def verify_sigma_identities(spec, tol=1e-10):
         rel1 = np.abs(d + lam * w - s[:, None]) / (np.abs(s)[:, None] + np.abs(lam * w) + 1.0)
         rel2 = np.abs((lam * w).sum(axis=1) - kk * s) / (np.abs(kk * s) + 1.0)
         rel3 = np.abs(d.sum(axis=1) - (n - kk) * s) / (np.abs((n - kk) * s) + 1.0)
-        slacks.extend([tol - rel1, tol - rel2, tol - rel3])
+        slacks.extend([1e-10 - rel1, 1e-10 - rel2, 1e-10 - rel3])
     return _tally(args, _concat(slacks))
 
 
@@ -357,15 +358,16 @@ def verify_newton_maclaurin(spec):
     return _tally(args, _concat(slacks))
 
 
-def verify_quotient_monotonicity(spec, l, h_rel=1e-5):
-    """Central-difference partials of sigma_k/sigma_l are positive on Gamma_k."""
+def verify_quotient_monotonicity(spec, l):
+    """Central-difference partials of sigma_k/sigma_l are positive on Gamma_k,
+    with step 1e-5 * (1 + |lam_i|)."""
     k = spec.k
     args = dict(proposition="quotient-monotonicity", n=spec.n, k=k, l=l,
                 samples=spec.count, seed=spec.seed)
     lam = sample_gamma_k(spec, tag=21)
     slacks = []
     for i in range(spec.n):
-        h = h_rel * (1.0 + np.abs(lam[:, i]))
+        h = 1e-5 * (1.0 + np.abs(lam[:, i]))
         up = lam.copy()
         dn = lam.copy()
         up[:, i] += h
@@ -422,20 +424,20 @@ def verify_tuple_minor_quotient(spec, l):
 # ---------------------------------------------------------------------------
 
 
-def verify_moore_realization(spec, tol=1e-8):
-    """|moore_det|^4 equals det(realize) on a stack of random hyperhermitian
-    matrices."""
+def verify_moore_realization(spec):
+    """|moore_det|^4 equals det(realize), to 1e-8 relative, on a stack of
+    random hyperhermitian matrices."""
     args = dict(proposition="moore-realization", n=spec.n, k=spec.k, l=None,
                 samples=spec.count, seed=spec.seed)
     A = qt.random_hyperhermitian_chi(_rng(spec, 30), spec.n, spec.scale, count=spec.count)
     p4 = qt.moore_det(A) ** 4
     d = np.linalg.det(qt.realize(A))
     rel = np.abs(p4 - d) / np.maximum(np.maximum(np.abs(p4), np.abs(d)), 1e-12)
-    return _tally(args, tol - rel)
+    return _tally(args, 1e-8 - rel)
 
 
-def verify_sigma_triple_agreement(spec, tol=1e-8):
-    """Eigenvalue, minor-sum, and coefficient routes to sigma_k agree.
+def verify_sigma_triple_agreement(spec):
+    """Eigenvalue, minor-sum, and coefficient routes to sigma_k agree to 1e-8 relative.
 
     Each route runs once on the whole stack of samples.
     """
@@ -447,12 +449,12 @@ def verify_sigma_triple_agreement(spec, tol=1e-8):
     d = qt.sigma_k_coefficient(A, spec.k)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(d), 1.0))
     rel = np.stack([np.abs(a - b) / scale, np.abs(a - d) / scale], axis=1)
-    return _tally(args, tol - rel)
+    return _tally(args, 1e-8 - rel)
 
 
-def verify_realize_homomorphism(spec, tol=1e-10):
-    """realize(A @ B) == realize(A) @ realize(B) on stacks of random
-    quaternionic matrices, drawn in the order A_1, B_1, A_2, B_2, ..."""
+def verify_realize_homomorphism(spec):
+    """realize(A @ B) == realize(A) @ realize(B) to 1e-10 relative, on stacks
+    of random quaternionic matrices drawn in the order A_1, B_1, A_2, B_2, ..."""
     args = dict(proposition="realize-homomorphism", n=spec.n, k=spec.k, l=None,
                 samples=spec.count, seed=spec.seed)
     M = qt.random_qmatrix_chi(_rng(spec, 32), spec.n, spec.scale, count=2 * spec.count)
@@ -461,21 +463,21 @@ def verify_realize_homomorphism(spec, tol=1e-10):
     rhs = qt.realize(A) @ qt.realize(B)
     axes = (-2, -1)
     rel = np.abs(lhs - rhs).max(axis=axes) / (1.0 + np.abs(rhs).max(axis=axes))
-    return _tally(args, tol - rel)
+    return _tally(args, 1e-10 - rel)
 
 
-def verify_unitary_invariance(spec, tol=1e-9):
-    """eigenvalues(C* A C) == eigenvalues(A) for random quaternionic unitaries."""
+def verify_unitary_invariance(spec):
+    """eigenvalues(C* A C) == eigenvalues(A) to 1e-9 relative, for random unitaries C."""
     args = dict(proposition="unitary-invariance", n=spec.n, k=spec.k, l=None,
                 samples=spec.count, seed=spec.seed)
-    A, lam = sample_hyperhermitian_gamma_k(spec, tag=33, return_eigs=True)
+    A, lam = sample_hyperhermitian_gamma_k(spec, tag=33)
     rng = _rng(spec, 34)
     U = qt.random_symplectic_unitary_chi(rng, spec.n, count=spec.count)
     conj = np.einsum("cji,cjk,ckl->cil", U.conj(), A, U)
     conj = (conj + conj.conj().transpose(0, 2, 1)) / 2.0
     mu = qt.chi_eigvals(conj)
     rel = np.abs(mu - lam).max(axis=1) / (1.0 + np.abs(lam).max(axis=1))
-    return _tally(args, tol - rel)
+    return _tally(args, 1e-9 - rel)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
     rows = []
     u = np.asarray(u, dtype=float)
     for p in p_values:
-        w = np.exp(-0.5 * p * (u - u.min()))
+        w = _shifted_weight(u, 0.5 * p)
         gw = fl.gradient_coefficients(w, grid, backend)
         E = integrate(np.einsum("...q,...q->...", gw.conj(), gw).real, grid)
         M = integrate(w * w, grid)

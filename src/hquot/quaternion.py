@@ -43,6 +43,8 @@ __all__ = [
     "sigma_k_coefficient",
 ]
 
+_TOL = 1e-8  # relative tolerance of the spectral structure checks, times 1 + |A|
+
 # ---------------------------------------------------------------------------
 # scalar quaternions
 # ---------------------------------------------------------------------------
@@ -167,14 +169,14 @@ def _is_exactly_real_diagonal(M):
     return bool(np.count_nonzero(R) == np.count_nonzero(d) and np.isfinite(d).all())
 
 
-def chi_eigvals(M, tol_scale=1e-8):
+def chi_eigvals(M):
     """Eigenvalues of stacked hyperhermitian embeddings, pair-collapsed.
 
     Input ``(..., 2n, 2n)`` hermitian with the chi structure; output
     ``(..., n)`` ascending.  Each matrix's eigenvalue pairs (on the exact
     diagonal shortcut, its diagonal entries i and n + i) must agree to
-    tol_scale * (1 + max|eig| of that matrix); a violation raises
-    StructureError (it signals a non-hyperhermitian input or an eigensolver
+    1e-8 * (1 + max|eig| of that matrix); a violation or a non-finite entry
+    raises StructureError (a non-hyperhermitian input or an eigensolver
     failure, never silently fixed).
     """
     M = np.asarray(M, dtype=complex)
@@ -182,45 +184,46 @@ def chi_eigvals(M, tol_scale=1e-8):
     if _is_exactly_real_diagonal(M):
         d = np.einsum("...ii->...i", M).real
         if not np.array_equal(d[..., :n], d[..., n:]):  # exact pairs need no spread
-            _require_spread(np.abs(d[..., :n] - d[..., n:]), d, 2, tol_scale)
+            _require_spread(np.abs(d[..., :n] - d[..., n:]), d, 2)
         return np.sort(d[..., :n], axis=-1)
+    _require_finite(M)
     w = np.linalg.eigvalsh(M)
-    return _collapse_pairs(w, 2, tol_scale)
+    return _collapse_pairs(w, 2)
 
 
-def _require_spread(spread, values, mult, tol_scale):
+def _require_spread(spread, values, mult):
     """Raise StructureError unless, matrix by matrix, every group spread
-    ``(..., n)`` is at most tol_scale * (1 + the largest |value| of that
-    matrix) over ``values`` ``(..., m)``; a NaN spread is a violation."""
+    ``(..., n)`` is at most _TOL * (1 + the largest |value| of that matrix)
+    over ``values`` ``(..., m)``; a NaN spread is a violation."""
     spread = spread.max(axis=-1, initial=0.0)
-    limit = tol_scale * (1.0 + np.abs(values).max(axis=-1, initial=0.0))
+    limit = _TOL * (1.0 + np.abs(values).max(axis=-1, initial=0.0))
     if not np.all(spread <= limit):
         worst = np.unravel_index(np.argmax(~(spread <= limit)), np.shape(spread))
         raise StructureError(
             f"eigenvalue multiplicity {mult} violated: spread {spread[worst]:.3e} "
-            f"exceeds {tol_scale:.1e} * (1 + |A|) = {limit[worst]:.3e}"
+            f"exceeds {_TOL:.1e} * (1 + |A|) = {limit[worst]:.3e}"
         )
 
 
-def _collapse_pairs(w, mult, tol_scale):
+def _collapse_pairs(w, mult):
     """Means of the ascending eigenvalues ``w`` ``(..., mult n)`` in groups
     of ``mult``, after checking each group's spread (last minus first)."""
     groups = [w[..., i::mult] for i in range(mult)]
-    _require_spread(groups[-1] - groups[0], w, mult, tol_scale)
+    _require_spread(groups[-1] - groups[0], w, mult)
     return functools.reduce(np.add, groups) / mult + 0.0  # + 0.0: no -0.0 means
 
 
 def _require_finite(M):
     """Raise StructureError naming the first non-finite entry of M, if any."""
-    bad = ~np.isfinite(M)
-    if bad.any():
-        where = np.unravel_index(np.argmax(bad), M.shape)
+    finite = np.isfinite(M)
+    if not finite.all():
+        where = np.unravel_index(np.argmin(finite), M.shape)
         raise StructureError(
             f"embedding has a non-finite entry {complex(M[where])} at {tuple(map(int, where))}"
         )
 
 
-def chi_eigh(M, tol_scale=1e-8):
+def chi_eigh(M):
     """Batched (eigenvalues, eigenvectors) of hyperhermitian embeddings.
 
     Eigenvalues come back pair-collapsed ``(..., n)``, ascending, with the
@@ -230,7 +233,7 @@ def chi_eigh(M, tol_scale=1e-8):
     paired eigenvalues receive identical weights.  Non-finite input raises
     StructureError naming the entry.  At n = 1 the embedding is lam * Id: lam
     is read off the diagonal and V is a read-only identity, without LAPACK,
-    and any other entry beyond tol_scale * (1 + |lam|) raises StructureError.
+    and any other entry beyond 1e-8 * (1 + |lam|) raises StructureError.
     At n = 2, (lam, V) come in closed form (`_chi_eigh_2x2`), not from eigh;
     from n = 3 on, V is the raw complex one from eigh.
     """
@@ -238,20 +241,20 @@ def chi_eigh(M, tol_scale=1e-8):
     if M.shape[-1] == 2:
         lam = M[..., :1, 0].real.copy()
         worst = np.abs(M - lam[..., None] * np.eye(2)).max(axis=(-2, -1))
-        ok = worst <= tol_scale * (1.0 + np.abs(lam[..., 0]))
+        ok = worst <= _TOL * (1.0 + np.abs(lam[..., 0]))
         if not ok.all():
             _require_finite(M)
             raise StructureError(f"1 x 1 embedding is not a real multiple of Id: {worst[~ok].max():.3e}")
         return lam, np.broadcast_to(np.eye(2, dtype=complex), M.shape)
     if M.shape[-1] == 4:
-        return _chi_eigh_2x2(M, tol_scale)
+        return _chi_eigh_2x2(M)
     _require_finite(M)
     w, V = np.linalg.eigh(M)
-    lam = _collapse_pairs(w, 2, tol_scale)
+    lam = _collapse_pairs(w, 2)
     return lam, V
 
 
-def _chi_eigh_2x2(M, tol_scale):
+def _chi_eigh_2x2(M):
     """chi_eigh of 4 x 4 embeddings of [[a, q], [conj(q), c]], q = x + y j.
 
     With r = |q|, diag(1, w), w = conj(q)/r, turns A into the real
@@ -261,7 +264,7 @@ def _chi_eigh_2x2(M, tol_scale):
     for lam_1.  The larger-magnitude eigenvalue is mean +- hypot((c-a)/2, r),
     the other det / big as in LAPACK's dlaev2; an exactly diagonal matrix
     returns (min(a, c), max(a, c)) exactly.  Each of the 16 slots must lie
-    within tol_scale * (1 + max|lam|) of the value that (a, c, x, y) dictate;
+    within 1e-8 * (1 + max|lam|) of the value that (a, c, x, y) dictate;
     a c and |q|^2 are formed, so entries beyond about 1e150 in magnitude
     overflow and raise StructureError too.  Works slot-major on one
     contiguous (16, P) copy of the stack.
@@ -288,7 +291,7 @@ def _chi_eigh_2x2(M, tol_scale):
         for dev in (S[5].imag, S[2], S[7], S[8], S[13], S[4] - xc, S[11] - xc, S[14] - x,
                     S[6] + y, S[9] + yc, S[12] - yc, S[10] - a, S[15] - c):
             np.maximum(worst, np.abs(dev), out=worst)
-        limit = tol_scale * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        limit = _TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
         ok = (worst <= limit) & (limit < np.inf)  # NaN fails; so does an infinite lam
         if not ok.all():
             _require_finite(M)
@@ -298,7 +301,7 @@ def _chi_eigh_2x2(M, tol_scale):
                                      f"float range (a = {a[i]:.3e}, c = {c[i]:.3e}, |q| = {r[i]:.3e})")
             raise StructureError(
                 f"4 x 4 embedding is not hyperhermitian: slot deviation {worst[i]:.3e} "
-                f"exceeds {tol_scale:.1e} * (1 + |lam|) = {limit[i]:.3e}"
+                f"exceeds {_TOL:.1e} * (1 + |lam|) = {limit[i]:.3e}"
             )
 
         # (cs, sn): unit eigenvector of [[a, r], [r, c]] for lam_0, from
@@ -436,13 +439,14 @@ def _embedding(A):
     return A.chi if isinstance(A, QMatrix) else np.asarray(A, dtype=complex)
 
 
-def _require_hyperhermitian(A, tol=1e-8):
-    """The embedding of A after checking matrix by matrix that it is
-    hermitian to tol * (1 + |A|)."""
+def _require_hyperhermitian(A):
+    """The embedding of A after checking that it is finite and, matrix by
+    matrix, hermitian to _TOL * (1 + |A|)."""
     M = _embedding(A)
+    _require_finite(M)
     axes = (-2, -1)
     residual = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
-    if np.any(residual > tol * (1.0 + np.abs(M).max(axis=axes, initial=0.0))):
+    if not np.all(residual <= _TOL * (1.0 + np.abs(M).max(axis=axes, initial=0.0))):
         raise StructureError(f"matrix is not hyperhermitian (residual {residual.max():.3e})")
     return M
 
@@ -488,24 +492,25 @@ def realize(A):
 # ---------------------------------------------------------------------------
 
 
-def eigenvalues(A, route="complex", tol_scale=1e-8):
+def eigenvalues(A, route="complex"):
     """Real eigenvalues of a hyperhermitian matrix, ascending.
 
     route="complex" solves the 2n x 2n embedding (eigenvalues doubled),
     route="real" the 4n x 4n realization (quadrupled).  Both take a QMatrix
     or a stack of embeddings ``(..., 2n, 2n)``, which returns ``(..., n)``,
-    and both enforce the multiplicity pattern at width tol_scale * (1 + |A|).
+    and both reject non-finite entries and enforce the multiplicity pattern
+    at width 1e-8 * (1 + |A|).
     """
     M = _require_hyperhermitian(A)
     if route == "complex":
-        return chi_eigvals(M, tol_scale)
+        return chi_eigvals(M)
     if route == "real":
         w = np.linalg.eigvalsh(realize(M))
-        return _collapse_pairs(w, 4, tol_scale)
+        return _collapse_pairs(w, 4)
     raise ValueError(f"unknown route {route!r}")
 
 
-def eig(A, tol_scale=1e-8):
+def eig(A):
     """Eigenvalues (ascending) and a diagonalizing quaternionic unitary C.
 
     C satisfies C* C = Id and C* A C = diag(eigenvalues); the eigenvector
@@ -516,9 +521,9 @@ def eig(A, tol_scale=1e-8):
     n = A.n
     M = A.chi
     w, V = np.linalg.eigh(M)
-    lam = _collapse_pairs(w, 2, tol_scale)
+    lam = _collapse_pairs(w, 2)
     Jp = jprime(n)
-    cluster_tol = tol_scale * (1.0 + float(np.abs(w).max(initial=0.0)))
+    cluster_tol = _TOL * (1.0 + float(np.abs(w).max(initial=0.0)))
 
     cols = []
     i = 0
@@ -544,22 +549,22 @@ def eig(A, tol_scale=1e-8):
         raise StructureError(f"eigenvector pairing produced {len(cols)} of {n} columns")
     W = np.column_stack(cols)
     U = np.column_stack([W, -(Jp @ W.conj())])
-    C = QMatrix(U, validate=True, tol=1e-8)
+    C = QMatrix(U, validate=True, tol=_TOL)
     return lam, C
 
 
-def moore_det(A, tol_scale=1e-8):
+def moore_det(A):
     """Moore determinant: the product of the real eigenvalues.
 
     Signed (unlike det(realize(A))^(1/4)); satisfies moore_det(Id) = 1 and
     |moore_det(A)|^4 = det(realize(A)).  A stack of embeddings gives one
     determinant per matrix.
     """
-    lam = eigenvalues(A, tol_scale=tol_scale)
+    lam = eigenvalues(A)
     return _scalar_or_stack(np.prod(lam, axis=-1))
 
 
-def principal_minor_det(A, indices, tol_scale=1e-8):
+def principal_minor_det(A, indices):
     """Moore determinant of A with the rows/columns in ``indices`` deleted.
 
     ``indices`` is a 0-based set; the full index set yields 1 by convention,
@@ -576,10 +581,10 @@ def principal_minor_det(A, indices, tol_scale=1e-8):
         M = chi_delete(M, i)
     if M.shape[-1] == 0:
         return _scalar_or_stack(np.ones(M.shape[:-2]))
-    return _scalar_or_stack(np.prod(chi_eigvals(M, tol_scale), axis=-1))
+    return _scalar_or_stack(np.prod(chi_eigvals(M), axis=-1))
 
 
-def sigma_k_matrix(A, k, tol_scale=1e-8):
+def sigma_k_matrix(A, k):
     """sigma_k of the eigenvalue tuple of A.
 
     Equals the sum of all k x k principal minor Moore determinants and the
@@ -587,22 +592,22 @@ def sigma_k_matrix(A, k, tol_scale=1e-8):
     Like the two routes below, it takes a QMatrix (returns a float) or a
     stack of embeddings ``(..., 2n, 2n)`` (returns one value per matrix).
     """
-    lam = eigenvalues(A, tol_scale=tol_scale)
+    lam = eigenvalues(A)
     return _scalar_or_stack(symfun.sigma(lam, k))
 
 
-def sigma_k_minor_sum(A, k, tol_scale=1e-8):
+def sigma_k_minor_sum(A, k):
     """sigma_k via the sum of k x k principal minors (deleting n-k indices);
     one eigenvalue solve per index set, shared by a whole stack."""
     M = _require_hyperhermitian(A)
     n = M.shape[-1] // 2
     total = np.zeros(M.shape[:-2])
     for I in itertools.combinations(range(n), n - k):
-        total += principal_minor_det(M, I, tol_scale)
+        total += principal_minor_det(M, I)
     return _scalar_or_stack(total)
 
 
-def sigma_k_coefficient(A, k, tol_scale=1e-8):
+def sigma_k_coefficient(A, k):
     """sigma_k via polynomial coefficient extraction from moore_det(A + t*Id).
 
     The n + 1 nodes are t = s * (j - n/2) with s = 1 + max|lam|; a stack
@@ -611,11 +616,11 @@ def sigma_k_coefficient(A, k, tol_scale=1e-8):
     """
     M = _require_hyperhermitian(A)
     n = M.shape[-1] // 2
-    lam = chi_eigvals(M, tol_scale)
+    lam = chi_eigvals(M)
     s = 1.0 + np.abs(lam).max(axis=-1, initial=0.0)
     nodes = s[..., None] * (np.arange(n + 1) - n / 2.0)
     eye = np.eye(2 * n)
-    vals = np.stack([moore_det(M + nodes[..., j, None, None] * eye, tol_scale)
+    vals = np.stack([moore_det(M + nodes[..., j, None, None] * eye)
                      for j in range(n + 1)], axis=-1)
     # coefficients come highest power first
     coeffs = [np.polyfit(x, y, n)[k]

@@ -123,10 +123,6 @@ class SolverConfig:
     @classmethod
     def from_dict(cls, data):
         data = dict(data)
-        if "grid" in data:
-            g = data.pop("grid")
-            data["points_per_axis"] = g["N"]
-            data["active_axes"] = tuple(g["active_axes"])
         if data.get("omega0_diag"):
             data["omega0_diag"] = tuple(data["omega0_diag"])
         allowed = set(cls.__dataclass_fields__)
@@ -227,9 +223,7 @@ def residual(lam, b, F, k, l):
     """Pointwise sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F+b) sigma_l(W_u) from the
     eigenvalue field ``lam`` of W_u."""
     E = symfun.forcing_factor(lam.shape[-1], k, l, F + b)
-    sk = symfun.sigma(lam, k)
-    sl = symfun.sigma(lam, l) if l > 0 else 1.0
-    return sk - E * sl
+    return symfun.sigma(lam, k) - E * symfun.sigma(lam, l)
 
 
 class Linearization:
@@ -281,8 +275,7 @@ def linearize(spectrum, b, F, grid, k, l, backend="spectral"):
     E = symfun.forcing_factor(n, k, l, F + b)
 
     weights = symfun.sigma_excl_all(lam, k - 1)
-    if l > 0:
-        weights = weights - E[..., None] * symfun.sigma_excl_all(lam, l - 1)
+    weights = weights - E[..., None] * symfun.sigma_excl_all(lam, l - 1)
     ell = float(weights.min())
     if ell <= 0:
         raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e})")
@@ -296,9 +289,7 @@ def linearize(spectrum, b, F, grid, k, l, backend="spectral"):
         if np.abs(c).max() > 0:
             coeff[(P, Q)] = c.reshape(grid.shape)
 
-    sl = symfun.sigma(lam, l) if l > 0 else 1.0
-    b_column = -E * sl
-    return Linearization(grid, backend, coeff, b_column, ell)
+    return Linearization(grid, backend, coeff, -E * symfun.sigma(lam, l), ell)
 
 
 def normalize_sup(u):

@@ -183,6 +183,9 @@ def test_bad_problem_is_a_usage_error(tmp_path, capsys, command, bad, named):
     pytest.param({"cone_margin": float("nan")}, "cone_margin", id="cone-margin"),
     pytest.param({"linear_rtol": 1e-12}, "linear_rtol", id="linear-rtol"),
     pytest.param({"linear_maxiter": 0}, "linear_maxiter", id="linear-maxiter"),
+    # nor is a nested grid, which once overrode points_per_axis
+    pytest.param({"grid": {"N": 16, "active_axes": [0]}}, "unknown config keys: ['grid']",
+                 id="nested-grid"),
 ])
 def test_bad_iteration_config_is_a_usage_error(tmp_path, capsys, command, bad, named):
     cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,

@@ -6,10 +6,11 @@ No module reads another hquot module's private (underscore) names, and no
 function imports from the package locally: module-level bindings are what
 the benchmark's tracer rebinds.  Every public name (``__all__`` entries and
 public ``QMatrix`` methods) is read somewhere in the package outside its own
-definition, unless the package re-exports it or ``KEEP`` names it.  In the
-numerical modules, every defaulted parameter is set by some package call,
-unless ``KEEP_DEFAULTS`` names it: a default nobody overrides is a constant.
-Importing ``hquot.cli`` in a fresh interpreter loads no scipy module.
+definition, unless the package re-exports it or ``KEEP`` names it.  In every
+module, every defaulted parameter is set by some package call, unless
+``KEEP_DEFAULTS`` names it: a default nobody overrides is a constant.
+Importing ``hquot.cli`` in a fresh interpreter loads no scipy module, and
+every span the benchmark's tracer rebinds resolves in the package.
 """
 
 import ast
@@ -153,8 +154,10 @@ def test_every_public_name_has_a_caller():
 # Defaulted parameters that no package call sets, kept on purpose: one reason each.
 KEEP_DEFAULTS = {
     "fields.simultaneous_diagonalize.tol": "README feature without a package caller",
+    "quaternion.eigenvalues.route": "the realization route, the tests' reference for the complex one",
+    "quaternion.Quaternion.isclose.tol": "public method of the exported scalar type; tests set it",
+    "cli.main.argv": "console-script entry point, which reads sys.argv",
 }
-DEFAULT_MODULES = ("grid", "fields", "solver", "probe", "symfun")
 
 
 def _package_calls():
@@ -175,32 +178,34 @@ def _package_calls():
 
 
 def _defaulted_params(tree):
-    """(qualified function name, function name, position or None, parameter)
+    """(qualified function name, callee name, position or None, parameter)
     of every parameter with a default, in module functions and methods (the
-    position counts from the first argument a caller passes)."""
+    position counts from the first argument a caller passes).  The callee
+    name is the function's, or for ``__init__`` the class's: a call of a
+    class sets the parameters of its ``__init__``."""
     owners = [(tree, "", 0)] + [(node, f"{node.name}.", 1) for node in tree.body
                                 if isinstance(node, ast.ClassDef)]
     for owner, prefix, skip in owners:
         for fn in owner.body:
             if not isinstance(fn, ast.FunctionDef):
                 continue
+            init = isinstance(owner, ast.ClassDef) and fn.name == "__init__"
+            callee = owner.name if init else fn.name
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                          for d in fn.decorator_list)
             args = fn.args.posonlyargs + fn.args.args
             first = len(args) - len(fn.args.defaults)
             for i in range(first, len(args)):
-                yield prefix + fn.name, fn.name, i - (0 if static else skip), args[i].arg
+                yield prefix + fn.name, callee, i - (0 if static else skip), args[i].arg
             for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if d is not None:
-                    yield prefix + fn.name, fn.name, None, a.arg
+                    yield prefix + fn.name, callee, None, a.arg
 
 
 def test_every_default_is_set_by_a_package_call():
     calls = _package_calls()
     unset = set()
     for path in MODULES:
-        if path.stem not in DEFAULT_MODULES:
-            continue
         for qual, name, pos, param in _defaulted_params(ast.parse(path.read_text())):
             if not any(param in kws or None in kws or (pos is not None and npos > pos)
                        for npos, kws in calls.get(name, [])):
@@ -219,3 +224,21 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]", f"import hquot.cli loads {out.strip()}"
+
+
+def test_benchmark_spans_resolve(monkeypatch):
+    # the traced benchmark rebinds each SPANS target by its dotted name, so a
+    # rename in hquot breaks it; perfbench/ is imported without writing bytecode
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    missing = []
+    for target in importlib.import_module("tracer").SPANS:
+        module, *path = target.split(".")
+        owner = importlib.import_module(f"hquot.{module}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(target)
+    assert not missing, f"benchmark spans that do not resolve in hquot: {missing}"

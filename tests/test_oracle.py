@@ -44,15 +44,16 @@ def test_sampler_reaches_negative_entries():
     assert (a < 0).any()
 
 
-def test_sampler_budget_exhaustion():
+def test_sampler_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_ROUNDS", 1)
     spec = SampleSpec(n=5, k=5, count=50000, seed=1)
-    with pytest.raises(SamplingError):
-        oracle.sample_gamma_k(spec, max_rounds=1)
+    with pytest.raises(SamplingError, match="exhausted 1 rounds"):
+        oracle.sample_gamma_k(spec)
 
 
 def test_hyperhermitian_sampler():
     spec = SampleSpec(n=3, k=2, count=200, seed=13)
-    A, lam = oracle.sample_hyperhermitian_gamma_k(spec, return_eigs=True)
+    A, lam = oracle.sample_hyperhermitian_gamma_k(spec)
     assert np.abs(A - A.conj().transpose(0, 2, 1)).max() < 1e-12
     for i in range(0, 200, 40):
         assert qt.structure_residual(A[i]) < 1e-12
@@ -62,7 +63,7 @@ def test_hyperhermitian_sampler():
 
 def test_hyperhermitian_sampler_positive_det_at_top_order():
     spec = SampleSpec(n=3, k=3, count=100, seed=17)
-    A = oracle.sample_hyperhermitian_gamma_k(spec)
+    A, _ = oracle.sample_hyperhermitian_gamma_k(spec)
     lam = qt.chi_eigvals(A)
     assert (np.prod(lam, axis=1) > 0).all()
 
@@ -232,8 +233,8 @@ def _concavity_reference(spec, l):
     """The concavity report of one l with separate eigenvalue solves of A,
     (A + B)/2 and B (valid when the verifier resampled nothing)."""
     k = spec.k
-    A = oracle.sample_hyperhermitian_gamma_k(spec, tag=12)
-    B = oracle.sample_hyperhermitian_gamma_k(spec, tag=13)
+    A, _ = oracle.sample_hyperhermitian_gamma_k(spec, tag=12)
+    B, _ = oracle.sample_hyperhermitian_gamma_k(spec, tag=13)
 
     def f(M):
         return symfun.quotient_root(qt.chi_eigvals(M), k, l, check=False)

@@ -289,7 +289,9 @@ def test_chi_eigh_one_by_one_without_lapack(monkeypatch):
             qt.chi_eigh(bad)
         with pytest.raises(StructureError):  # next to a large matrix, whose 1 + |lam| would allow it
             qt.chi_eigh(np.concatenate([bad, 1e5 * M]))
-        qt.chi_eigh(bad, tol_scale=1e-5)  # within a looser tolerance
+        small = M.copy()
+        small[1, i, j] += 1e-4 * dev  # 1e-10: within 1e-8 * (1 + |lam|)
+        qt.chi_eigh(small)
 
 
 def test_chi_from_spectrum_reassembles():
@@ -463,7 +465,7 @@ def test_chi_eigh_two_by_two_diagonal_is_exact(monkeypatch, a, c):
     # the pair means of LAPACK do at normal magnitudes (a zero eigenvalue
     # comes back as +0.0; LAPACK rescales 1e-300 and may move the last bit)
     M = QMatrix.diag([a, c]).chi
-    ref = qt._collapse_pairs(np.linalg.eigh(M)[0], 2, 1e-8)
+    ref = qt._collapse_pairs(np.linalg.eigh(M)[0], 2)
     _no_lapack(monkeypatch)
     lam, V = qt.chi_eigh(M)
     assert lam.tobytes() == (np.sort([a, c]) + 0.0).tobytes()
@@ -499,7 +501,9 @@ def test_chi_eigh_two_by_two_checks_every_slot(monkeypatch, slot):
         bad[1].flat[slot] += dev
         with pytest.raises(StructureError, match="not hyperhermitian"):
             qt.chi_eigh(bad)
-        qt.chi_eigh(bad, tol_scale=1e-5)  # within a looser tolerance
+        small = np.concatenate([M, big[None]])
+        small[1].flat[slot] += 1e-4 * dev  # 1e-10: within 1e-8 * (1 + |lam|)
+        qt.chi_eigh(small)
 
 
 def test_chi_eigh_two_by_two_wide_range_against_exact_values():
@@ -555,6 +559,26 @@ def test_chi_eigh_rejects_non_finite_input():
             qt.chi_eigh(M)
 
 
+def test_eigenvalues_reject_non_finite_input():
+    # before, most of these gave a spectrum or numpy's LinAlgError: a NaN at
+    # (0, 1) of a 4 x 4 identity [1, 1] from both routes, a NaN on the
+    # diagonal of a 6 x 6 one [0, 1, 1] from chi_eigvals
+    cases = []
+    for size, where in ((4, (0, 1)), (6, (0, 0)), (6, (1, 4)), (4, (3, 2))):
+        for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            M = np.eye(size, dtype=complex)
+            M[where] = value
+            cases.append(M)
+    for M in cases:
+        with pytest.raises(StructureError, match="non-finite entry"):
+            qt.chi_eigvals(M)
+        with pytest.raises(StructureError, match="non-finite entry"):
+            qt.chi_eigvals(np.stack([np.eye(M.shape[-1]), M]))
+        for route in ("complex", "real"):
+            with pytest.raises(StructureError, match="non-finite entry"):
+                qt.eigenvalues(M, route=route)
+
+
 def test_chi_eigh_two_by_two_overflow_is_named():
     M = qt.chi_from_split(np.array([[1e200, 1e180], [1e180, 2.0]]), np.zeros((2, 2)))
     with pytest.raises(StructureError, match="overflows"):
@@ -564,7 +588,7 @@ def test_chi_eigh_two_by_two_overflow_is_named():
 def test_pair_check_counts_nan_spread_as_violation():
     w = np.array([[1.0, 1.0, 2.0, np.nan]])
     with pytest.raises(StructureError, match="multiplicity 2"):
-        qt._collapse_pairs(w, 2, 1e-8)
+        qt._collapse_pairs(w, 2)
 
 
 def _old_collapse_pairs(w, mult, tol_scale):
@@ -589,7 +613,7 @@ def test_collapse_pairs_matches_grouped_reduction(mult):
         if w.size:
             w.reshape(-1, shape[-1])[:3] = 0.0
             w.reshape(-1, shape[-1])[3:5] = -0.0
-        got, want = qt._collapse_pairs(w, mult, 1e-8), _old_collapse_pairs(w, mult, 1e-8)
+        got, want = qt._collapse_pairs(w, mult), _old_collapse_pairs(w, mult, 1e-8)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         bad = w.copy()
         if bad.size:
@@ -597,4 +621,4 @@ def test_collapse_pairs_matches_grouped_reduction(mult):
             with pytest.raises(StructureError):
                 _old_collapse_pairs(bad, mult, 1e-8)
             with pytest.raises(StructureError):
-                qt._collapse_pairs(bad, mult, 1e-8)
+                qt._collapse_pairs(bad, mult)
