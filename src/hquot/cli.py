@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as fl
-from . import oracle
+from . import oracle, symfun
 from .errors import ConeError, ConvergenceError, SamplingError, StructureError
 from .grid import load_scalar_field, save_scalar_field
 from .probe import run_probe
@@ -123,7 +123,7 @@ def run_solve(config_path, out_dir, seed=None, quiet=False):
                                                  "converged": False, "error": str(exc)})
         _echo(quiet, f"solve failed: {exc}")
         return 1
-    except ValueError as exc:  # from build_problem: a bad expression
+    except ValueError as exc:  # a bad expression, or a forcing factor that overflows
         return _fail_usage(f"bad solve config: {exc}")
     out.mkdir(parents=True, exist_ok=True)
     save_scalar_field(out / "u.csv", result.u, cfg.grid)
@@ -145,6 +145,8 @@ def run_cone_check(config_path, out_dir, seed=None, quiet=False):
         b = -float(np.mean(F)) if b_offset == "auto" else float(b_offset)
         if not math.isfinite(b):
             raise ValueError(f"b_offset must be finite, got {b_offset!r}")
+        if cfg.l > 0:  # at l = 0 the margin does not read the forcing factor
+            symfun.require_finite_forcing(cfg.n, cfg.k, cfg.l, float(np.max(F)) + b)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad config: {exc}")
     try:

@@ -235,7 +235,6 @@ class ConeConditionReport:
 
     margin(z) = min_j [ sigma_{k-1}(lam|j) - Ft(z) sigma_{l-1}(lam|j) ] with
     Ft = C(n,k)/C(n,l) * exp(F); satisfied iff the global minimum is positive.
-    ``margin_field`` carries that pointwise minimum over slots;
     ``delta`` is the measured root gap min_{z,j} [ratio^(1/(k-l)) - Ft^(1/(k-l))]
     (for l = 0 the condition is vacuous and delta is the raw sigma margin).
     """
@@ -247,7 +246,6 @@ class ConeConditionReport:
     delta: float
     k: int
     l: int
-    margin_field: np.ndarray = None
 
     def __bool__(self):
         return self.satisfied
@@ -263,12 +261,12 @@ def check_cone_condition(lam, F, k, l):
     gam = in_gamma_k_field(lam, k)
     if not gam.ok:
         raise ConeError(f"background field not in Gamma_{k} (margin {gam.worst_margin:.3e})")
-    ft = symfun.forcing_factor(n, k, l, F)
     sk1 = symfun.sigma_excl_all(lam, k - 1)
     if l == 0:
         margin = sk1
         delta = float(sk1.min())
     else:
+        ft = symfun.forcing_factor(n, k, l, F)
         sl1 = symfun.sigma_excl_all(lam, l - 1)
         margin = sk1 - ft[..., None] * sl1
         root = 1.0 / (k - l)
@@ -283,7 +281,6 @@ def check_cone_condition(lam, F, k, l):
         delta=delta,
         k=k,
         l=l,
-        margin_field=margin.min(axis=-1),
     )
 
 

@@ -396,7 +396,8 @@ def solve(cfg):
 
     Each trial W is diagonalized once and only its spectrum is kept (W itself
     is dropped, which lowers the peak memory); the accepted spectrum is reused.
-    A config that build_problem cannot turn into a problem raises ValueError;
+    A config that build_problem cannot turn into a problem, or whose forcing
+    factor overflows at the starting b = -mean F, raises ValueError;
     mathematical failures raise ConeError or ConvergenceError.
     """
     grid, omega0, F = build_problem(cfg)
@@ -404,15 +405,10 @@ def solve(cfg):
     backend = cfg.backend
 
     lam0 = fl.eig_field(omega0)
-    gam0 = fl.in_gamma_k_field(lam0, k)
-    if not gam0.ok:
-        raise ConeError(
-            f"background field not in Gamma_{k} (margin {gam0.worst_margin:.3e})"
-        )
-
     warnings = []
     u = np.zeros(grid.shape)
     b = -float(np.mean(F))
+    symfun.require_finite_forcing(cfg.n, k, l, float(np.max(F)) + b)
     pre_cone = fl.check_cone_condition(lam0, F, k, l)
     if not pre_cone.satisfied:
         warnings.append(

@@ -25,6 +25,7 @@ __all__ = [
     "quotient",
     "quotient_root",
     "forcing_factor",
+    "require_finite_forcing",
     "garding_pairing",
 ]
 
@@ -132,6 +133,16 @@ def forcing_factor(n, k, l, F):
     """Ft = C(n,k)/C(n,l) exp(F): the factor of sigma_l in sigma_k = Ft sigma_l,
     the quotient equation with the identity background; broadcasts over F."""
     return math.comb(n, k) / math.comb(n, l) * np.exp(np.asarray(F, dtype=float))
+
+
+def require_finite_forcing(n, k, l, top):
+    """Raise ValueError if the forcing factor overflows at ``top``, the largest
+    value of F + b on the grid, where the factor is largest."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(forcing_factor(n, k, l, top))
+    if not finite:
+        raise ValueError(f"forcing factor C(n,k)/C(n,l) e^(F+b) is not finite: "
+                         f"the largest F + b is {top:.6g}")
 
 
 def garding_pairing(mu, lam, k, check=True):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,35 @@ def test_cone_check_rejects_bad_b_offset(tmp_path, capsys, b_offset):
     assert main(["cone-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    pytest.param("solve", {"l": 0, "F": "800*sin(2*pi*x0)"}, id="solve"),
+    pytest.param("cone-check", {"l": 1, "F": "0.0", "b_offset": 800}, id="cone-check"),
+])
+def test_overflowing_forcing_factor_is_a_usage_error(tmp_path, capsys, command, cfg):
+    path = _write(tmp_path / "s.json", {"n": 2, "k": 2, "points_per_axis": 8,
+                                        "active_axes": [0], **cfg})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([command, "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "forcing factor" in err
+    assert "largest F + b is 800" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cone_check_at_l0_does_not_read_the_forcing_factor(tmp_path):
+    # the l = 0 margin is sigma_{k-1}(lam|j) alone, so a huge b_offset changes nothing
+    path = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 0, "points_per_axis": 8,
+                                        "active_axes": [0], "F": "0.0", "b_offset": 800})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["cone-check", "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 0
+    payload = json.loads((tmp_path / "o" / "cone_report.json").read_text())
+    assert payload["satisfied"] and payload["worst_margin"] == payload["delta"] == 1.0
 
 
 def test_solve_cone_warning_in_summary(tmp_path):

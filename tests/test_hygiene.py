@@ -9,12 +9,14 @@ public ``QMatrix`` methods) is read somewhere in the package outside its own
 definition, unless the package re-exports it or ``KEEP`` names it.  In every
 module, every defaulted parameter is set by some package call, unless
 ``KEEP_DEFAULTS`` names it: a default nobody overrides is a constant.
-Importing ``hquot.cli`` in a fresh interpreter loads no scipy module, and
-every span the benchmark's tracer rebinds resolves in the package.
+Importing ``hquot.cli`` in a fresh interpreter loads no scipy module,
+every span the benchmark's tracer rebinds resolves in the package, and the
+benchmark's verifier-to-proposition map matches the verifiers' reports.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import hquot
+from hquot import oracle
 
 MODULES = sorted(Path(hquot.__file__).parent.glob("*.py"))
 
@@ -226,15 +229,20 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]", f"import hquot.cli loads {out.strip()}"
 
 
-def test_benchmark_spans_resolve(monkeypatch):
-    # the traced benchmark rebinds each SPANS target by its dotted name, so a
-    # rename in hquot breaks it; perfbench/ is imported without writing bytecode
+def _perfbench(monkeypatch, name):
+    """Import perfbench/<name>.py afresh, without writing bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    for name in ("tracer", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
+    for module in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    return importlib.import_module(name)
+
+
+def test_benchmark_spans_resolve(monkeypatch):
+    # the traced benchmark rebinds each SPANS target by its dotted name, so a
+    # rename in hquot breaks it
     missing = []
-    for target in importlib.import_module("tracer").SPANS:
+    for target in _perfbench(monkeypatch, "tracer").SPANS:
         module, *path = target.split(".")
         owner = importlib.import_module(f"hquot.{module}")
         for part in path:
@@ -242,3 +250,20 @@ def test_benchmark_spans_resolve(monkeypatch):
         if not callable(owner):
             missing.append(target)
     assert not missing, f"benchmark spans that do not resolve in hquot: {missing}"
+
+
+def test_benchmark_proposition_map_matches_reports(monkeypatch):
+    # the tracer names each verifier's span after the proposition this map
+    # gives it, so the map must pair every verifier with its own reports
+    propositions = _perfbench(monkeypatch, "workloads").PROPOSITIONS
+    assert set(propositions.values()) == set(oracle.STANDARD_PROPOSITIONS)
+    spec = oracle.SampleSpec(n=3, k=2, count=4, seed=0)
+    wrong = {}
+    for fn_name, proposition in propositions.items():
+        fn = getattr(oracle, fn_name)
+        l_indexed = len(inspect.signature(fn).parameters) == 2
+        reports = fn(spec, [1]) if l_indexed else [fn(spec)]
+        names = {r.proposition for r in reports}
+        if names != {proposition}:
+            wrong[fn_name] = sorted(names)
+    assert not wrong, f"verifiers whose reports name another proposition: {wrong}"

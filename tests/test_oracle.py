@@ -95,16 +95,16 @@ def test_schur_pairing_diagonal_equality():
         (oracle.verify_matrix_concavity, ([1],)),
         (oracle.verify_schur_pairing, ()),
         (oracle.verify_newton_maclaurin, ()),
-        (oracle.verify_quotient_monotonicity, (1,)),
-        (oracle.verify_quotient_concavity, (1,)),
+        (oracle.verify_quotient_monotonicity, ([1],)),
+        (oracle.verify_quotient_concavity, ([1],)),
         (oracle.verify_garding_inequality, ()),
-        (oracle.verify_tuple_minor_quotient, (1,)),
+        (oracle.verify_tuple_minor_quotient, ([1],)),
     ],
 )
 def test_inequality_verifiers_pass(fn, extra):
     spec = SampleSpec(n=4, k=3, count=800, seed=2024)
     report = fn(spec, *extra)
-    if isinstance(report, list):  # the matrix verifiers report per requested l
+    if isinstance(report, list):  # the l-indexed verifiers report per requested l
         (report,) = report
     assert report.failures == 0
     assert report.checks > 0
@@ -254,16 +254,72 @@ def _concavity_reference(spec, l):
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 2), (5, 4)])
 def test_per_l_reports_do_not_depend_on_the_l_list(n, k):
     spec = SampleSpec(n=n, k=k, count=300, seed=41)
-    together = oracle.verify_matrix_concavity(spec, range(k))
-    for l in range(k):
-        alone = oracle.verify_matrix_concavity(spec, [l])[0]
-        assert alone.to_json() == together[l].to_json()
-        assert alone.to_json() == _concavity_reference(spec, l).to_json()
-    minors = oracle.verify_minor_quotient(spec, range(1, k))
-    assert [r.l for r in minors] == list(range(1, k))
-    for l in range(1, k):
-        assert oracle.verify_minor_quotient(spec, [l])[0].to_json() == minors[l - 1].to_json()
-    with pytest.raises(ValueError):
-        oracle.verify_matrix_concavity(spec, [0, k])
-    with pytest.raises(ValueError):
-        oracle.verify_minor_quotient(spec, [0])
+    for l, report in enumerate(oracle.verify_matrix_concavity(spec, range(k))):
+        assert report.to_json() == _concavity_reference(spec, l).to_json()
+    for verify, first in [(oracle.verify_matrix_concavity, 0),
+                          (oracle.verify_minor_quotient, 1),
+                          (oracle.verify_quotient_monotonicity, 0),
+                          (oracle.verify_quotient_concavity, 0),
+                          (oracle.verify_tuple_minor_quotient, 1)]:
+        together = verify(spec, range(first, k))
+        assert [r.l for r in together] == list(range(first, k))
+        for report in together:
+            assert verify(spec, [report.l])[0].to_json() == report.to_json()
+        for outside in (first - 1, k):
+            with pytest.raises(ValueError):
+                verify(spec, [first, outside])
+
+
+# (proposition, n, k, l) of run_standard_suite(count=5, seed=0, n_values=(1, 2, 3),
+# algebra_count=3); perfbench/reference.json pins the benchmark's order too
+SUITE_ORDER = [
+    ("sigma-split-identities", 1, 1, None), ("newton-maclaurin", 1, 1, None),
+    ("garding-pairing", 1, 1, None), ("schur-diagonal-pairing", 1, 1, None),
+    ("quotient-monotonicity", 1, 1, 0), ("quotient-root-concavity", 1, 1, 0),
+    ("matrix-quotient-concavity", 1, 1, 0), ("moore-realization", 1, 1, None),
+    ("sigma-triple-agreement", 1, 1, None), ("realize-homomorphism", 1, 1, None),
+    ("unitary-invariance", 1, 1, None),
+    ("sigma-split-identities", 2, 1, None), ("newton-maclaurin", 2, 1, None),
+    ("garding-pairing", 2, 1, None), ("schur-diagonal-pairing", 2, 1, None),
+    ("quotient-monotonicity", 2, 1, 0), ("quotient-root-concavity", 2, 1, 0),
+    ("matrix-quotient-concavity", 2, 1, 0),
+    ("newton-maclaurin", 2, 2, None), ("garding-pairing", 2, 2, None),
+    ("deletion-cone", 2, 2, None), ("schur-diagonal-pairing", 2, 2, None),
+    ("quotient-monotonicity", 2, 2, 0), ("quotient-root-concavity", 2, 2, 0),
+    ("matrix-quotient-concavity", 2, 2, 0),
+    ("quotient-monotonicity", 2, 2, 1), ("quotient-root-concavity", 2, 2, 1),
+    ("matrix-quotient-concavity", 2, 2, 1), ("minor-quotient", 2, 2, 1),
+    ("matrix-minor-quotient", 2, 2, 1),
+    ("moore-realization", 2, 1, None), ("sigma-triple-agreement", 2, 1, None),
+    ("sigma-triple-agreement", 2, 2, None), ("realize-homomorphism", 2, 1, None),
+    ("unitary-invariance", 2, 1, None),
+    ("sigma-split-identities", 3, 1, None), ("newton-maclaurin", 3, 1, None),
+    ("garding-pairing", 3, 1, None), ("schur-diagonal-pairing", 3, 1, None),
+    ("quotient-monotonicity", 3, 1, 0), ("quotient-root-concavity", 3, 1, 0),
+    ("matrix-quotient-concavity", 3, 1, 0),
+    ("newton-maclaurin", 3, 2, None), ("garding-pairing", 3, 2, None),
+    ("deletion-cone", 3, 2, None), ("schur-diagonal-pairing", 3, 2, None),
+    ("quotient-monotonicity", 3, 2, 0), ("quotient-root-concavity", 3, 2, 0),
+    ("matrix-quotient-concavity", 3, 2, 0),
+    ("quotient-monotonicity", 3, 2, 1), ("quotient-root-concavity", 3, 2, 1),
+    ("matrix-quotient-concavity", 3, 2, 1), ("minor-quotient", 3, 2, 1),
+    ("matrix-minor-quotient", 3, 2, 1),
+    ("newton-maclaurin", 3, 3, None), ("garding-pairing", 3, 3, None),
+    ("deletion-cone", 3, 3, None), ("schur-diagonal-pairing", 3, 3, None),
+    ("quotient-monotonicity", 3, 3, 0), ("quotient-root-concavity", 3, 3, 0),
+    ("matrix-quotient-concavity", 3, 3, 0),
+    ("quotient-monotonicity", 3, 3, 1), ("quotient-root-concavity", 3, 3, 1),
+    ("matrix-quotient-concavity", 3, 3, 1), ("minor-quotient", 3, 3, 1),
+    ("matrix-minor-quotient", 3, 3, 1),
+    ("quotient-monotonicity", 3, 3, 2), ("quotient-root-concavity", 3, 3, 2),
+    ("matrix-quotient-concavity", 3, 3, 2), ("minor-quotient", 3, 3, 2),
+    ("matrix-minor-quotient", 3, 3, 2),
+    ("moore-realization", 3, 2, None), ("sigma-triple-agreement", 3, 1, None),
+    ("sigma-triple-agreement", 3, 2, None), ("sigma-triple-agreement", 3, 3, None),
+    ("realize-homomorphism", 3, 2, None), ("unitary-invariance", 3, 2, None),
+]
+
+
+def test_standard_suite_order():
+    reports = oracle.run_standard_suite(count=5, seed=0, n_values=(1, 2, 3), algebra_count=3)
+    assert [(r.proposition, r.n, r.k, r.l) for r in reports] == SUITE_ORDER

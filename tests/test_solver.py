@@ -297,7 +297,7 @@ def test_solve_warns_on_cone_violation():
 def test_solve_background_outside_cone_raises():
     cfg = SolverConfig(n=2, k=2, l=0, points_per_axis=8, active_axes=(0,),
                        F="0.0", omega0_diag=("1.0", "-0.5"))
-    with pytest.raises(ConeError):
+    with pytest.raises(ConeError, match=r"background field not in Gamma_2 \(margin "):
         solve(cfg)
 
 
