@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical failure (inequality violation,
 non-convergence or a failed quaternionic structure check), 2 usage/config
-error.  All randomness is seeded from the config (overridable with --seed);
-reports contain no timestamps, so repeated runs are byte-identical.
+error.  All randomness is seeded from the config (overridable with --seed)
+and reports contain no timestamps, so repeated runs are byte-identical on
+one machine with a fixed BLAS thread count (e.g. OMP_NUM_THREADS=1): the
+thread count can reorder floating-point sums and move the last digits.
 """
 
 from __future__ import annotations

@@ -217,10 +217,16 @@ def save_scalar_field(path, u, grid):
 
 
 def load_scalar_field(path):
+    """(u, grid) from a file written by save_scalar_field; a non-finite value
+    raises ValueError naming its line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     grid = _parse_header(lines)
     vals = np.array([float(s) for s in lines[2:] if s.strip()], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        number = [i for i, s in enumerate(lines[2:], start=3) if s.strip()][bad[0]]
+        raise ValueError(f"line {number}: non-finite value {lines[number - 1].strip()!r}")
     if vals.size != grid.num_points:
         raise ValueError(f"expected {grid.num_points} values, found {vals.size}")
     return vals.reshape(grid.shape), grid

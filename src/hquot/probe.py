@@ -28,15 +28,13 @@ variant with a single eps factor and raw sigma integrands is recorded
 alongside (it can genuinely fail near eps = 1 for high orders, so it is
 logged, not asserted).
 
-All t-quadratures use composite Simpson with 33 fixed nodes so reported
-slacks reproduce bit-for-bit per backend.
-
-The weighted step integrates over t pointwise before the weight: the fields
-of ``homotopy_means`` do not depend on p, so ``run_probe`` computes them once,
-from one eigendecomposition per Simpson node shared by every order, and each
-p costs three weighted grid integrals.  This only reorders floating-point
-sums: weighted homotopy and weighted-energy values move at roundoff (below
-1e-15 relative on the benchmark states).
+Every t-integrand is a polynomial in t of degree at most k - 1: sigma_m(W_t)
+for m < k, and the gradient pairing of order i, which reads the Newton
+transform S_{i-1}(W_t) = sum_r (-1)^r sigma_{i-1-r}(W_t) W_t^r.  So the
+t-integrals are exact (up to roundoff) from the k midpoints of [0, 1] and
+their interpolatory weights (``t_nodes``).  ``homotopy_means`` diagonalizes
+each node once for every order and both intervals; the fields do not depend
+on p, so each p costs three weighted grid integrals.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .grid import integrate
 from .quaternion import chi_eigh
 
 __all__ = [
-    "simpson_nodes",
+    "t_nodes",
     "cherrier_table",
     "homotopy_means",
     "homotopy_integral_check",
@@ -65,19 +63,18 @@ __all__ = [
     "run_probe",
 ]
 
-T_NODES = 33
 SWEEP_T = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 SHAVE = 0.995
 
 
-def simpson_nodes(a):
-    """Composite Simpson nodes and weights on [0, a], T_NODES (odd) of them."""
-    t = np.linspace(0.0, a, T_NODES)
-    h = a / (T_NODES - 1)
-    w = np.ones(T_NODES)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return t, w * (h / 3.0)
+def t_nodes(k):
+    """The k midpoints t_j = (j + 1/2)/k of [0, 1] and their interpolatory
+    weights on [0, 1] and on [0, 1/2], from one Vandermonde solve: both
+    rules are exact on polynomials of degree < k."""
+    t = (np.arange(k) + 0.5) / k
+    m = np.arange(1.0, k + 1.0)[:, None]
+    w = np.linalg.solve(np.vander(t, increasing=True).T, np.hstack([1.0 / m, 0.5**m / m]))
+    return t, w[:, 0], w[:, 1]
 
 
 def _shifted_weight(u, p):
@@ -119,52 +116,56 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
 
 
 def homotopy_means(u, omega0, hessian, grid, k, backend="spectral"):
-    """Pointwise t-integrals over [0, 1/2]: (L, G) with L = int sigma_{k-1}(W_t) dt
-    and G[i-1] = int gradient_pairing(v(u), chi_eigh(W_t), i) dt for i = 1..k,
-    W_t = omega0 + t * hessian, ``hessian`` the quaternionic Hessian of u.
+    """Pointwise t-integrals (L, G, S) along W_t = omega0 + t * hessian,
+    ``hessian`` the quaternionic Hessian of u: over [0, 1/2],
+    L = int sigma_{k-1}(W_t) dt and G[i-1] = int gradient_pairing(v(u),
+    chi_eigh(W_t), i) dt for i = 1..k; over [0, 1], S[m] = int sigma_m(W_t) dt
+    for m < k.
 
-    Each Simpson node is diagonalized once for all orders (order 1 needs no
-    eigenvectors).  Neither field depends on p.
+    One pass over ``t_nodes(k)`` diagonalizes each node once for every order
+    and both intervals (order 1 needs no eigenvectors).  No field depends on p.
     """
     grad = fl.gradient_coefficients(u, grid, backend)
     L = np.zeros(grid.shape)
     G = np.zeros((k,) + grid.shape)
-    for t, w in zip(*simpson_nodes(0.5)):
-        Wt = omega0 + t * hessian
+    S = np.zeros((k,) + grid.shape)
+    for t, w1, wh in zip(*t_nodes(k)):
+        # W_t is built in place and dropped before the pairings: at n = 1 it
+        # is the largest array of this loop, which sets the probe's peak memory
+        Wt = t * hessian
+        Wt += omega0
         spectrum = chi_eigh(Wt) if k > 1 else (fl.eig_field(Wt), None)
-        L += w * symfun.sigma(spectrum[0], k - 1)
+        del Wt
+        e = np.moveaxis(symfun.elementary_all(spectrum[0], k - 1), -1, 0)
+        S += w1 * e
+        L += wh * e[k - 1]
         for i in range(1, k + 1):
-            G[i - 1] += w * fl.gradient_pairing(grad, spectrum, i)
-    return L, G
+            G[i - 1] += wh * fl.gradient_pairing(grad, spectrum, i)
+    return L, G, S
 
 
-def homotopy_integral_check(u, omega0, hessian, means, grid, k, p, eps):
+def homotopy_integral_check(u, means, grid, k, p, eps):
     """Slack records for the homotopy integral inequalities, one per order i < k.
 
     Unweighted: pointwise in z,
 
         eps^(k-i) * S_{i-1}(z)/C(n,i-1)  <=  (k/i) * S_{k-1}(z)/C(n,k-1),
 
-    with S_m(z) = integral_0^1 sigma_m(W_t(z)) dt, W_t = omega0 + t * hessian
-    (the quaternionic Hessian of u); ``slack`` is the worst
-    relative slack over the grid.  Weighted (fixed upper limit 1/2):
+    with S_m(z) = integral_0^1 sigma_m(W_t(z)) dt, W_t = omega0 + t * H(u);
+    ``slack`` is the worst relative slack over the grid.  Weighted (fixed
+    upper limit 1/2):
 
         eps^(k-i) * G_{i-1}  <=  (k/i) * G_{k-1},
 
     with G_m the exp(-p u)-weighted torus integral of the t-integrated
-    gradient pairing at order m+1 (``means``, from ``homotopy_means``).
-    Each record also carries the single-eps display variant with raw sigma
-    integrands (logged only; see the module notes).  The i = k row is the
-    trivial equality and is flagged.
+    gradient pairing at order m+1.  Both read ``means`` from
+    ``homotopy_means``.  Each record also carries the single-eps display
+    variant with raw sigma integrands (logged only; see the module notes).
+    The i = k row is the trivial equality and is flagged.
     """
     n = grid.n
     weight = _shifted_weight(u, p)
-
-    S = {m: np.zeros(grid.shape) for m in range(k)}
-    for t, wa in zip(*simpson_nodes(1.0)):
-        lam_t = fl.eig_field(omega0 + t * hessian)
-        for m in range(k):
-            S[m] += wa * symfun.sigma(lam_t, m)
+    S = means[2]
     G = [integrate(weight * g, grid) for g in means[1]]
 
     records = []
@@ -438,8 +439,7 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64),
     hess = fl.quaternionic_hessian(u, grid, backend)
     sweep = pointwise_lemma_sweep(omega0, hess, lam0, F, k, l, eps)
     means = homotopy_means(u, omega0, hess, grid, k, backend)
-    homotopy = homotopy_integral_check(u, omega0, hess, means, grid, k,
-                                       float(min(p_values)), eps)
+    homotopy = homotopy_integral_check(u, means, grid, k, float(min(p_values)), eps)
     weighted = [weighted_energy_check(u, means, grid, k, p, eps) for p in p_values]
     cher = cherrier_table(u, grid, p_values, backend)
     return ProbeReport(
@@ -455,6 +455,6 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64),
         weighted_energy=weighted,
         notes={
             "weight_shift": "exp(-p u) integrals use u - min(u); relative slacks are shift-free",
-            "t_quadrature": f"composite Simpson, {T_NODES} nodes",
+            "t_quadrature": f"interpolatory on the {k} midpoints of [0, 1], exact on degree < {k}",
         },
     )

@@ -409,11 +409,11 @@ def solve(cfg):
     u = np.zeros(grid.shape)
     b = -float(np.mean(F))
     symfun.require_finite_forcing(cfg.n, k, l, float(np.max(F)) + b)
-    pre_cone = fl.check_cone_condition(lam0, F, k, l)
+    pre_cone = fl.check_cone_condition(lam0, F + b, k, l)
     if not pre_cone.satisfied:
         warnings.append(
-            f"cone condition violated for the configured forcing "
-            f"(margin {pre_cone.worst_margin:.3e}); the iteration may still converge"
+            f"cone condition violated for the configured forcing at b = -mean F "
+            f"(margin {pre_cone.worst_margin:.3e})"
         )
 
     spectrum = chi_eigh(fl.omega_u(omega0, u, grid, backend))

@@ -236,14 +236,16 @@ def test_cone_check_at_l0_does_not_read_the_forcing_factor(tmp_path):
 
 
 def test_solve_cone_warning_in_summary(tmp_path):
+    # the cone condition fails at b = -mean F, so the first Newton step loses
+    # ellipticity and the failed summary's error names the cause
     cfg = _write(tmp_path / "s.json", {
         "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0],
-        "F": "1.2 + 0.05*sin(2*pi*x0)",
+        "F": "0.8*sin(2*pi*x0)",
     })
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
-    assert rc == 0
+    assert rc == 1
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
-    assert any("cone condition" in w for w in summary["warnings"])
+    assert not summary["converged"] and "cone condition violated" in summary["error"]
 
 
 def test_cone_check_pass_and_fail(tmp_path):
@@ -293,6 +295,21 @@ def test_probe_malformed_field(tmp_path, solve_cfg):
     rc = main(["probe", "--result", str(tmp_path / "sol"), "--out", str(tmp_path / "pr"),
                "--p", "4", "--quiet"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_probe_rejects_non_finite_field(tmp_path, capsys, solve_cfg, value):
+    assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol"), "--quiet"]) == 0
+    path = tmp_path / "sol" / "u.csv"
+    lines = path.read_text().splitlines()
+    lines[7] = value
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["probe", "--result", str(tmp_path / "sol"), "--out", str(tmp_path / "pr"),
+                   "--p", "4", "--quiet"])
+    assert rc == 2 and "line 8: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "pr").exists()
 
 
 def test_probe_rejects_bad_problem_in_summary(tmp_path, capsys, solve_cfg):

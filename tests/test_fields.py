@@ -121,6 +121,18 @@ def test_malformed_field_file(tmp_path):
         load_scalar_field(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_field_value_names_its_line(tmp_path, value):
+    g = TorusGrid(1, (0,), 4)
+    path = tmp_path / "u.csv"
+    save_scalar_field(path, np.zeros(g.shape), g)
+    lines = path.read_text().splitlines()
+    lines[4] = value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 5: non-finite value '{value}'"):
+        load_scalar_field(path)
+
+
 # ---------------------------------------------------------------------------
 # quaternionic Hessian
 # ---------------------------------------------------------------------------

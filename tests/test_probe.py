@@ -12,7 +12,7 @@ from hquot.solver import residual
 
 def _inputs(u, omega0, grid, k):
     """What run_probe hands the checks: the Hessian of u, eig_field(omega0),
-    eps and the Simpson means."""
+    eps and the t-integrated means."""
     hess = fl.quaternionic_hessian(u, grid)
     lam0 = fl.eig_field(omega0)
     return hess, lam0, fl.measure_epsilon(lam0, k), probe.homotopy_means(u, omega0, hess, grid, k)
@@ -48,13 +48,25 @@ def test_manufactured_state_is_exact():
     assert np.abs(R).max() < 1e-12
 
 
-def test_simpson_nodes():
-    t, w = probe.simpson_nodes(0.5)
-    assert len(t) == 33 and t[0] == 0.0 and t[-1] == 0.5
-    assert w.sum() == pytest.approx(0.5, rel=1e-14)
-    # exact on cubics
-    val = (w * t**3).sum()
-    assert val == pytest.approx(0.5**4 / 4, rel=1e-12)
+def _simpson(a):
+    """Composite Simpson nodes and weights on [0, a], 33 of them: an
+    independent rule, exact on cubics."""
+    t = np.linspace(0.0, a, 33)
+    w = np.ones(33)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return t, w * (a / 96.0)
+
+
+def test_t_nodes():
+    for k in range(1, 6):
+        t, w1, wh = probe.t_nodes(k)
+        assert np.array_equal(t, (np.arange(k) + 0.5) / k)
+        for d in range(k):  # exact on every degree below k, on both intervals
+            assert (w1 * t**d).sum() == pytest.approx(1.0 / (d + 1), rel=1e-14)
+            assert (wh * t**d).sum() == pytest.approx(0.5 ** (d + 1) / (d + 1), rel=1e-14)
+    t, w1, wh = probe.t_nodes(1)
+    assert (t[0], w1[0], wh[0]) == (0.5, 1.0, 0.5)
 
 
 def test_cherrier_zero_potential():
@@ -120,8 +132,8 @@ def test_homotopy_check_zero_potential_binomials():
     g = TorusGrid(n, (0,), 8)
     om0 = fl.identity_form(g)
     u = np.zeros(g.shape)
-    hess, _, eps, means = _inputs(u, om0, g, k)
-    recs = probe.homotopy_integral_check(u, om0, hess, means, g, k, 4.0, eps)
+    _, _, eps, means = _inputs(u, om0, g, k)
+    recs = probe.homotopy_integral_check(u, means, g, k, 4.0, eps)
     a = 1.0
     for r in recs:
         i = r["i"]
@@ -135,8 +147,8 @@ def test_homotopy_check_zero_potential_binomials():
 
 def test_homotopy_check_solved_state():
     grid, u, om0, F = manufactured_state(3, 3, 0, (0,), 12, amp=0.04)
-    hess, _, eps, means = _inputs(u, om0, grid, 3)
-    recs = probe.homotopy_integral_check(u, om0, hess, means, grid, 3, 4.0, eps)
+    _, _, eps, means = _inputs(u, om0, grid, 3)
+    recs = probe.homotopy_integral_check(u, means, grid, 3, 4.0, eps)
     assert {r["i"] for r in recs} == {1, 2, 3}
     for r in recs:
         assert r["slack"] >= -1e-9
@@ -174,24 +186,38 @@ def test_weighted_energy_bounded_over_p():
     assert max(cs) / min(cs) < 2.0
 
 
+def _simpson_means(u, om0, hess, grid, k):
+    """(L, G, S) of homotopy_means from the 33-node Simpson rule, with
+    eig_field for the sigma integrands and newton_transform_field for the
+    gradient pairings."""
+    n = grid.n
+    grad = fl.gradient_coefficients(u, grid)
+    L, G, S = 0.0, np.zeros((k,) + grid.shape), np.zeros((k,) + grid.shape)
+    for t, w in zip(*_simpson(0.5)):
+        Wt = om0 + t * hess
+        L = L + w * symfun.sigma(fl.eig_field(Wt), k - 1)
+        for i in range(1, k + 1):
+            c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
+            T = fl.newton_transform_field(Wt, i - 1)
+            G[i - 1] += w * c * np.einsum("...p,...pq,...q->...", grad.conj(), T, grad).real
+    for t, w in zip(*_simpson(1.0)):
+        lam = fl.eig_field(om0 + t * hess)
+        for m in range(k):
+            S[m] += w * symfun.sigma(lam, m)
+    return L, G, S
+
+
 def test_weighted_energy_matches_per_node_reference():
     # the t-integrated fields give the same constants as weighting every
     # Simpson node and forming the Newton transform there, for every p
     grid, u, om0, F = manufactured_state(3, 2, 1, (0, 4), 12, amp=0.05)
     n, k = 3, 2
     hess, _, eps, means = _inputs(u, om0, grid, k)
-    grad = fl.gradient_coefficients(u, grid)
-    c = math.factorial(k - 1) * math.factorial(n - k) / math.factorial(n)
+    L_t, G_t, _ = _simpson_means(u, om0, hess, grid, k)
     for p in (4, 8, 16, 32, 64):
         weight = np.exp(-p * (u - u.min()))
-        L = G = 0.0
-        for t, w in zip(*probe.simpson_nodes(0.5)):
-            Wt = om0 + t * hess
-            sk1 = symfun.sigma(fl.eig_field(Wt), k - 1) / math.comb(n, k - 1)
-            L += w * integrate(weight * sk1, grid)
-            S = fl.newton_transform_field(Wt, k - 1)
-            gp = c * np.einsum("...p,...pq,...q->...", grad.conj(), S, grad).real
-            G += w * integrate(weight * gp, grid)
+        L = integrate(weight * L_t, grid) / math.comb(n, k - 1)
+        G = integrate(weight * G_t[k - 1], grid)
         M0 = integrate(weight, grid)
         rec = probe.weighted_energy_check(u, means, grid, k, p, eps)
         assert rec["lhs"] == pytest.approx(L, rel=1e-12)
@@ -199,9 +225,38 @@ def test_weighted_energy_matches_per_node_reference():
         assert rec["c_min"] == pytest.approx(L / (p * G + M0), rel=1e-12)
 
 
+def _coupled(n, axes, N, waves):
+    """A potential that mixes quaternionic coordinates: sum of a sin(2 pi (x_P
+    + s x_Q)) over ``waves`` = [(a, P, s, Q)]; its Hessian has off-diagonal
+    entries, so the eigenvectors of W_t rotate with z and t."""
+    grid = TorusGrid(n, axes, N)
+    u = sum(a * np.sin(2 * np.pi * (_coords(grid, P) + s * _coords(grid, Q)))
+            for a, P, s, Q in waves)
+    return grid, u
+
+
+@pytest.mark.parametrize("n, k, axes, N, waves", [
+    (3, 2, (0, 4), 12, [(0.05, 0, 0, 0), (0.04, 4, 0, 4)]),
+    (2, 2, (0, 1, 4, 5), 8, [(0.1, 0, 1, 5), (0.05, 1, -1, 4)]),
+    (3, 3, (0, 5, 10), 8, [(0.06, 0, 1, 5), (0.04, 5, -1, 10)]),
+    (4, 4, (0, 5, 10, 15), 6, [(0.05, 0, 1, 5), (0.04, 10, -1, 15), (0.03, 5, 1, 10)]),
+], ids=["n3k2-diagonal", "n2k2-coupled", "n3k3-coupled", "n4k4-coupled"])
+def test_means_match_simpson_reference(n, k, axes, N, waves):
+    # k midpoint nodes integrate the degree < k integrands exactly, where the
+    # eigenvectors mix too; Simpson is exact on cubics, hence at these orders
+    grid, u = _coupled(n, axes, N, waves)
+    om0 = fl.identity_form(grid)
+    hess = fl.quaternionic_hessian(u, grid)
+    diagonal = np.einsum("...ii->...i", hess)[..., None] * np.eye(2 * n)
+    assert (np.abs(hess - diagonal).max() > 1e-3) == any(s for _, _, s, _ in waves)
+    means = probe.homotopy_means(u, om0, hess, grid, k)
+    for got, ref in zip(means, _simpson_means(u, om0, hess, grid, k)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
 def test_run_probe_one_eigh_per_node(monkeypatch):
-    # one eigendecomposition per Simpson node of [0, 1/2], shared by the
-    # homotopy check, every order and every p
+    # one eigendecomposition per node of t_nodes(k), shared by the homotopy
+    # check, every order, both intervals and every p
     grid, u, om0, F = manufactured_state(3, 2, 1, (0, 4), 12, amp=0.05)
     calls = []
     eigh = np.linalg.eigh
@@ -213,11 +268,11 @@ def test_run_probe_one_eigh_per_node(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     rep = probe.run_probe(u, om0, F, grid, 2, 1, p_values=(4, 8, 16, 32, 64))
     assert rep.mandatory_ok
-    assert 0 < len(calls) <= probe.T_NODES
+    assert len(calls) == 2
 
 
 def test_run_probe_one_hessian(monkeypatch):
-    # the sweep, the Simpson means and the homotopy check share one Hessian
+    # the sweep, the t-integrated means and the homotopy check share one Hessian
     grid, u, om0, F = manufactured_state(2, 2, 1, (0, 5), 12, amp=0.03)
     calls = []
     hessian = fl.quaternionic_hessian

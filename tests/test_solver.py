@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,15 +284,26 @@ def test_ellipticity_margin_is_the_cone_margin():
 
 
 def test_solve_warns_on_cone_violation():
-    # the configured forcing violates the cone condition outright
-    # (Ft = e^(1.2+..)/2 > sigma_1(Id|j) = 1), but the normalization constant
-    # absorbs the offset and the iteration still converges
+    # the cone condition fails at the starting normalization b = -mean F:
+    # linearize's weights at u = 0 are its margins, so the first Newton step
+    # loses ellipticity and the error carries the cone note
     cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=8, active_axes=(0,),
-                       F="1.2 + 0.05*sin(2*pi*x0)")
-    res = solve(cfg)
-    assert res.converged
-    assert any("cone condition" in w for w in res.warnings)
-    assert res.cone_report.satisfied  # at the solved normalization it holds
+                       F="0.8*sin(2*pi*x0)")
+    with pytest.raises(ConvergenceError, match=r"lost ellipticity .*\[cone condition violated"):
+        solve(cfg)
+
+
+def test_solve_checks_cone_condition_at_normalization():
+    # a large mean is absorbed by b = -mean F before the cone check, so
+    # exp(F) is never formed at the raw forcing
+    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=8, active_axes=(0,),
+                       F="800 + 0.1*sin(2*pi*x0)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve(cfg)
+    assert res.converged and res.warnings == []
+    assert res.b == pytest.approx(-800.0, abs=0.01)
+    assert res.cone_report.satisfied
 
 
 def test_solve_background_outside_cone_raises():
