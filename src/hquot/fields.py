@@ -37,12 +37,11 @@ from .quaternion import (
     I,
     J,
     K,
-    QMatrix,
     Quaternion,
     chi_eigh,
     chi_eigvals,
     chi_from_spectrum,
-    eig,
+    chi_from_split,
 )
 
 __all__ = [
@@ -57,10 +56,8 @@ __all__ = [
     "measure_epsilon",
     "check_cone_condition",
     "ConeConditionReport",
-    "simultaneous_diagonalize",
     "newton_transform_field",
     "gradient_pairing",
-    "gradient_alpha_pairing",
 ]
 
 # e_c, the quaternion unit of real coordinate 4a + c
@@ -76,6 +73,15 @@ def identity_form(grid):
     W = np.zeros(grid.shape + (2 * n, 2 * n), dtype=complex)
     W[...] = np.eye(2 * n)
     return W
+
+
+def _embed(n, entries):
+    """The chi embedding of the n x n quaternionic matrix with the
+    ``{(a, b): Quaternion}`` entries and zeros elsewhere."""
+    comp = np.zeros((4, n, n))
+    for (a, b), q in entries.items():
+        comp[:, a, b] = (q.w, q.x, q.y, q.z)
+    return chi_from_split(comp[0] + 1j * comp[1], comp[2] + 1j * comp[3])
 
 
 def hessian_basis(grid):
@@ -97,9 +103,8 @@ def hessian_basis(grid):
             if a == b and c != d:
                 continue
             q = 0.5 * _UNITS[c] * _UNITS[d].conjugate()
-            rows = [[0.0] * n for _ in range(n)]
-            rows[a][b], rows[b][a] = q, q.conjugate()
-            basis.append((P, Q, QMatrix.from_entries(rows).chi))
+            # at a = b both keys coincide and the conjugate, with its -0.0 parts, stays
+            basis.append((P, Q, _embed(n, {(a, b): q, (b, a): q.conjugate()})))
     return basis
 
 
@@ -132,9 +137,7 @@ def gradient_coefficients(u, grid, backend="spectral"):
     g = np.zeros(grid.shape + (2 * n,), dtype=complex)
     for P in grid.active_axes:
         b, c = divmod(P, 4)
-        rows = [[0.0] * n for _ in range(n)]
-        rows[b][0] = _UNITS[c].conjugate() * (1.0 / math.sqrt(2.0))
-        v = QMatrix.from_entries(rows).chi[:, 0]
+        v = _embed(n, {(b, 0): _UNITS[c].conjugate() * (1.0 / math.sqrt(2.0))})[:, 0]
         d1 = first_derivative(u, grid, P, backend)
         for i in np.flatnonzero(v):
             g[..., i] += v[i] * d1
@@ -285,40 +288,8 @@ def check_cone_condition(lam, F, k, l):
 
 
 # ---------------------------------------------------------------------------
-# simultaneous diagonalization
+# Newton transforms and gradient pairings
 # ---------------------------------------------------------------------------
-
-
-def simultaneous_diagonalize(M1, M2, tol=1e-9):
-    """Joint diagonalizing basis for a positive M1 and a hyperhermitian M2.
-
-    Returns (C, d1, d2): C is a quaternionic-structured embedding column
-    basis with C^H M1 C = diag(d1 doubled) and C^H M2 C = diag(d2 doubled)
-    (d1 is identically one: the basis normalizes M1 to the identity).
-    Both off-diagonal residuals are checked against ``tol``.
-    """
-    M1 = np.asarray(M1, dtype=complex)
-    M2 = np.asarray(M2, dtype=complex)
-    n = _n_of(M1)
-    lam1, V1 = chi_eigh(M1)
-    if lam1[0] <= 0:
-        raise ConeError(f"first form is not positive definite (min eig {lam1[0]:.3e})")
-    S = chi_from_spectrum(V1, lam1 ** -0.5)  # M1^(-1/2), stays quaternionic
-    B = S @ M2 @ S
-    B = (B + B.conj().T) / 2.0
-    lam2, C2 = eig(QMatrix(B, validate=False))
-    C = S @ C2.chi
-    r1 = C.conj().T @ M1 @ C
-    r2 = C.conj().T @ M2 @ C
-    d1 = np.einsum("ii->i", r1).real[:n].copy()
-    d2 = np.einsum("ii->i", r2).real[:n].copy()
-    err = max(
-        float(np.abs(r1 - np.diag(np.einsum("ii->i", r1))).max()),
-        float(np.abs(r2 - np.diag(np.einsum("ii->i", r2))).max()),
-    )
-    if err > tol * (1.0 + float(max(np.abs(M1).max(), np.abs(M2).max()))):
-        raise ConeError(f"joint diagonalization failed: off-diagonal residual {err:.3e}")
-    return C, d1, d2
 
 
 def newton_transform_field(W, m):
@@ -328,12 +299,14 @@ def newton_transform_field(W, m):
     return chi_from_spectrum(V, symfun.sigma_excl_all(lam, m))
 
 
-def _spectral_pairing(v, a, spectrum, i):
-    """c_i sum_j conj((V^H v)_j) (V^H a)_j sigma_{i-1}(lam|j) = c_i v^H S_{i-1}(W) a,
+def gradient_pairing(grad, spectrum, i):
+    """The scalar field  c_i v^H S_{i-1}(W) v,  c_i = (i-1)!(n-i)!/n!,
 
-    c_i = (i-1)!(n-i)!/n!, from the spectrum (lam, V) = chi_eigh(W), each
-    collapsed eigenvalue weighting its two embedding slots.  Order 1 reads
-    no eigenvectors, so V may be None there.
+    computed as c_i sum_j |(V^H v)_j|^2 sigma_{i-1}(lam|j) for v = ``grad``
+    (from gradient_coefficients) and the spectrum (lam, V) = chi_eigh(W),
+    each collapsed eigenvalue weighting its two embedding slots.
+    Nonnegative whenever W is in Gamma_i pointwise.  Order 1 reads no
+    eigenvectors, so V may be None there.
     """
     lam, V = spectrum
     n = lam.shape[-1]
@@ -341,29 +314,7 @@ def _spectral_pairing(v, a, spectrum, i):
         raise ValueError(f"need 1 <= i <= n, got i={i}")
     c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
     if i == 1:
-        return c * np.einsum("...p,...p->...", v.conj(), a)
-    pv = np.einsum("...pj,...p->...j", V.conj(), v)
-    pa = np.einsum("...pj,...p->...j", V.conj(), a)
+        return (c * np.einsum("...p,...p->...", grad.conj(), grad)).real
+    pv = np.einsum("...pj,...p->...j", V.conj(), grad)
     s = np.repeat(symfun.sigma_excl_all(lam, i - 1), 2, axis=-1)
-    return c * np.einsum("...j,...j,...j->...", pv.conj(), s, pa)
-
-
-def gradient_pairing(grad, spectrum, i):
-    """The scalar field  (i-1)! (n-i)! / n! * sum_l m_l sigma_{i-1}(lam(W)|l),
-
-    where m_l is the squared magnitude of the two coefficients of direction l
-    of ``grad`` (from gradient_coefficients) in the frame diagonalizing W,
-    given by ``spectrum`` = chi_eigh(W).  Equals v^H S_{i-1}(W) v;
-    nonnegative whenever W is in Gamma_i pointwise.
-    """
-    return _spectral_pairing(grad, grad, spectrum, i).real
-
-
-def gradient_alpha_pairing(grad, alpha, spectrum, i):
-    """Complex field  (i-1)! (n-i)! / n! * sum_l <v_l, a_l> sigma_{i-1}(W|l),
-
-    the mixed gradient/one-form pairing in the frame diagonalizing W, given
-    by ``spectrum`` = chi_eigh(W).  The inner product couples the two
-    embedding coefficients of each direction.
-    """
-    return _spectral_pairing(grad, alpha, spectrum, i)
+    return (c * np.einsum("...j,...j,...j->...", pv.conj(), s, pv)).real

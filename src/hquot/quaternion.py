@@ -15,7 +15,8 @@ real eigenvalues of A, each doubled.  The image of chi is characterised by
 
 which is what `structure_residual` measures.
 
-Batched helpers and the matrix routines take stacks ``(..., 2n, 2n)``.
+A quaternionic matrix is its embedding: the matrix routines take one
+``(2n, 2n)`` embedding or a stack ``(..., 2n, 2n)``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .errors import StructureError
 
 __all__ = [
     "Quaternion",
-    "QMatrix",
     "realize",
     "eigenvalues",
-    "eig",
     "moore_det",
     "principal_minor_det",
     "sigma_k_matrix",
@@ -93,18 +92,6 @@ class Quaternion:
 
     def __abs__(self):
         return math.sqrt(self.norm_sq())
-
-    def complex_pair(self):
-        """(X, Y) with q = X + Y*j, complex i identified with quaternion i."""
-        return complex(self.w, self.x), complex(self.y, self.z)
-
-    @classmethod
-    def from_complex_pair(cls, a, b):
-        a, b = complex(a), complex(b)
-        return cls(a.real, a.imag, b.real, b.imag)
-
-    def isclose(self, other, tol=1e-12):
-        return abs(self - _as_quaternion(other)) <= tol
 
 
 def _as_quaternion(v):
@@ -340,109 +327,10 @@ def chi_delete(M, i):
     return M[..., idx[:, None], idx[None, :]]
 
 
-# ---------------------------------------------------------------------------
-# QMatrix
-# ---------------------------------------------------------------------------
-
-
-class QMatrix:
-    """A quaternionic n x n matrix, stored as its complex 2n x 2n embedding."""
-
-    __slots__ = ("chi", "n")
-
-    def __init__(self, chi, validate=True, tol=1e-10):
-        chi = np.asarray(chi, dtype=complex)
-        if chi.ndim != 2 or chi.shape[0] != chi.shape[1] or chi.shape[0] % 2:
-            raise ValueError(f"embedding must be square of even size, got {chi.shape}")
-        if validate:
-            r = structure_residual(chi)
-            scale = 1.0 + float(np.abs(chi).max(initial=0.0))
-            if r > tol * scale:
-                raise StructureError(f"not a quaternionic embedding: residual {r:.3e}")
-        self.chi = chi
-        self.n = chi.shape[0] // 2
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_components(cls, w, x, y, z):
-        """From the four real component matrices of A = A0 + i A1 + j A2 + k A3."""
-        w, x, y, z = (np.asarray(c, dtype=float) for c in (w, x, y, z))
-        if not (w.shape == x.shape == y.shape == z.shape) or w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("component matrices must be square and of equal shape")
-        return cls(chi_from_split(w + 1j * x, y + 1j * z), validate=False)
-
-    @classmethod
-    def from_entries(cls, rows):
-        """From a nested list of Quaternion / real entries."""
-        qrows = [[_as_quaternion(v) for v in row] for row in rows]
-        n = len(qrows)
-        if any(len(r) != n for r in qrows):
-            raise ValueError("entry table must be square")
-        comp = np.zeros((4, n, n))
-        for a, row in enumerate(qrows):
-            for b, q in enumerate(row):
-                comp[:, a, b] = (q.w, q.x, q.y, q.z)
-        return cls.from_components(*comp)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(2 * n, dtype=complex), validate=False)
-
-    @classmethod
-    def diag(cls, values):
-        values = np.asarray(values, dtype=float)
-        return cls(np.diag(np.concatenate([values, values])).astype(complex), validate=False)
-
-    # -- accessors -----------------------------------------------------
-
-    @property
-    def X(self):
-        return self.chi[: self.n, : self.n]
-
-    @property
-    def Y(self):
-        return self.chi[: self.n, self.n :]
-
-    def entry(self, a, b):
-        return Quaternion.from_complex_pair(self.X[a, b], self.Y[a, b])
-
-    # -- algebra ---------------------------------------------------------
-
-    def __matmul__(self, other):
-        return QMatrix(self.chi @ other.chi, validate=False)
-
-    def __add__(self, other):
-        return QMatrix(self.chi + other.chi, validate=False)
-
-    def __sub__(self, other):
-        return QMatrix(self.chi - other.chi, validate=False)
-
-    def __mul__(self, scalar):
-        return QMatrix(self.chi * float(scalar), validate=False)
-
-    __rmul__ = __mul__
-
-    def conj_transpose(self):
-        return QMatrix(self.chi.conj().T, validate=False)
-
-    def norm(self):
-        """Frobenius norm of the quaternionic matrix (not of the embedding)."""
-        return float(np.linalg.norm(self.chi)) / math.sqrt(2.0)
-
-    def __repr__(self):
-        return f"QMatrix(n={self.n})"
-
-
-def _embedding(A):
-    """The embedding of a QMatrix, or A itself: one embedding or a stack."""
-    return A.chi if isinstance(A, QMatrix) else np.asarray(A, dtype=complex)
-
-
 def _require_hyperhermitian(A):
     """The embedding of A after checking that it is finite and, matrix by
     matrix, hermitian to _TOL * (1 + |A|)."""
-    M = _embedding(A)
+    M = np.asarray(A, dtype=complex)
     _require_finite(M)
     axes = (-2, -1)
     residual = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
@@ -473,7 +361,7 @@ def realize(A):
     hyperhermitian, with every eigenvalue of multiplicity divisible by 4.
     A stack of embeddings ``(..., 2n, 2n)`` gives ``(..., 4n, 4n)``.
     """
-    M = _embedding(A)
+    M = np.asarray(A, dtype=complex)
     n = M.shape[-1] // 2
     X, Y = M[..., :n, :n], M[..., :n, n:]
     A0, A1, A2, A3 = X.real, X.imag, Y.real, Y.imag
@@ -496,10 +384,10 @@ def eigenvalues(A, route="complex"):
     """Real eigenvalues of a hyperhermitian matrix, ascending.
 
     route="complex" solves the 2n x 2n embedding (eigenvalues doubled),
-    route="real" the 4n x 4n realization (quadrupled).  Both take a QMatrix
-    or a stack of embeddings ``(..., 2n, 2n)``, which returns ``(..., n)``,
-    and both reject non-finite entries and enforce the multiplicity pattern
-    at width 1e-8 * (1 + |A|).
+    route="real" the 4n x 4n realization (quadrupled).  Both take one
+    embedding ``(2n, 2n)`` or a stack ``(..., 2n, 2n)``, which returns
+    ``(..., n)``, and both reject non-finite entries and enforce the
+    multiplicity pattern at width 1e-8 * (1 + |A|).
     """
     M = _require_hyperhermitian(A)
     if route == "complex":
@@ -508,49 +396,6 @@ def eigenvalues(A, route="complex"):
         w = np.linalg.eigvalsh(realize(M))
         return _collapse_pairs(w, 4)
     raise ValueError(f"unknown route {route!r}")
-
-
-def eig(A):
-    """Eigenvalues (ascending) and a diagonalizing quaternionic unitary C.
-
-    C satisfies C* C = Id and C* A C = diag(eigenvalues); the eigenvector
-    pairing of the complex embedding is resolved so that C is genuinely
-    quaternionic (structure residual at roundoff level).
-    """
-    _require_hyperhermitian(A)
-    n = A.n
-    M = A.chi
-    w, V = np.linalg.eigh(M)
-    lam = _collapse_pairs(w, 2)
-    Jp = jprime(n)
-    cluster_tol = _TOL * (1.0 + float(np.abs(w).max(initial=0.0)))
-
-    cols = []
-    i = 0
-    while i < 2 * n:
-        j = i
-        while j < 2 * n and w[j] - w[i] <= cluster_tol:
-            j += 1
-        block = V[:, i:j].copy()
-        while block.shape[1] > 0:
-            w1 = block[:, 0]
-            w1 = w1 / np.linalg.norm(w1)
-            w2 = Jp @ w1.conj()
-            w2 = block @ (block.conj().T @ w2)
-            w2 = w2 / np.linalg.norm(w2)
-            cols.append(w1)
-            proj = block - np.outer(w1, w1.conj() @ block) - np.outer(w2, w2.conj() @ block)
-            if proj.shape[1] <= 2:
-                break
-            u, s, _ = np.linalg.svd(proj, full_matrices=False)
-            block = u[:, : block.shape[1] - 2]
-        i = j
-    if len(cols) != n:
-        raise StructureError(f"eigenvector pairing produced {len(cols)} of {n} columns")
-    W = np.column_stack(cols)
-    U = np.column_stack([W, -(Jp @ W.conj())])
-    C = QMatrix(U, validate=True, tol=_TOL)
-    return lam, C
 
 
 def moore_det(A):
@@ -572,7 +417,7 @@ def principal_minor_det(A, indices):
     preserves hyperhermitianness, so the sub-determinant is well defined.
     A stack of embeddings ``(..., 2n, 2n)`` gives one minor per matrix.
     """
-    M = _embedding(A)
+    M = np.asarray(A, dtype=complex)
     n = M.shape[-1] // 2
     idx = sorted(set(int(i) for i in indices))
     if any(i < 0 or i >= n for i in idx):
@@ -589,8 +434,8 @@ def sigma_k_matrix(A, k):
 
     Equals the sum of all k x k principal minor Moore determinants and the
     coefficient of t^(n-k) in moore_det(A + t*Id); sigma_n is moore_det.
-    Like the two routes below, it takes a QMatrix (returns a float) or a
-    stack of embeddings ``(..., 2n, 2n)`` (returns one value per matrix).
+    Like the two routes below, it takes one embedding ``(2n, 2n)`` (returns
+    a float) or a stack ``(..., 2n, 2n)`` (returns one value per matrix).
     """
     lam = eigenvalues(A)
     return _scalar_or_stack(symfun.sigma(lam, k))

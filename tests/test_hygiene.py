@@ -5,10 +5,11 @@ import may go unused (a re-export listed in ``__all__`` counts as a use).
 No module reads another hquot module's private (underscore) names, and no
 function imports from the package locally: module-level bindings are what
 the benchmark's tracer rebinds.  Every public name (``__all__`` entries and
-public ``QMatrix`` methods) is read somewhere in the package outside its own
-definition, unless the package re-exports it or ``KEEP`` names it.  In every
-module, every defaulted parameter is set by some package call, unless
-``KEEP_DEFAULTS`` names it: a default nobody overrides is a constant.
+the public methods of the classes among them) is read somewhere in the
+package outside its own definition, unless the package re-exports it or
+``KEEP`` names it.  In every module, every defaulted parameter is set by
+some package call, unless ``KEEP_DEFAULTS`` names it: a default nobody
+overrides is a constant.
 Importing ``hquot.cli`` in a fresh interpreter loads no scipy module,
 every span the benchmark's tracer rebinds resolves in the package, and the
 benchmark's verifier-to-proposition map matches the verifiers' reports.
@@ -108,12 +109,8 @@ def test_no_function_local_package_imports(path):
 
 # Public names that no package code reads, kept on purpose: one reason each.
 KEEP = {
-    "fields.simultaneous_diagonalize": "README feature; tests check C^H M C is diagonal",
-    "fields.gradient_alpha_pairing": "README feature; tests check it against Newton transforms",
-    "fields.newton_transform_field": "README feature and a benchmark span (perfbench/tracer.py)",
-    "QMatrix.identity": "unit of the exported QMatrix algebra",
-    "QMatrix.conj_transpose": "adjoint of the exported QMatrix algebra",
-    "QMatrix.entry": "reads a quaternion entry of an exported QMatrix",
+    "fields.newton_transform_field": "benchmark span and the tests' pairing reference; "
+                                      "goes with ROADMAP item 1",
 }
 
 
@@ -134,15 +131,16 @@ def _package_reads():
 
 def _public_names():
     """(qualified name, name) of every __all__ entry of a submodule and every
-    public QMatrix method."""
+    public method of a class among them."""
     for path in MODULES:
         if path.stem == "__init__":
             continue
         tree = ast.parse(path.read_text())
-        yield from ((f"{path.stem}.{name}", name) for name in _exported(tree))
+        exported = _exported(tree)
+        yield from ((f"{path.stem}.{name}", name) for name in exported)
         for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == "QMatrix":
-                yield from ((f"QMatrix.{f.name}", f.name) for f in node.body
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                yield from ((f"{path.stem}.{node.name}.{f.name}", f.name) for f in node.body
                             if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
 
 
@@ -156,9 +154,7 @@ def test_every_public_name_has_a_caller():
 
 # Defaulted parameters that no package call sets, kept on purpose: one reason each.
 KEEP_DEFAULTS = {
-    "fields.simultaneous_diagonalize.tol": "README feature without a package caller",
     "quaternion.eigenvalues.route": "the realization route, the tests' reference for the complex one",
-    "quaternion.Quaternion.isclose.tol": "public method of the exported scalar type; tests set it",
     "cli.main.argv": "console-script entry point, which reads sys.argv",
 }
 

@@ -1,29 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 
 from hquot import fields as fl, quaternion as qt
 from hquot.errors import StructureError
-from hquot.quaternion import QMatrix, Quaternion
+from hquot.quaternion import Quaternion
 
 
-def _hyperhermitian(rng, n, scale=1.0):
-    return QMatrix(qt.random_hyperhermitian_chi(rng, n, scale), validate=False)
+def _diag_chi(values):
+    """Embedding of the real diagonal quaternionic matrix diag(values)."""
+    values = np.asarray(values, dtype=float)
+    return np.diag(np.concatenate([values, values])).astype(complex)
 
 
-def _qmatrix(rng, n):
-    return QMatrix(qt.random_qmatrix_chi(rng, n), validate=False)
+def _two_by_two(a, q, c):
+    """Embedding of the hyperhermitian [[a, q], [conj(q), c]]: q = w + x i
+    + y j + z k puts w + x i in X and y + z i in Y."""
+    x, y = complex(q.w, q.x), complex(q.y, q.z)
+    return qt.chi_from_split([[a, x], [x.conjugate(), c]], [[0.0, y], [-y, 0.0]])
+
+
+def _close(p, q, tol=1e-12):
+    """|p - q| <= tol, from the four components."""
+    return math.dist((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)) <= tol
 
 
 def test_multiplication_table():
     i, j, k = qt.I, qt.J, qt.K
-    assert (i * j).isclose(k)
-    assert (j * i).isclose(-k)
-    assert (j * k).isclose(i)
-    assert (k * j).isclose(-i)
-    assert (k * i).isclose(j)
-    assert (i * k).isclose(-j)
+    assert _close(i * j, k)
+    assert _close(j * i, -k)
+    assert _close(j * k, i)
+    assert _close(k * j, -i)
+    assert _close(k * i, j)
+    assert _close(i * k, -j)
     for unit in (i, j, k):
-        assert (unit * unit).isclose(Quaternion(-1.0))
+        assert _close(unit * unit, Quaternion(-1.0))
 
 
 def test_conjugate_norm():
@@ -37,25 +49,28 @@ def test_conjugate_norm():
 
 
 def test_complex_pair_roundtrip():
+    # a 1 x 1 q = w + x i + y j + z k embeds as X = w + x i, Y = y + z i, and
+    # its four components come back from those two slots
     q = Quaternion(1.0, -2.0, 3.0, 0.5)
-    a, b = q.complex_pair()
-    assert Quaternion.from_complex_pair(a, b) == q
+    M = fl._embed(1, {(0, 0): q})
+    assert np.array_equal(M, [[1.0 - 2.0j, 3.0 + 0.5j], [-3.0 + 0.5j, 1.0 + 2.0j]])
+    X, Y = M[0, 0], M[0, 1]
+    assert Quaternion(X.real, X.imag, Y.real, Y.imag) == q
 
 
 def test_realize_identity():
-    A = QMatrix.identity(3)
-    assert np.array_equal(qt.realize(A), np.eye(12))
+    assert np.array_equal(qt.realize(np.eye(6)), np.eye(12))
 
 
 def test_realize_real_diagonal():
-    A = QMatrix.diag([2.0, 3.0])
+    A = _diag_chi([2.0, 3.0])
     R = qt.realize(A)
     assert np.array_equal(R, np.diag([2.0, 3.0] * 4))
 
 
 def test_realize_symmetric_for_hyperhermitian():
     rng = np.random.default_rng(11)
-    A = _hyperhermitian(rng, 4)
+    A = qt.random_hyperhermitian_chi(rng, 4)
     R = qt.realize(A)
     assert np.array_equal(R, R.T)
 
@@ -63,21 +78,16 @@ def test_realize_symmetric_for_hyperhermitian():
 def test_realize_homomorphism():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        A = _qmatrix(rng, 3)
-        B = _qmatrix(rng, 3)
+        A = qt.random_qmatrix_chi(rng, 3)
+        B = qt.random_qmatrix_chi(rng, 3)
         lhs = qt.realize(A @ B)
         rhs = qt.realize(A) @ qt.realize(B)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_from_components_shape_mismatch():
-    with pytest.raises(ValueError):
-        QMatrix.from_components(np.eye(2), np.eye(2), np.eye(2), np.eye(3))
-
-
 def _j_pair_matrix():
     # [[1, j], [-j, 1]]: hyperhermitian with eigenvalues (0, 2)
-    return QMatrix.from_entries([[1.0, qt.J], [-qt.J, 1.0]])
+    return _two_by_two(1.0, qt.J, 1.0)
 
 
 def test_j_pair_realization_spectrum():
@@ -97,7 +107,7 @@ def test_j_pair_eigenvalues_and_det():
 
 
 def test_eigenvalues_diagonal():
-    A = QMatrix.diag([3.0, -1.0, 2.0])
+    A = _diag_chi([3.0, -1.0, 2.0])
     assert np.array_equal(qt.eigenvalues(A), [-1.0, 2.0, 3.0])
 
 
@@ -106,7 +116,7 @@ def test_eigenvalues_two_by_two_closed_form():
     for _ in range(20):
         a, b = rng.normal(size=2)
         q = Quaternion(*rng.normal(size=4))
-        A = QMatrix.from_entries([[a, q], [q.conjugate(), b]])
+        A = _two_by_two(a, q, b)
         disc = np.sqrt((a - b) ** 2 + 4 * q.norm_sq())
         expected = np.sort([(a + b - disc) / 2, (a + b + disc) / 2])
         assert np.allclose(qt.eigenvalues(A), expected, atol=1e-10)
@@ -116,11 +126,11 @@ def test_eigenvalues_two_by_two_closed_form():
 
 
 def test_eigenvalue_routes_agree():
-    # a QMatrix, its embedding, and a stack of embeddings take either route
+    # one embedding and a stack of embeddings take either route
     rng = np.random.default_rng(23)
-    A = _hyperhermitian(rng, 4)
+    A = qt.random_hyperhermitian_chi(rng, 4)
     stack = qt.random_hyperhermitian_chi(rng, 4, count=3)
-    for B in (A, A.chi, stack):
+    for B in (A, stack):
         real = qt.eigenvalues(B, "real")
         assert real.shape == np.shape(B)[:-2] + (4,)
         assert np.allclose(qt.eigenvalues(B, "complex"), real, atol=1e-10)
@@ -128,31 +138,22 @@ def test_eigenvalue_routes_agree():
 
 def test_non_hyperhermitian_rejected():
     rng = np.random.default_rng(29)
-    B = _qmatrix(rng, 3)
+    B = qt.random_qmatrix_chi(rng, 3)
     with pytest.raises(StructureError):
         qt.eigenvalues(B)
     with pytest.raises(StructureError):
         qt.eigenvalues(B, "real")
 
 
-def test_from_chi_rejects_unstructured():
-    rng = np.random.default_rng(30)
-    M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    with pytest.raises(StructureError):
-        QMatrix(M)
-    with pytest.raises(ValueError):
-        QMatrix(np.zeros((5, 5)))  # odd size
-
-
 def test_moore_det_identity_exact():
-    assert qt.moore_det(QMatrix.identity(5)) == 1.0
+    assert qt.moore_det(np.eye(10)) == 1.0
 
 
 def test_moore_det_complex_hermitian_embedding():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     X = (X + X.conj().T) / 2
-    A = QMatrix(qt.chi_from_split(X, np.zeros((3, 3))), validate=False)
+    A = qt.chi_from_split(X, np.zeros((3, 3)))
     assert abs(qt.moore_det(A) - np.linalg.det(X).real) < 1e-10
 
 
@@ -160,7 +161,7 @@ def test_moore_det_vs_realization():
     rng = np.random.default_rng(37)
     for n in (2, 3, 4):
         for _ in range(25):
-            A = _hyperhermitian(rng, n)
+            A = qt.random_hyperhermitian_chi(rng, n)
             p4 = qt.moore_det(A) ** 4
             d = np.linalg.det(qt.realize(A))
             assert abs(p4 - d) <= 1e-8 * max(abs(p4), abs(d), 1e-12)
@@ -168,16 +169,18 @@ def test_moore_det_vs_realization():
 
 def test_unitary_invariance():
     rng = np.random.default_rng(41)
-    A = _hyperhermitian(rng, 4)
+    A = qt.random_hyperhermitian_chi(rng, 4)
     lam = qt.eigenvalues(A)
-    C = QMatrix(qt.random_symplectic_unitary_chi(rng, 4), tol=1e-8)
-    assert np.abs((C.conj_transpose() @ C).chi - np.eye(8)).max() < 1e-12
-    B = C.conj_transpose() @ A @ C
-    assert np.allclose(qt.eigenvalues(QMatrix(B.chi)), lam, atol=1e-9)
+    C = qt.random_symplectic_unitary_chi(rng, 4)
+    assert qt.structure_residual(C) <= 1e-8 * (1.0 + np.abs(C).max())
+    assert np.abs(C.conj().T @ C - np.eye(8)).max() < 1e-12
+    B = C.conj().T @ A @ C
+    assert qt.structure_residual(B) <= 1e-10 * (1.0 + np.abs(B).max())
+    assert np.allclose(qt.eigenvalues(B), lam, atol=1e-9)
 
 
 def test_principal_minor_conventions():
-    A = QMatrix.diag([1.0, 2.0, 3.0])
+    A = _diag_chi([1.0, 2.0, 3.0])
     assert qt.principal_minor_det(A, range(3)) == 1.0
     assert qt.principal_minor_det(A, []) == qt.moore_det(A)
     assert qt.principal_minor_det(A, [1]) == pytest.approx(3.0, abs=1e-14)
@@ -186,17 +189,17 @@ def test_principal_minor_conventions():
 
 
 def test_sigma_matrix_basics():
-    A = QMatrix.diag([1.0, 2.0, 3.0])
+    A = _diag_chi([1.0, 2.0, 3.0])
     assert qt.sigma_k_matrix(A, 1) == pytest.approx(6.0, abs=1e-14)
     rng = np.random.default_rng(43)
-    B = _hyperhermitian(rng, 3)
+    B = qt.random_hyperhermitian_chi(rng, 3)
     assert qt.sigma_k_matrix(B, 3) == pytest.approx(qt.moore_det(B), rel=1e-12, abs=1e-14)
 
 
 def test_sigma_triple_agreement():
     rng = np.random.default_rng(47)
     for _ in range(10):
-        A = _hyperhermitian(rng, 3)
+        A = qt.random_hyperhermitian_chi(rng, 3)
         for k in range(4):
             a = qt.sigma_k_matrix(A, k)
             b = qt.sigma_k_minor_sum(A, k)
@@ -209,61 +212,42 @@ def test_sigma_triple_agreement():
 def _char_expansion(A, t):
     """sum_k t^(n-k) sigma_k(A), each sigma_k a sum of principal minors: the
     minor-sum evaluation of moore_det(A + t*Id)."""
-    return sum(t ** (A.n - k) * qt.sigma_k_minor_sum(A, k) for k in range(A.n + 1))
+    n = A.shape[-1] // 2
+    return sum(t ** (n - k) * qt.sigma_k_minor_sum(A, k) for k in range(n + 1))
 
 
 def test_char_expansion_zero_matrix():
     n = 3
-    A = QMatrix.from_components(*np.zeros((4, n, n)))
+    A = np.zeros((2 * n, 2 * n), dtype=complex)
     for t in (0.5, 2.0):
         assert _char_expansion(A, t) == pytest.approx(t**n, rel=1e-12)
 
 
 def test_char_expansion_identity():
     n = 4
-    assert _char_expansion(QMatrix.identity(n), 1.0) == pytest.approx(2.0**n, rel=1e-12)
+    assert _char_expansion(np.eye(2 * n), 1.0) == pytest.approx(2.0**n, rel=1e-12)
 
 
 def test_char_expansion_matches_shifted_det():
     rng = np.random.default_rng(53)
-    A = _hyperhermitian(rng, 3)
+    A = qt.random_hyperhermitian_chi(rng, 3)
     t = 0.7
-    lhs = qt.moore_det(A + t * QMatrix.identity(3))
+    lhs = qt.moore_det(A + t * np.eye(6))
     rhs = _char_expansion(A, t)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
 
-def test_structured_eig_diagonalizes():
-    rng = np.random.default_rng(59)
-    A = _hyperhermitian(rng, 4)
-    lam, C = qt.eig(A)
-    D = (C.conj_transpose() @ A @ C).chi
-    assert np.abs(D - QMatrix.diag(lam).chi).max() < 1e-10
-    assert np.abs((C.conj_transpose() @ C).chi - np.eye(8)).max() < 1e-10
-    assert qt.structure_residual(C.chi) < 1e-10
-
-
-def test_structured_eig_degenerate_spectrum():
-    rng = np.random.default_rng(61)
-    V = QMatrix(qt.random_symplectic_unitary_chi(rng, 3), tol=1e-8)
-    A = V.conj_transpose() @ QMatrix.diag([1.0, 1.0, 2.0]) @ V
-    lam, C = qt.eig(QMatrix(A.chi))
-    assert np.allclose(lam, [1.0, 1.0, 2.0], atol=1e-10)
-    D = (C.conj_transpose() @ QMatrix(A.chi) @ C).chi
-    assert np.abs(D - QMatrix.diag(lam).chi).max() < 1e-9
-
-
 def test_newton_transform_is_sigma_derivative():
     rng = np.random.default_rng(67)
-    A = _hyperhermitian(rng, 3)
-    E = _hyperhermitian(rng, 3, 0.5)
+    A = qt.random_hyperhermitian_chi(rng, 3)
+    E = qt.random_hyperhermitian_chi(rng, 3, 0.5)
     for k in (1, 2, 3):
-        S = fl.newton_transform_field(A.chi, k - 1)
+        S = fl.newton_transform_field(A, k - 1)
         h = 1e-6
-        plus = qt.sigma_k_matrix(QMatrix((A + h * E).chi), k)
-        minus = qt.sigma_k_matrix(QMatrix((A - h * E).chi), k)
+        plus = qt.sigma_k_matrix(A + h * E, k)
+        minus = qt.sigma_k_matrix(A - h * E, k)
         fd = (plus - minus) / (2 * h)
-        pairing = 0.5 * np.einsum("ij,ji->", S, E.chi).real  # Re tr(S E) from embeddings
+        pairing = 0.5 * np.einsum("ij,ji->", S, E).real  # Re tr(S E) from embeddings
         assert abs(fd - pairing) < 5e-8 * (1 + abs(fd))
 
 
@@ -297,9 +281,9 @@ def test_chi_eigh_one_by_one_without_lapack(monkeypatch):
 def test_chi_from_spectrum_reassembles():
     rng = np.random.default_rng(71)
     for n in (1, 2, 3):
-        A = _hyperhermitian(rng, n)
-        lam, V = qt.chi_eigh(A.chi)
-        assert np.abs(qt.chi_from_spectrum(V, lam) - A.chi).max() < 1e-12
+        A = qt.random_hyperhermitian_chi(rng, n)
+        lam, V = qt.chi_eigh(A)
+        assert np.abs(qt.chi_from_spectrum(V, lam) - A).max() < 1e-12
         S = qt.chi_from_spectrum(V, np.exp(lam))
         assert qt.structure_residual(S) <= 1e-10 * (1 + np.abs(S).max())
         assert np.abs(S - S.conj().T).max() <= 1e-10 * (1 + np.abs(S).max())
@@ -367,7 +351,7 @@ def test_realize_on_a_stack_matches_single_matrices(n):
         R = qt.realize(stack)
         assert R.shape == (3, 4 * n, 4 * n)
         for M, R1 in zip(stack, R):
-            assert np.array_equal(R1, qt.realize(QMatrix(M)))
+            assert np.array_equal(R1, qt.realize(M))
         assert np.array_equal(qt.realize(stack[None]), R[None])
 
 
@@ -380,7 +364,7 @@ def test_sigma_routes_on_a_stack_match_single_matrices(n):
         for route in routes:
             got = route(stack, k)
             assert got.shape == (6,)
-            want = np.array([route(QMatrix(M), k) for M in stack])
+            want = np.array([route(M, k) for M in stack])
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     bad = stack.copy()
     bad[3] += 1e-3 * rng.normal(size=bad[3].shape)  # one matrix loses hermiticity
@@ -399,7 +383,7 @@ def test_exact_diagonal_shortcut_enforces_pairs():
         qt.moore_det(M)
     ok = np.diag([1.0, 2.0, 1.0 + 1e-9, 2.0]).astype(complex)  # within tolerance
     assert np.array_equal(qt.chi_eigvals(ok), [1.0, 2.0])
-    assert np.array_equal(qt.chi_eigvals(np.stack([ok, QMatrix.diag([3.0, -1.0]).chi])),
+    assert np.array_equal(qt.chi_eigvals(np.stack([ok, _diag_chi([3.0, -1.0])])),
                           [[1.0, 2.0], [-1.0, 3.0]])
 
 
@@ -464,7 +448,7 @@ def test_chi_eigh_two_by_two_diagonal_is_exact(monkeypatch, a, c):
     # an exactly diagonal matrix returns its sorted diagonal bit for bit, as
     # the pair means of LAPACK do at normal magnitudes (a zero eigenvalue
     # comes back as +0.0; LAPACK rescales 1e-300 and may move the last bit)
-    M = QMatrix.diag([a, c]).chi
+    M = _diag_chi([a, c])
     ref = qt._collapse_pairs(np.linalg.eigh(M)[0], 2)
     _no_lapack(monkeypatch)
     lam, V = qt.chi_eigh(M)
@@ -477,7 +461,7 @@ def test_chi_eigh_two_by_two_diagonal_is_exact(monkeypatch, a, c):
 def test_chi_eigh_two_by_two_pure_j_part(monkeypatch):
     # q = 0.75 j + 0.5 k has no complex part: the rotation lives in Y alone
     q = Quaternion(0.0, 0.0, 0.75, 0.5)
-    M = QMatrix.from_entries([[1.0, q], [q.conjugate(), -2.0]]).chi
+    M = _two_by_two(1.0, q, -2.0)
     assert M[0, 1] == 0 and M[0, 3] != 0
     ref = np.linalg.eigh(M)[0][::2]
     _no_lapack(monkeypatch)
@@ -527,8 +511,7 @@ def test_chi_eigh_two_by_two_wide_range_against_exact_values():
             fa, fc, r2 = Fraction(a), Fraction(c), sum(Fraction(v) ** 2 for v in q)
             if r2 >= fa * fc:
                 continue
-            mats.append(QMatrix.from_components([[a, q[0]], [q[0], c]], [[0, q[1]], [-q[1], 0]],
-                                                [[0, q[2]], [-q[2], 0]], [[0, q[3]], [-q[3], 0]]).chi)
+            mats.append(_two_by_two(a, Quaternion(*q), c))
             big = dec((fa + fc) / 2) + (dec((fc - fa) / 2) ** 2 + dec(r2)).sqrt()
             exact.append([float(dec(fa * fc - r2) / big), float(big)])
             kappa.append(float((fa * fc + r2) / (fa * fc - r2)))
