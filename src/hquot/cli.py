@@ -41,8 +41,12 @@ def _fail_usage(msg):
 
 
 def _load_json(path):
+    """The JSON object in ``path``; another JSON value is a ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object: {json.dumps(data)[:40]}")
+    return data
 
 
 def _write_json(path, obj):
@@ -64,13 +68,17 @@ def run_verify(config_path, out_dir, seed=None, quiet=False):
         count = cfg["count"]
         the_seed = seed if seed is not None else cfg.get("seed", 20240601)
         n_values = cfg.get("n_values", [2, 3, 4, 5])
-        scale = float(cfg.get("scale", 1.0))
+        scale = cfg.get("scale", 1.0)
         props = cfg.get("propositions")
         algebra_count = cfg.get("algebra_count")
         if type(the_seed) is not int:
             raise ValueError(f"seed must be an integer, got {the_seed!r}")
         if not _positive_int(count):
             raise ValueError(f"count must be an integer >= 1, got {count!r}")
+        # a number, not a bool; NaN fails both comparisons, inf and huge ints the bound
+        if not (type(scale) in (int, float) and 0 < scale <= sys.float_info.max):
+            raise ValueError(f"scale must be a finite positive number, got {scale!r}")
+        scale = float(scale)
         if algebra_count is not None and not _positive_int(algebra_count):
             raise ValueError(f"algebra_count must be an integer >= 1, got {algebra_count!r}")
         if not (isinstance(n_values, list) and n_values and all(map(_positive_int, n_values))):

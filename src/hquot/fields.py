@@ -158,20 +158,12 @@ def omega_u(omega0, u, grid, backend="spectral"):
 # ---------------------------------------------------------------------------
 
 
-def _n_of(W):
-    return W.shape[-1] // 2
-
-
 def eig_field(W):
     """Pointwise eigenvalue tuples, shape grid.shape + (n,), ascending.
 
-    n = 1 matrices are real scalars and are read off directly; exactly
-    diagonal fields skip the dense solver as well.
+    Exactly real diagonal fields, every n = 1 field among them, skip the
+    dense solver; their pairs are checked like any other.
     """
-    W = np.asarray(W, dtype=complex)
-    n = _n_of(W)
-    if n == 1:
-        return W[..., :1, 0].real.copy()
     return chi_eigvals(W)
 
 

@@ -56,9 +56,7 @@ _CENTER = 0.6
 _RADIUS = 1.4
 _MAX_ROUNDS = 1000  # its retry budget, in rounds of max(count, 256) draws
 
-# matrix-concavity segment scan: an odd node count puts the midpoint on a node
-_SCAN_POINTS = 11
-_MAX_RESAMPLE = 50
+_MAX_RESAMPLE = 50  # matrix-concavity resample rounds before SamplingError
 
 
 @dataclass(frozen=True)
@@ -228,23 +226,20 @@ def verify_minor_quotient(spec, ls):
 def verify_matrix_concavity(spec, ls):
     """Midpoint concavity of (sigma_k / sigma_l)^(1/(k-l)) on matrix pairs.
 
-    Tested only on segments whose scan stays in Gamma_k; exiting pairs are
-    resampled (the cone is convex, so exits indicate numerical degeneracy).
-    Cone membership does not depend on l, so one scan serves every l in
-    ``ls``, and its end and middle nodes are A, (A + B)/2 and B.  Returns one
-    report per l, in order.
+    Reads the spectra of A, (A + B)/2 and B only, from one solve of their
+    stack: the matrices with eigenvalues in Gamma_k form a convex set
+    (Garding 1959), so no inner node can leave it.  A pair whose three
+    spectra are not all in Gamma_k left it by roundoff, and its B is
+    resampled.  The spectra serve every l in ``ls``; one report per l, in order.
     """
     k = spec.k
     ls = _admissible(spec, ls, 0)
     A, _ = sample_hyperhermitian_gamma_k(spec, tag=12)
     B, _ = sample_hyperhermitian_gamma_k(spec, tag=13)
-    ts = np.linspace(0.0, 1.0, _SCAN_POINTS)
     resamples = 0
     for _ in range(_MAX_RESAMPLE):
-        seg = A[None] * (1 - ts)[:, None, None, None] + B[None] * ts[:, None, None, None]
-        lam_seg = qt.chi_eigvals(seg.reshape(-1, *A.shape[1:]))
-        lam_seg = lam_seg.reshape(_SCAN_POINTS, spec.count, spec.n)
-        inside = symfun.in_gamma_k(lam_seg, k).all(axis=0)
+        nodes = qt.chi_eigvals(np.concatenate([A, (A + B) / 2.0, B])).reshape(3, -1, spec.n)
+        inside = symfun.in_gamma_k(nodes, k).all(axis=0)
         if inside.all():
             break
         bad = np.flatnonzero(~inside)
@@ -253,11 +248,9 @@ def verify_matrix_concavity(spec, ls):
         resamples += 1
     else:
         raise SamplingError("could not keep concavity segments inside the cone")
-    # node j is (1 - t_j) A + t_j B; t = 1/2 is exact, and 0.5 A + 0.5 B == (A + B) / 2
-    ends = lam_seg[[0, _SCAN_POINTS // 2, -1]]
     reports = []
     for l in ls:
-        fa, mid, fb = symfun.quotient_root(ends, k, l, check=False)
+        fa, mid, fb = symfun.quotient_root(nodes, k, l, check=False)
         report = _tally("matrix-quotient-concavity", spec, l,
                         _normalized_slack(mid, (fa + fb) / 2.0 - 1e-15))
         report.notes["resample_rounds"] = resamples

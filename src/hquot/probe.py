@@ -274,7 +274,7 @@ class SweepReport:
 def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     """Evaluate the pointwise homotopy inequalities on the t-grid SWEEP_T, for
     W_t = omega0 + t * hessian (the quaternionic Hessian of u), with ``lam0``
-    = eig_field(omega0).
+    = eig_field(omega0); ``lam0`` and the spectrum of W_1 serve t = 0 and 1.
 
     With Ft = C(n,k)/C(n,l) exp(F) and the measured eps, delta (both shaved
     by 0.5% so the extremal points keep a strictly positive margin):
@@ -313,7 +313,7 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     lf = math.factorial(l) * math.factorial(n - l)
 
     for t in SWEEP_T:
-        lam_t = fl.eig_field(omega0 + t * hessian)
+        lam_t = lam0 if t == 0 else lam1 if t == 1 else fl.eig_field(omega0 + t * hessian)
         excl = {m: symfun.sigma_excl_all(lam_t, m) for m in {k - 1, l - 1} | set(range(1, k))}
 
         if k >= 2:

@@ -86,6 +86,14 @@ def test_verify_rejects_non_finite_scale(tmp_path, capsys, scale):
     pytest.param({"propositions": "newton-maclaurin"}, "propositions", id="string-propositions"),
     pytest.param({"seed": 2.5}, "seed", id="fractional-seed"),
     pytest.param({"seed": True}, "seed", id="bool-seed"),
+    pytest.param({"scale": None}, "scale", id="null-scale"),
+    pytest.param({"scale": [2.0]}, "scale", id="list-scale"),
+    pytest.param({"scale": {"value": 2.0}}, "scale", id="object-scale"),
+    pytest.param({"scale": True}, "scale", id="bool-scale"),
+    pytest.param({"scale": "2"}, "scale", id="string-scale"),
+    pytest.param({"scale": 0}, "scale", id="zero-scale"),
+    pytest.param({"scale": -1.5}, "scale", id="negative-scale"),
+    pytest.param({"scale": 10**400}, "scale", id="huge-integer-scale"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, bad, named):
     cfg = _write(tmp_path / "v.json", {"count": 10, "n_values": [2], "algebra_count": 3,
@@ -93,6 +101,18 @@ def test_verify_rejects_bad_config(tmp_path, capsys, bad, named):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{named} must be" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "cone-check", "probe"])
+@pytest.mark.parametrize("value", [[1], "x", 3, None], ids=["list", "string", "number", "null"])
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, command, value):
+    path = tmp_path / "solve_summary.json"
+    _write(path, value)
+    args = ["--result", str(tmp_path)] if command == "probe" else ["--config", str(path)]
+    assert main([command, *args, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path} does not hold a JSON object" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hquot import fields as fl, quaternion as qt, symfun
-from hquot.errors import ConeError
+from hquot.errors import ConeError, StructureError
 from hquot.grid import (
     TorusGrid,
     first_derivative,
@@ -340,6 +340,17 @@ def test_sigma_field_matches_pointwise_oracle():
     s2 = _sigma(W, 2)
     for i in range(8):
         assert s2[i] == pytest.approx(qt.sigma_k_matrix(mats[i], 2), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("W", [
+    pytest.param(np.full((3, 2, 2), np.nan), id="all-nan"),
+    pytest.param(np.diag([1.0, 2.0]), id="unpaired-diagonal"),
+])
+def test_eig_field_checks_n1_spectra(W):
+    # an n = 1 embedding is a real multiple of Id_2; the field is not read
+    # off without the pair check every other n gets
+    with pytest.raises(StructureError):
+        fl.eig_field(W)
 
 
 def test_gamma_field_report():

@@ -2,14 +2,15 @@
 
 Every name a module exports in ``__all__`` must resolve, and no module-level
 import may go unused (a re-export listed in ``__all__`` counts as a use).
-No module reads another hquot module's private (underscore) names, and no
-function imports from the package locally: module-level bindings are what
-the benchmark's tracer rebinds.  Every public name (``__all__`` entries and
-the public methods of the classes among them) is read somewhere in the
-package outside its own definition, unless the package re-exports it or
-``KEEP`` names it.  In every module, every defaulted parameter is set by
-some package call, unless ``KEEP_DEFAULTS`` names it: a default nobody
-overrides is a constant.
+No module reads another hquot module's private (underscore) names, so
+every module-level private function, class and constant must be read in its
+own module.  No function imports from the package locally: module-level
+bindings are what the benchmark's tracer rebinds.  Every public name
+(``__all__`` entries and the public methods of the classes among them) is
+read somewhere in the package outside its own definition, unless the
+package re-exports it or ``KEEP`` names it.  In every module, every
+defaulted parameter is set by some package call, unless ``KEEP_DEFAULTS``
+names it: a default nobody overrides is a constant.
 Importing ``hquot.cli`` in a fresh interpreter loads no scipy module,
 every span the benchmark's tracer rebinds resolves in the package, and the
 benchmark's verifier-to-proposition map matches the verifiers' reports.
@@ -96,6 +97,30 @@ def test_no_private_names_of_other_modules(path):
                 and node.value.id in modules and _private(node.attr)):
             reads.append((node.lineno, f"{node.value.id}.{node.attr}"))
     assert not reads, f"{path.name}: private names of other hquot modules (line, name) {reads}"
+
+
+def _private_definitions(tree):
+    """(name, line) of every private function, class and assigned name at
+    module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [t.id for t in ast.walk(node)
+                     if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names if _private(name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_read_in_its_module(path):
+    # no other module may read them, so an unread one is dead code
+    tree = ast.parse(path.read_text())
+    loads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = {name: line for name, line in _private_definitions(tree) if name not in loads}
+    assert not unread, f"{path.name}: private names never read (name: line) {unread}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

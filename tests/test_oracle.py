@@ -163,11 +163,13 @@ def test_matrix_verifiers_diagonalize_once_per_n_k(monkeypatch):
         propositions=["matrix-quotient-concavity", "matrix-minor-quotient"],
     )
     pairs = [(n, k) for n in (2, 3) for k in range(1, n + 1)]
-    # one segment scan per (n, k), plus one per resample round
-    scans = len(pairs) + sum(r.notes["resample_rounds"] for r in reports
-                             if r.proposition == "matrix-quotient-concavity" and r.l == 0)
+    # one solve of the stacked A, (A + B)/2, B per (n, k), plus one per
+    # resample round; each deletion solve takes the count matrices of one i
+    triples = len(pairs) + sum(r.notes["resample_rounds"] for r in reports
+                               if r.proposition == "matrix-quotient-concavity" and r.l == 0)
     deletions = sum(n for n, k in pairs if k >= 2)
-    assert len(calls) == scans + deletions
+    assert len(calls) == triples + deletions
+    assert sorted(shape[0] for shape in calls) == [60] * deletions + [3 * 60] * triples
     assert len(reports) == sum(k + (k - 1) for _, k in pairs)
 
 

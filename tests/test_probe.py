@@ -311,6 +311,39 @@ def test_pointwise_sweep_monge_ampere_case():
     assert "cone-gap-floor" in rep.margins
 
 
+def test_pointwise_sweep_diagonalizes_each_inner_node_once(monkeypatch):
+    # lam0 serves t = 0 and the spectrum of W_1 serves t = 1: one eig_field
+    # call per SWEEP_T node but t = 0, and the margins of a sweep that
+    # diagonalized every node again
+    grid, u, om0, F = manufactured_state(2, 2, 1, (0, 5), 12, amp=0.03)
+    hess, lam0, eps, _ = _inputs(u, om0, grid, 2)
+    calls = []
+    real = fl.eig_field
+
+    def counting(W):
+        calls.append(1)
+        return real(W)
+
+    monkeypatch.setattr(fl, "eig_field", counting)
+    rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 2, 1, eps)
+    assert len(calls) == len(probe.SWEEP_T) - 1
+    assert rep.eps == pytest.approx(0.9949999999999999, rel=1e-12)
+    assert rep.delta == pytest.approx(0.28444013739716073, rel=1e-12)
+    assert rep.margins == pytest.approx({
+        "excluded-sigma-lower-bound": 0.0050000000000001155,
+        "power-scaling-bound": 0.13893971186053067,
+        "cone-gap-persistence": 0.0014293474241062754,
+        "cone-gap-floor": 0.0028586948482126617,
+    }, rel=1e-12)
+    assert {name: v[-1] for name, v in rep.margins_by_t.items()} == pytest.approx({
+        "excluded-sigma-lower-bound": 0.5153150717919233,
+        "power-scaling-bound": None,
+        "cone-gap-persistence": 0.14040706978157957,
+        "cone-gap-floor": 0.28081413956315915,
+    }, rel=1e-12)
+    assert rep.equality_residuals == {"power-scaling-bound": 0.0}
+
+
 def test_pointwise_sweep_k1():
     grid, u, om0, F = manufactured_state(1, 1, 0, (0,), 16, amp=0.05)
     hess, lam0, eps, _ = _inputs(u, om0, grid, 1)
