@@ -150,10 +150,14 @@ def run_cone_check(config_path, out_dir, seed=None, quiet=False):
     try:
         raw = _load_json(config_path)
         b_offset = raw.pop("b_offset", "auto")
+        # a number, not a bool or a string; NaN, inf and huge ints fail the bound
+        if b_offset != "auto" and not (type(b_offset) in (int, float)
+                                       and abs(b_offset) <= sys.float_info.max):
+            raise ValueError(f'b_offset must be "auto" or a finite number, got {b_offset!r}')
         cfg = _config_to_solver(raw, seed)
         _, omega0, F = build_problem(cfg)
         b = -float(np.mean(F)) if b_offset == "auto" else float(b_offset)
-        if not math.isfinite(b):
+        if not math.isfinite(b):  # -mean F overflowed
             raise ValueError(f"b_offset must be finite, got {b_offset!r}")
         if cfg.l > 0:  # at l = 0 the margin does not read the forcing factor
             symfun.require_finite_forcing(cfg.n, cfg.k, cfg.l, float(np.max(F)) + b)

@@ -176,14 +176,15 @@ def sample_hyperhermitian_gamma_k(spec, tag=0):
     """(A, lam): stacked embeddings A (count, 2n, 2n) with eigenvalue tuples
     lam (count, n) in Gamma_k, sorted ascending.
 
-    Conjugates diag(lam) with random quaternionic unitaries, so the seeded
-    eigenvalues are known exactly.
+    A = U^H diag(lam, lam) U for random quaternionic unitaries U, so lam is
+    A's spectrum up to roundoff, and a verifier may read it instead of solving.
     """
     lam = np.sort(sample_gamma_k(spec, tag=tag), axis=1)
     rng = _rng(spec, ("unitary", tag))
     U = qt.random_symplectic_unitary_chi(rng, spec.n, count=spec.count)
-    D = np.concatenate([lam, lam], axis=1)
-    A = np.einsum("cji,cj,cjk->cik", U.conj(), D, U)
+    Uh = U.conj().transpose(0, 2, 1)
+    Uh *= np.concatenate([lam, lam], axis=1)[:, None, :]
+    A = Uh @ U
     A = (A + A.conj().transpose(0, 2, 1)) / 2.0
     return A, lam
 
@@ -226,31 +227,31 @@ def verify_minor_quotient(spec, ls):
 def verify_matrix_concavity(spec, ls):
     """Midpoint concavity of (sigma_k / sigma_l)^(1/(k-l)) on matrix pairs.
 
-    Reads the spectra of A, (A + B)/2 and B only, from one solve of their
-    stack: the matrices with eigenvalues in Gamma_k form a convex set
-    (Garding 1959), so no inner node can leave it.  A pair whose three
-    spectra are not all in Gamma_k left it by roundoff, and its B is
+    Reads the spectra of A and B from the sampler, which seeds them, and
+    solves only for the spectrum of (A + B)/2.  The matrices with
+    eigenvalues in Gamma_k form a convex set (Garding 1959), so only the
+    midpoint can leave it, by roundoff; that pair's B (with its spectrum) is
     resampled.  The spectra serve every l in ``ls``; one report per l, in order.
     """
     k = spec.k
     ls = _admissible(spec, ls, 0)
-    A, _ = sample_hyperhermitian_gamma_k(spec, tag=12)
-    B, _ = sample_hyperhermitian_gamma_k(spec, tag=13)
+    A, lam_a = sample_hyperhermitian_gamma_k(spec, tag=12)
+    B, lam_b = sample_hyperhermitian_gamma_k(spec, tag=13)
     resamples = 0
     for _ in range(_MAX_RESAMPLE):
-        nodes = qt.chi_eigvals(np.concatenate([A, (A + B) / 2.0, B])).reshape(3, -1, spec.n)
-        inside = symfun.in_gamma_k(nodes, k).all(axis=0)
+        lam_mid = qt.chi_eigvals((A + B) / 2.0)
+        inside = symfun.in_gamma_k(lam_mid, k)
         if inside.all():
             break
         bad = np.flatnonzero(~inside)
         repl = SampleSpec(spec.n, spec.k, len(bad), spec.seed + 1 + resamples, spec.scale)
-        B[bad], _ = sample_hyperhermitian_gamma_k(repl, tag=14)
+        B[bad], lam_b[bad] = sample_hyperhermitian_gamma_k(repl, tag=14)
         resamples += 1
     else:
         raise SamplingError("could not keep concavity segments inside the cone")
     reports = []
     for l in ls:
-        fa, mid, fb = symfun.quotient_root(nodes, k, l, check=False)
+        fa, mid, fb = symfun.quotient_root(np.stack([lam_a, lam_mid, lam_b]), k, l, check=False)
         report = _tally("matrix-quotient-concavity", spec, l,
                         _normalized_slack(mid, (fa + fb) / 2.0 - 1e-15))
         report.notes["resample_rounds"] = resamples
@@ -441,7 +442,7 @@ def verify_unitary_invariance(spec):
     A, lam = sample_hyperhermitian_gamma_k(spec, tag=33)
     rng = _rng(spec, 34)
     U = qt.random_symplectic_unitary_chi(rng, spec.n, count=spec.count)
-    conj = np.einsum("cji,cjk,ckl->cil", U.conj(), A, U)
+    conj = U.conj().transpose(0, 2, 1) @ A @ U
     conj = (conj + conj.conj().transpose(0, 2, 1)) / 2.0
     mu = qt.chi_eigvals(conj)
     rel = np.abs(mu - lam).max(axis=1) / (1.0 + np.abs(lam).max(axis=1))

@@ -504,16 +504,15 @@ def random_symplectic_unitary_chi(rng, n, count=None):
     """Stacked embeddings of random quaternionic unitaries (C* C = Id).
 
     Built from the eigenbasis of random hyperhermitian matrices: one
-    eigenvector per doubled pair is kept and its j-partner is reconstructed,
-    which lands exactly in the quaternionic subalgebra.
+    eigenvector w per doubled pair is kept and its j-partner -J' conj(w) =
+    (-conj(w[n:]), conj(w[:n])) is copied in, exactly in the quaternionic subalgebra.
     """
     squeeze = count is None
     m = 1 if squeeze else int(count)
     X = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
     Y = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
     G = chi_from_split((X + X.conj().transpose(0, 2, 1)) / 2.0, (Y - Y.transpose(0, 2, 1)) / 2.0)
-    _, V = np.linalg.eigh(G)
-    W = V[..., :, 0::2]
-    Jp = jprime(n)
-    U = np.concatenate([W, -np.einsum("ij,...jm->...im", Jp, W.conj())], axis=-1)
+    W = np.linalg.eigh(G)[1][..., 0::2]
+    U = np.empty((m, 2 * n, 2 * n), dtype=complex)
+    U[..., :n], U[:, :n, n:], U[:, n:, n:] = W, -W[:, n:].conj(), W[:, :n].conj()
     return U[0] if squeeze else U

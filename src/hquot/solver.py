@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,8 @@ class SolverConfig:
         if not 0 <= self.l < self.k <= self.n:
             raise ValueError(f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
         tol = self.tolerance
-        if not (type(tol) in (int, float) and math.isfinite(tol) and tol > 0):
+        # a number, not a bool; NaN fails both comparisons, inf and huge ints the bound
+        if not (type(tol) in (int, float) and 0 < tol <= sys.float_info.max):
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         if not (type(self.max_iterations) is int and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be an integer >= 1, "

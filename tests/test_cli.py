@@ -196,6 +196,9 @@ def test_bad_problem_is_a_usage_error(tmp_path, capsys, command, bad, named):
 @pytest.mark.parametrize("bad,named", [
     pytest.param({"tolerance": float("inf")}, "tolerance", id="infinite-tolerance"),
     pytest.param({"tolerance": float("nan")}, "tolerance", id="nan-tolerance"),
+    pytest.param({"tolerance": 10**401}, "tolerance", id="huge-integer-tolerance"),
+    pytest.param({"tolerance": True}, "tolerance", id="bool-tolerance"),
+    pytest.param({"tolerance": "1e-9"}, "tolerance", id="string-tolerance"),
     pytest.param({"max_iterations": 2.5}, "max_iterations", id="fractional-iterations"),
     pytest.param({"max_iterations": 0}, "max_iterations", id="zero-iterations"),
     # iteration constants are not config keys
@@ -217,12 +220,24 @@ def test_bad_iteration_config_is_a_usage_error(tmp_path, capsys, command, bad, n
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("b_offset", ["-inf", "abc"])
+@pytest.mark.parametrize("b_offset", [
+    "-inf",
+    "abc",
+    pytest.param("1e3", id="numeric-string"),
+    pytest.param(True, id="bool"),
+    pytest.param(None, id="null"),
+    pytest.param([1.0], id="list"),
+    pytest.param(float("inf"), id="infinite"),
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(10**401, id="huge-integer"),
+    pytest.param(-10**401, id="huge-negative-integer"),
+])
 def test_cone_check_rejects_bad_b_offset(tmp_path, capsys, b_offset):
     cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,
                                        "active_axes": [0], "b_offset": b_offset})
     assert main(["cone-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "b_offset must be" in err
     assert not (tmp_path / "o").exists()
 
 

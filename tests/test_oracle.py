@@ -61,6 +61,23 @@ def test_hyperhermitian_sampler():
     assert np.abs(mu - lam).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_seeded_spectra_are_the_sampled_matrices_spectra(n):
+    # what lets a verifier read lam instead of solving for it
+    for k in range(1, n + 1):
+        spec = SampleSpec(n=n, k=k, count=300, seed=23)
+        A, lam = oracle.sample_hyperhermitian_gamma_k(spec, tag=4)
+        bound = 1e-12 * (1.0 + np.abs(lam).max(axis=1))
+        assert (np.abs(qt.chi_eigvals(A) - lam).max(axis=1) <= bound).all()
+        # U^H diag(lam, lam) U as the contraction it replaces
+        U = qt.random_symplectic_unitary_chi(oracle._rng(spec, ("unitary", 4)), n,
+                                             count=spec.count)
+        ref = np.einsum("cji,cj,cjk->cik", U.conj(), np.concatenate([lam, lam], axis=1), U)
+        ref = (ref + ref.conj().transpose(0, 2, 1)) / 2.0
+        axes = (1, 2)
+        assert (np.abs(A - ref).max(axis=axes) <= 1e-14 * np.abs(ref).max(axis=axes)).all()
+
+
 def test_hyperhermitian_sampler_positive_det_at_top_order():
     spec = SampleSpec(n=3, k=3, count=100, seed=17)
     A, _ = oracle.sample_hyperhermitian_gamma_k(spec)
@@ -158,19 +175,35 @@ def test_matrix_verifiers_diagonalize_once_per_n_k(monkeypatch):
         return real(M, *args, **kwargs)
 
     monkeypatch.setattr(qt, "chi_eigvals", counting)
-    reports = oracle.run_standard_suite(
-        count=60, seed=5, n_values=(2, 3),
-        propositions=["matrix-quotient-concavity", "matrix-minor-quotient"],
-    )
     pairs = [(n, k) for n in (2, 3) for k in range(1, n + 1)]
-    # one solve of the stacked A, (A + B)/2, B per (n, k), plus one per
-    # resample round; each deletion solve takes the count matrices of one i
-    triples = len(pairs) + sum(r.notes["resample_rounds"] for r in reports
-                               if r.proposition == "matrix-quotient-concavity" and r.l == 0)
-    deletions = sum(n for n, k in pairs if k >= 2)
-    assert len(calls) == triples + deletions
-    assert sorted(shape[0] for shape in calls) == [60] * deletions + [3 * 60] * triples
-    assert len(reports) == sum(k + (k - 1) for _, k in pairs)
+    reports = oracle.run_standard_suite(count=60, seed=5, n_values=(2, 3),
+                                        propositions=["matrix-quotient-concavity"])
+    # the sampler seeds the spectra of A and B, so one solve of the count
+    # midpoints (A + B)/2 per (n, k), plus one per resample round
+    midpoints = len(pairs) + sum(r.notes["resample_rounds"] for r in reports if r.l == 0)
+    assert len(reports) == sum(k for _, k in pairs)
+    assert [shape[0] for shape in calls] == [60] * midpoints
+    calls.clear()
+    reports = oracle.run_standard_suite(count=60, seed=5, n_values=(2, 3),
+                                        propositions=["matrix-minor-quotient"])
+    # each deletion solve takes the count matrices of one i
+    assert len(reports) == sum(k - 1 for _, k in pairs)
+    assert [shape[0] for shape in calls] == [60] * sum(n for n, k in pairs if k >= 2)
+
+
+def test_standard_suite_makes_no_einsum_contraction(monkeypatch):
+    # products of three or more factors go to matmul (BLAS), not einsum
+    operands = []
+    einsum = np.einsum
+
+    def counting(subscripts, *ops, **kwargs):
+        operands.append(len(ops))
+        return einsum(subscripts, *ops, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    reports = oracle.run_standard_suite(count=20, seed=3, n_values=(2, 3, 4), algebra_count=5)
+    assert all(r.passed for r in reports)
+    assert operands and max(operands) < 3
 
 
 @pytest.mark.parametrize("proposition,per_report", [("moore-realization", 1),
@@ -230,17 +263,18 @@ def test_stacked_algebra_checks_match_per_sample_loop(verify, reference, n):
 
 
 def _concavity_reference(spec, l):
-    """The concavity report of one l with separate eigenvalue solves of A,
-    (A + B)/2 and B (valid when the verifier resampled nothing)."""
+    """The concavity report of one l from the sampler's spectra of A and B
+    and one eigenvalue solve of (A + B)/2 (valid when the verifier resampled
+    nothing)."""
     k = spec.k
-    A, _ = oracle.sample_hyperhermitian_gamma_k(spec, tag=12)
-    B, _ = oracle.sample_hyperhermitian_gamma_k(spec, tag=13)
+    A, lam_a = oracle.sample_hyperhermitian_gamma_k(spec, tag=12)
+    B, lam_b = oracle.sample_hyperhermitian_gamma_k(spec, tag=13)
 
-    def f(M):
-        return symfun.quotient_root(qt.chi_eigvals(M), k, l, check=False)
+    def f(lam):
+        return symfun.quotient_root(lam, k, l, check=False)
 
-    mid = f((A + B) / 2.0)
-    avg = (f(A) + f(B)) / 2.0 - 1e-15
+    mid = f(qt.chi_eigvals((A + B) / 2.0))
+    avg = (f(lam_a) + f(lam_b)) / 2.0 - 1e-15
     slack = (mid - avg) / (np.abs(mid) + np.abs(avg) + 1.0)
     failures = int(np.count_nonzero(slack <= -oracle.MARGIN))
     return oracle.VerificationReport(

@@ -179,6 +179,21 @@ def test_unitary_invariance():
     assert np.allclose(qt.eigenvalues(B), lam, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symplectic_unitary_j_partner_is_a_block_swap(n):
+    U = qt.random_symplectic_unitary_chi(np.random.default_rng(60 + n), n, count=40)
+    # the eigenbasis the sampler draws from, and the product -J' conj(W)
+    rng = np.random.default_rng(60 + n)
+    X = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
+    Y = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
+    G = qt.chi_from_split((X + X.conj().transpose(0, 2, 1)) / 2.0,
+                          (Y - Y.transpose(0, 2, 1)) / 2.0)
+    W = np.linalg.eigh(G)[1][..., 0::2]
+    assert np.array_equal(U, np.concatenate([W, -qt.jprime(n) @ W.conj()], axis=-1))
+    assert qt.structure_residual(U) == 0.0
+    assert np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2 * n)).max() <= 1e-14
+
+
 def test_principal_minor_conventions():
     A = _diag_chi([1.0, 2.0, 3.0])
     assert qt.principal_minor_det(A, range(3)) == 1.0
