@@ -7,7 +7,7 @@ from .errors import ConeError, ConvergenceError, SamplingError, StructureError
 from .grid import TorusGrid, integrate
 from .oracle import SampleSpec, VerificationReport, run_standard_suite
 from .probe import ProbeReport, run_probe
-from .quaternion import Quaternion, eigenvalues, moore_det
+from .quaternion import eigenvalues, moore_det
 from .solver import SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "run_standard_suite",
     "ProbeReport",
     "run_probe",
-    "Quaternion",
     "eigenvalues",
     "moore_det",
     "SolveResult",

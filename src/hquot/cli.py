@@ -9,10 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical failure (inequality violation,
 non-convergence or a failed quaternionic structure check), 2 usage/config
-error.  All randomness is seeded from the config (overridable with --seed)
-and reports contain no timestamps, so repeated runs are byte-identical on
-one machine with a fixed BLAS thread count (e.g. OMP_NUM_THREADS=1): the
-thread count can reorder floating-point sums and move the last digits.
+error.  All randomness is seeded from the config (``verify --seed``
+overrides it) and reports contain no timestamps, so repeated runs are
+byte-identical on one machine with a fixed BLAS thread count (e.g.
+OMP_NUM_THREADS=1): the thread count can reorder floating-point sums and
+move the last digits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import oracle, symfun
 from .errors import ConeError, ConvergenceError, SamplingError, StructureError
 from .grid import load_scalar_field, save_scalar_field
 from .probe import run_probe
-from .solver import SolverConfig, build_problem, solve
+from .solver import SolverConfig, build_problem, solve, start_offset
 
 __all__ = ["main", "run_verify", "run_solve", "run_cone_check", "run_probe_cmd"]
 
@@ -113,15 +114,9 @@ def run_verify(config_path, out_dir, seed=None, quiet=False):
     return 0 if not failed else 1
 
 
-def _config_to_solver(cfg_dict, seed=None):
-    if seed is not None:
-        cfg_dict = dict(cfg_dict, seed=int(seed))
-    return SolverConfig.from_dict(cfg_dict)
-
-
-def run_solve(config_path, out_dir, seed=None, quiet=False):
+def run_solve(config_path, out_dir, quiet=False):
     try:
-        cfg = _config_to_solver(_load_json(config_path), seed)
+        cfg = SolverConfig.from_dict(_load_json(config_path))
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad solve config: {exc}")
     out = Path(out_dir)
@@ -146,7 +141,7 @@ def run_solve(config_path, out_dir, seed=None, quiet=False):
     return 0
 
 
-def run_cone_check(config_path, out_dir, seed=None, quiet=False):
+def run_cone_check(config_path, out_dir, quiet=False):
     try:
         raw = _load_json(config_path)
         b_offset = raw.pop("b_offset", "auto")
@@ -154,11 +149,9 @@ def run_cone_check(config_path, out_dir, seed=None, quiet=False):
         if b_offset != "auto" and not (type(b_offset) in (int, float)
                                        and abs(b_offset) <= sys.float_info.max):
             raise ValueError(f'b_offset must be "auto" or a finite number, got {b_offset!r}')
-        cfg = _config_to_solver(raw, seed)
+        cfg = SolverConfig.from_dict(raw)
         _, omega0, F = build_problem(cfg)
-        b = -float(np.mean(F)) if b_offset == "auto" else float(b_offset)
-        if not math.isfinite(b):  # -mean F overflowed
-            raise ValueError(f"b_offset must be finite, got {b_offset!r}")
+        b = start_offset(F) if b_offset == "auto" else float(b_offset)
         if cfg.l > 0:  # at l = 0 the margin does not read the forcing factor
             symfun.require_finite_forcing(cfg.n, cfg.k, cfg.l, float(np.max(F)) + b)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
@@ -190,7 +183,7 @@ def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):
         summary = _load_json(rdir / "solve_summary.json")
         if not summary.get("converged"):
             return _fail_usage("solve summary reports no converged state")
-        cfg = _config_to_solver(summary["config"])
+        cfg = SolverConfig.from_dict(summary["config"])
         u, grid = load_scalar_field(rdir / "u.csv")
         if grid != cfg.grid:
             raise ValueError("field grid does not match the config grid")
@@ -229,11 +222,12 @@ def main(argv=None):
     def add_common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="JSON config path")
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--quiet", action="store_true")
 
-    add_common(sub.add_parser("verify", help="run the randomized inequality suite"))
+    p_verify = sub.add_parser("verify", help="run the randomized inequality suite")
+    add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=None, help="override the config seed")
     add_common(sub.add_parser("solve", help="solve a quotient-equation problem"))
     add_common(sub.add_parser("cone-check", help="evaluate the cone condition"))
     p_probe = sub.add_parser("probe", help="probe a solved state")
@@ -247,9 +241,9 @@ def main(argv=None):
         if args.command == "verify":
             return run_verify(args.config, args.out, args.seed, args.quiet)
         if args.command == "solve":
-            return run_solve(args.config, args.out, args.seed, args.quiet)
+            return run_solve(args.config, args.out, args.quiet)
         if args.command == "cone-check":
-            return run_cone_check(args.config, args.out, args.seed, args.quiet)
+            return run_cone_check(args.config, args.out, args.quiet)
         if args.command == "probe":
             try:
                 p_values = tuple(float(x) for x in args.p.split(","))

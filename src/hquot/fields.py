@@ -33,16 +33,7 @@ import numpy as np
 from . import symfun
 from .errors import ConeError
 from .grid import first_derivative, second_derivative
-from .quaternion import (
-    I,
-    J,
-    K,
-    Quaternion,
-    chi_eigh,
-    chi_eigvals,
-    chi_from_spectrum,
-    chi_from_split,
-)
+from .quaternion import chi_eigh, chi_eigvals, chi_from_spectrum
 
 __all__ = [
     "identity_form",
@@ -51,8 +42,6 @@ __all__ = [
     "gradient_coefficients",
     "omega_u",
     "eig_field",
-    "in_gamma_k_field",
-    "GammaFieldReport",
     "measure_epsilon",
     "check_cone_condition",
     "ConeConditionReport",
@@ -60,8 +49,9 @@ __all__ = [
     "gradient_pairing",
 ]
 
-# e_c, the quaternion unit of real coordinate 4a + c
-_UNITS = (Quaternion(1.0), I, J, K)
+# chi(1), chi(i), chi(j), chi(k): the embedded unit e_c of real coordinate 4a + c
+_UNITS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
+                   [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
 # measure_epsilon keeps this fraction of the bisected margin, so the measured
 # eps leaves both cone conditions strictly satisfied
 _EPS_SHAVE = 0.995
@@ -75,22 +65,15 @@ def identity_form(grid):
     return W
 
 
-def _embed(n, entries):
-    """The chi embedding of the n x n quaternionic matrix with the
-    ``{(a, b): Quaternion}`` entries and zeros elsewhere."""
-    comp = np.zeros((4, n, n))
-    for (a, b), q in entries.items():
-        comp[:, a, b] = (q.w, q.x, q.y, q.z)
-    return chi_from_split(comp[0] + 1j * comp[1], comp[2] + 1j * comp[3])
-
-
 def hessian_basis(grid):
     """[(P, Q, B)] over active axes P <= Q: B is the embedding that the
     quaternionic Hessian gives d2u/dx_P dx_Q, so H(u) = sum B d2u/dx_P dx_Q.
 
     With P = 4a + c and Q = 4b + d, B is the chi embedding of the
     quaternionic matrix with (1/2) e_c conj(e_d) in slot (a, b) and its
-    conjugate in slot (b, a).  Pairs of distinct axes of one quaternionic
+    conjugate in slot (b, a).  Since chi is a ring homomorphism, the 2 x 2
+    block of slot (a, b) is 0.5 chi(e_c) chi(e_d)^H, in rows {a, n+a} and
+    columns {b, n+b}.  Pairs of distinct axes of one quaternionic
     coordinate (a = b, c != d) have B = 0, since e_c conj(e_d) + e_d conj(e_c)
     = 2 delta_cd, and are left out.
     """
@@ -102,9 +85,11 @@ def hessian_basis(grid):
             (a, c), (b, d) = divmod(P, 4), divmod(Q, 4)
             if a == b and c != d:
                 continue
-            q = 0.5 * _UNITS[c] * _UNITS[d].conjugate()
-            # at a = b both keys coincide and the conjugate, with its -0.0 parts, stays
-            basis.append((P, Q, _embed(n, {(a, b): q, (b, a): q.conjugate()})))
+            block = 0.5 * _UNITS[c] @ _UNITS[d].conj().T
+            B = np.zeros((2 * n, 2 * n), dtype=complex)
+            B[np.ix_((a, n + a), (b, n + b))] = block
+            B[np.ix_((b, n + b), (a, n + a))] = block.conj().T
+            basis.append((P, Q, B))
     return basis
 
 
@@ -130,17 +115,18 @@ def gradient_coefficients(u, grid, backend="spectral"):
     Returns shape grid.shape + (2n,).  Axis P = 4b + c contributes
     conj(e_c) d_P u / sqrt2 to quaternionic coordinate b, whose 2n-vector is
     column 0 of the chi embedding of the matrix with that entry in row b:
-    slot b carries (d_0 - i d_1)u / sqrt2, slot n+b carries (d_2 - i d_3)u / sqrt2.
+    column 0 of chi(conj(e_c)) = chi(e_c)^H is conj(chi(e_c)[0]), so slot b
+    carries (d_0 - i d_1)u / sqrt2 and slot n+b carries (d_2 - i d_3)u / sqrt2.
     """
     u = np.asarray(u, dtype=float)
     n = grid.n
     g = np.zeros(grid.shape + (2 * n,), dtype=complex)
     for P in grid.active_axes:
         b, c = divmod(P, 4)
-        v = _embed(n, {(b, 0): _UNITS[c].conjugate() * (1.0 / math.sqrt(2.0))})[:, 0]
+        v = _UNITS[c][0].conj() / math.sqrt(2.0)
         d1 = first_derivative(u, grid, P, backend)
         for i in np.flatnonzero(v):
-            g[..., i] += v[i] * d1
+            g[..., (b, n + b)[i]] += v[i] * d1
     return g
 
 
@@ -165,33 +151,6 @@ def eig_field(W):
     dense solver; their pairs are checked like any other.
     """
     return chi_eigvals(W)
-
-
-@dataclass
-class GammaFieldReport:
-    ok: bool
-    worst_margin: float
-    where: tuple
-    order: int
-
-    def __bool__(self):
-        return self.ok
-
-
-def in_gamma_k_field(lam, k):
-    """Cone membership at every grid point of the eigenvalue field ``lam``,
-    with the worst sigma_i slack.
-
-    Returns a GammaFieldReport: ok iff min over points and 1 <= i <= k of
-    sigma_i(lam) is strictly positive; ``where``/``order`` locate the
-    minimizing point and order.
-    """
-    e = symfun.elementary_all(lam, k)[..., 1 : k + 1]
-    worst = float(e.min())
-    flat_idx = int(np.argmin(e))
-    idx = np.unravel_index(flat_idx, e.shape)
-    return GammaFieldReport(ok=worst > 0.0, worst_margin=worst,
-                            where=tuple(int(i) for i in idx[:-1]), order=int(idx[-1]) + 1)
 
 
 def measure_epsilon(lam, k):
@@ -253,9 +212,9 @@ def check_cone_condition(lam, F, k, l):
     n = lam.shape[-1]
     if not 0 <= l < k <= n:
         raise ValueError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
-    gam = in_gamma_k_field(lam, k)
-    if not gam.ok:
-        raise ConeError(f"background field not in Gamma_{k} (margin {gam.worst_margin:.3e})")
+    gam = float(np.min(symfun.gamma_margin(lam, k)))
+    if not gam > 0.0:
+        raise ConeError(f"background field not in Gamma_{k} (margin {gam:.3e})")
     sk1 = symfun.sigma_excl_all(lam, k - 1)
     if l == 0:
         margin = sk1

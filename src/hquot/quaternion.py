@@ -1,4 +1,4 @@
-"""Quaternion scalars and quaternionic matrix algebra.
+"""Quaternionic matrix algebra.
 
 A quaternionic n x n matrix A = X + Y*j (X, Y complex n x n) is carried as its
 complex 2n x 2n embedding
@@ -16,15 +16,14 @@ real eigenvalues of A, each doubled.  The image of chi is characterised by
 which is what `structure_residual` measures.
 
 A quaternionic matrix is its embedding: the matrix routines take one
-``(2n, 2n)`` embedding or a stack ``(..., 2n, 2n)``.
+``(2n, 2n)`` embedding or a stack ``(..., 2n, 2n)``.  A quaternion
+q = w + x i + y j + z k is the n = 1 case, X = w + x i and Y = y + z i.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from . import symfun
 from .errors import StructureError
 
 __all__ = [
-    "Quaternion",
     "realize",
     "eigenvalues",
     "moore_det",
@@ -43,69 +41,6 @@ __all__ = [
 ]
 
 _TOL = 1e-8  # relative tolerance of the spectral structure checks, times 1 + |A|
-
-# ---------------------------------------------------------------------------
-# scalar quaternions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """q = w + x*i + y*j + z*k with the standard Hamilton product."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, other):
-        other = _as_quaternion(other)
-        return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_quaternion(other)
-        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        other = _as_quaternion(other)
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
-
-    def __rmul__(self, other):
-        return _as_quaternion(other) * self
-
-    def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self):
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
-    def __abs__(self):
-        return math.sqrt(self.norm_sq())
-
-
-def _as_quaternion(v):
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, (int, float)):
-        return Quaternion(float(v))
-    raise TypeError(f"cannot interpret {type(v).__name__} as a quaternion")
-
-
-I = Quaternion(0.0, 1.0, 0.0, 0.0)
-J = Quaternion(0.0, 0.0, 1.0, 0.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
 
 # ---------------------------------------------------------------------------
 # embedding helpers (array level, batch friendly)

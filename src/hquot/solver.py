@@ -46,6 +46,7 @@ __all__ = [
     "SolveResult",
     "Linearization",
     "build_problem",
+    "start_offset",
     "residual",
     "linearize",
     "normalize_sup",
@@ -189,6 +190,15 @@ def build_problem(cfg):
             omega0[..., a, a] = d
             omega0[..., cfg.n + a, cfg.n + a] = d
     return grid, omega0, F
+
+
+def start_offset(F):
+    """b = -mean F, where solve starts; ValueError if the mean overflows."""
+    with np.errstate(over="ignore"):
+        b = -float(np.mean(F))
+    if not math.isfinite(b):
+        raise ValueError(f"b = -mean F is not finite ({b}): the mean of F overflows")
+    return b
 
 
 @dataclass
@@ -398,8 +408,9 @@ def solve(cfg):
 
     Each trial W is diagonalized once and only its spectrum is kept (W itself
     is dropped, which lowers the peak memory); the accepted spectrum is reused.
-    A config that build_problem cannot turn into a problem, or whose forcing
-    factor overflows at the starting b = -mean F, raises ValueError;
+    A config that build_problem cannot turn into a problem, whose mean F
+    overflows, or whose forcing factor overflows at the starting b = -mean F,
+    raises ValueError;
     mathematical failures raise ConeError or ConvergenceError.
     """
     grid, omega0, F = build_problem(cfg)
@@ -409,7 +420,7 @@ def solve(cfg):
     lam0 = fl.eig_field(omega0)
     warnings = []
     u = np.zeros(grid.shape)
-    b = -float(np.mean(F))
+    b = start_offset(F)
     symfun.require_finite_forcing(cfg.n, k, l, float(np.max(F)) + b)
     pre_cone = fl.check_cone_condition(lam0, F + b, k, l)
     if not pre_cone.satisfied:
@@ -466,7 +477,6 @@ def solve(cfg):
         )
 
     u_out = normalize_sup(u)
-    gam = fl.in_gamma_k_field(spectrum[0], k)
     post_cone = fl.check_cone_condition(lam0, F + b, k, l)
     if not post_cone.satisfied:
         warnings.append(
@@ -479,7 +489,7 @@ def solve(cfg):
         iterations=iterations,
         residual_history=hist,
         converged=True,
-        gamma_margin=gam.worst_margin,
+        gamma_margin=float(np.min(symfun.gamma_margin(spectrum[0], k))),
         cone_report=post_cone,
         warnings=warnings,
     )

@@ -92,9 +92,7 @@ def in_gamma_k(lam, k):
     n = lam.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"cone order k={k} out of range for n={n}")
-    e = elementary_all(lam, k)
-    ok = np.all(e[..., 1 : k + 1] > 0.0, axis=-1)
-    return bool(ok) if ok.ndim == 0 else ok
+    return gamma_margin(lam, k) > 0.0
 
 
 def gamma_margin(lam, k):

@@ -258,6 +258,20 @@ def test_overflowing_forcing_factor_is_a_usage_error(tmp_path, capsys, command, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "cone-check"])
+def test_overflowing_mean_forcing_is_a_usage_error(tmp_path, capsys, command):
+    # the mean of F overflows, so the starting b = -mean F is -inf
+    path = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,
+                                        "active_axes": [0], "F": "1.7e308"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([command, "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "b = -mean F is not finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cone_check_at_l0_does_not_read_the_forcing_factor(tmp_path):
     # the l = 0 margin is sigma_{k-1}(lam|j) alone, so a huge b_offset changes nothing
     path = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 0, "points_per_axis": 8,

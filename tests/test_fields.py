@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -208,17 +209,65 @@ def test_hessian_off_diagonal_coupling():
     _assert_hyperhermitian(H)
 
 
-UNITS = (qt.Quaternion(1.0), qt.I, qt.J, qt.K)  # e_c, unit of real coordinate 4a + c
+UNITS = tuple(map(tuple, np.eye(4)))  # e_c, unit of real coordinate 4a + c, as (w, x, y, z)
 
 
-def _quaternion(x, y):
-    """The quaternion x + y j of the complex parts x, y (complex i as i)."""
-    return qt.Quaternion(x.real, x.imag, y.real, y.imag)
+def _hamilton(p, q):
+    """The Hamilton product of the quaternions p, q given as (w, x, y, z)."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return np.array([a * e - b * f - c * g - d * h,
+                     a * f + b * e + c * h - d * g,
+                     a * g - b * h + c * e + d * f,
+                     a * h + b * g - c * f + d * e])
 
 
-def _close(p, q, tol):
-    """|p - q| <= tol, from the four components."""
-    return math.dist((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)) <= tol
+def _conj(q):
+    """The conjugate of the quaternion q given as (w, x, y, z)."""
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def _entry(M, a, b):
+    """The quaternion X + Y j in slot (a, b) of an embedding M, as (w, x, y, z)."""
+    n = M.shape[-1] // 2
+    x, y = M[a, b], M[a, n + b]
+    return np.array([x.real, x.imag, y.real, y.imag])
+
+
+def _column_entry(v, b):
+    """The quaternion of coordinate b of a gradient vector v (column 0 of an
+    embedding: X in slot b, -conj(Y) in slot n + b)."""
+    n = v.shape[-1] // 2
+    x, y = v[b], -np.conj(v[n + b])
+    return np.array([x.real, x.imag, y.real, y.imag])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tables_are_hamilton_products(monkeypatch, n):
+    # every hessian_basis block is (1/2) e_c conj(e_d) in slot (a, b), its
+    # conjugate in (b, a), zero elsewhere; every per-axis gradient vector is
+    # conj(e_c) / sqrt2 in coordinate b
+    for P, Q in itertools.combinations_with_replacement(range(4 * n), 2):
+        (a, c), (b, d) = divmod(P, 4), divmod(Q, 4)
+        basis = {(p, q): B for p, q, B in fl.hessian_basis(TorusGrid(n, sorted({P, Q}), 4))}
+        if a == b and c != d:
+            assert (P, Q) not in basis
+            continue
+        B = basis[P, Q]
+        q = _hamilton(UNITS[c], _conj(UNITS[d])) / 2
+        want = np.zeros((n, n, 4))
+        want[b, a] = _conj(q)
+        want[a, b] = q
+        got = np.array([[_entry(B, r, t) for t in range(n)] for r in range(n)])
+        assert np.array_equal(got, want) and qt.structure_residual(B) == 0.0, (P, Q)
+    monkeypatch.setattr(fl, "first_derivative", lambda u, grid, P, backend: np.ones(grid.shape))
+    for P in range(4 * n):
+        g = TorusGrid(n, (P,), 4)
+        v = fl.gradient_coefficients(np.zeros(g.shape), g)[0]
+        b, c = divmod(P, 4)
+        want = np.zeros((n, 4))
+        want[b] = _conj(UNITS[c]) / np.sqrt(2.0)
+        assert np.array_equal([_column_entry(v, t) for t in range(n)], want), P
 
 
 def _band_limited(axes):
@@ -258,13 +307,9 @@ def test_hessian_entries_match_defining_formula(axes):
             d2 += -amp * 4 * np.pi**2 * np.sin(ph[pt]) * np.outer(mm, mm)
         for a in range(n):
             for b in range(n):
-                want = qt.Quaternion()
-                for c in range(4):
-                    for d in range(4):
-                        unit = UNITS[c] * UNITS[d].conjugate()
-                        want = want + 0.5 * d2[4 * a + c, 4 * b + d] * unit
-                got = _quaternion(H[pt][a, b], H[pt][a, n + b])  # X and Y slots of (a, b)
-                assert _close(got, want, 1e-9), (pt, a, b)
+                want = sum(0.5 * d2[4 * a + c, 4 * b + d] * _hamilton(UNITS[c], _conj(UNITS[d]))
+                           for c in range(4) for d in range(4))
+                assert math.dist(_entry(H[pt], a, b), want) <= 1e-9, (pt, a, b)
 
 
 @pytest.mark.parametrize("axes", [(2, 7, 11), (3, 6, 9)], ids=["ax2711", "ax369"])
@@ -280,11 +325,8 @@ def test_gradient_entries_match_defining_formula(axes):
         for (amp, mm), ph in zip(modes, phase):
             d1 += amp * 2 * np.pi * np.cos(ph[pt]) * mm
         for b in range(n):
-            want = qt.Quaternion()
-            for c in range(4):
-                want = want + (d1[4 * b + c] / np.sqrt(2.0)) * UNITS[c].conjugate()
-            got = _quaternion(v[pt][b], -np.conj(v[pt][n + b]))
-            assert _close(got, want, 1e-9), (pt, b)
+            want = sum(d1[4 * b + c] / np.sqrt(2.0) * _conj(UNITS[c]) for c in range(4))
+            assert math.dist(_column_entry(v[pt], b), want) <= 1e-9, (pt, b)
 
 
 def test_hessian_basis_leaves_out_single_coordinate_mixed_pairs():
@@ -356,13 +398,13 @@ def test_eig_field_checks_n1_spectra(W):
 def test_gamma_field_report():
     g = TorusGrid(3, (0,), 8)
     om = fl.identity_form(g)
-    rep = fl.in_gamma_k_field(fl.eig_field(om), 2)
-    assert rep.ok and rep.worst_margin == 3.0
+    assert np.array_equal(symfun.gamma_margin(fl.eig_field(om), 2), np.full(g.shape, 3.0))
     W = om.copy()
     W[..., 0, 0] -= 2.0
     W[..., 3, 3] -= 2.0  # embedding pair of slot 0
-    rep2 = fl.in_gamma_k_field(fl.eig_field(W), 2)
-    assert not rep2.ok  # eigenvalues (-1, 1, 1): sigma_2 = -1
+    # eigenvalues (-1, 1, 1): sigma_2 = -1
+    assert np.array_equal(symfun.gamma_margin(fl.eig_field(W), 2), np.full(g.shape, -1.0))
+    assert not symfun.in_gamma_k(fl.eig_field(W), 2).any()
 
 
 def test_measure_epsilon_identity_background():
@@ -491,7 +533,7 @@ def test_mixed_pairing_bound():
     W[..., 0, 0] += 0.4 * _field(g, 0, lambda t: np.sin(4 * np.pi * t))
     W[..., n, n] = W[..., 0, 0]
     spectrum = qt.chi_eigh(W)
-    assert fl.in_gamma_k_field(spectrum[0], i).ok
+    assert symfun.in_gamma_k(spectrum[0], i).all()
     grad = fl.gradient_coefficients(u, g)
     alpha = rng.normal(size=g.shape + (2 * n,)) + 1j * rng.normal(size=g.shape + (2 * n,))
     c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
