@@ -8,12 +8,12 @@ Subcommands:
   probe       run the estimate-chain probe on a solve output directory
 
 Exit codes: 0 success, 1 mathematical failure (inequality violation,
-non-convergence or a failed quaternionic structure check), 2 usage/config
-error.  All randomness is seeded from the config (``verify --seed``
-overrides it) and reports contain no timestamps, so repeated runs are
-byte-identical on one machine with a fixed BLAS thread count (e.g.
-OMP_NUM_THREADS=1): the thread count can reorder floating-point sums and
-move the last digits.
+non-convergence, a failed cone condition or quaternionic structure check),
+2 usage/config error.  All randomness is seeded from the config
+(``verify --seed`` overrides it) and reports contain no timestamps, so
+repeated runs are byte-identical on one machine with a fixed BLAS thread
+count (e.g. OMP_NUM_THREADS=1): the thread count can reorder floating-point
+sums and move the last digits.
 """
 
 from __future__ import annotations
@@ -156,10 +156,7 @@ def run_cone_check(config_path, out_dir, quiet=False):
             symfun.require_finite_forcing(cfg.n, cfg.k, cfg.l, float(np.max(F)) + b)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad config: {exc}")
-    try:
-        report = fl.check_cone_condition(fl.eig_field(omega0), F + b, cfg.k, cfg.l)
-    except ConeError as exc:
-        return _fail_usage(str(exc))
+    report = fl.check_cone_condition(np.sort(omega0, axis=-1), F + b, cfg.k, cfg.l)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -252,7 +249,7 @@ def main(argv=None):
             except ValueError:
                 return _fail_usage(f"bad probe exponent list: {args.p!r}")
             return run_probe_cmd(args.result, args.out, p_values, args.quiet)
-    except StructureError as exc:  # a quaternionic structure check failed: mathematical
+    except (StructureError, ConeError) as exc:  # cone-check's: a background outside Gamma_k
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

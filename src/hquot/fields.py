@@ -1,9 +1,13 @@
 """Hyperhermitian matrix fields on the flat torus.
 
-The background 2-form is the constant identity matrix field, so wedge ratios
-reduce to symmetric functions of pointwise eigenvalues:
+Wedge ratios against the flat form Omega reduce to symmetric functions of
+pointwise eigenvalues:
 
     W^k ^ Omega^(n-k) / Omega^n   =  sigma_k(W) / C(n, k).
+
+The background form is diagonal, stored as its entries omega0, shape
+grid.shape + (n,) (all ones for the identity): its spectrum is omega0 sorted,
+and W_u = diag(omega0) + H(u) (add_background).
 
 The quaternionic Hessian of a scalar field u has entries
 
@@ -36,12 +40,13 @@ from .grid import first_derivative, second_derivative
 from .quaternion import chi_eigh, chi_eigvals, chi_from_spectrum
 
 __all__ = [
-    "identity_form",
     "hessian_basis",
     "quaternionic_hessian",
     "gradient_coefficients",
+    "add_background",
     "omega_u",
     "eig_field",
+    "require_in_gamma",
     "measure_epsilon",
     "check_cone_condition",
     "ConeConditionReport",
@@ -55,14 +60,6 @@ _UNITS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
 # measure_epsilon keeps this fraction of the bisected margin, so the measured
 # eps leaves both cone conditions strictly satisfied
 _EPS_SHAVE = 0.995
-
-
-def identity_form(grid):
-    """The constant identity matrix field (the flat background form)."""
-    n = grid.n
-    W = np.zeros(grid.shape + (2 * n, 2 * n), dtype=complex)
-    W[...] = np.eye(2 * n)
-    return W
 
 
 def hessian_basis(grid):
@@ -130,13 +127,17 @@ def gradient_coefficients(u, grid, backend="spectral"):
     return g
 
 
+def add_background(W, omega0):
+    """Add the background entries ``omega0`` (shape (..., n)) to the slots
+    (a, a) and (n+a, n+a) of the matrix field W, in place; returns W."""
+    slots = np.arange(W.shape[-1])
+    W[..., slots, slots] += np.concatenate([omega0, omega0], axis=-1)
+    return W
+
+
 def omega_u(omega0, u, grid, backend="spectral"):
-    """W_u = omega0 + quaternionic_hessian(u)."""
-    # a named Hessian gets a fresh array for the sum: numpy would otherwise
-    # reuse the temporary in place, which shifts glibc's mmap threshold and
-    # raised the solve-4axis benchmark's peak RSS from 157.8 to 160.3 MB
-    hessian = quaternionic_hessian(u, grid, backend)
-    return np.asarray(omega0, dtype=complex) + hessian
+    """W_u = diag(omega0) + quaternionic_hessian(u)."""
+    return add_background(quaternionic_hessian(u, grid, backend), omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,14 @@ def eig_field(W):
     return chi_eigvals(W)
 
 
+def require_in_gamma(lam, k):
+    """Raise ConeError unless the eigenvalue field ``lam`` of the background
+    lies in Gamma_k at every point."""
+    gam = float(np.min(symfun.gamma_margin(lam, k)))
+    if not gam > 0.0:
+        raise ConeError(f"background field not in Gamma_{k} (margin {gam:.3e})")
+
+
 def measure_epsilon(lam, k):
     """Largest eps (shaved by 0.5%) with omega0 - eps*Id and Id - eps*omega0
     both in Gamma_k at every point, found by bisection on the eigenvalue
@@ -164,8 +173,7 @@ def measure_epsilon(lam, k):
             and symfun.in_gamma_k(1.0 - eps * lam, k).all()
         )
 
-    if not feasible(0.0):
-        raise ConeError(f"background field not in Gamma_{k}")
+    require_in_gamma(lam, k)
     lo, hi = 0.0, 1.0
     for _ in range(70):
         if feasible(hi):
@@ -212,9 +220,7 @@ def check_cone_condition(lam, F, k, l):
     n = lam.shape[-1]
     if not 0 <= l < k <= n:
         raise ValueError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
-    gam = float(np.min(symfun.gamma_margin(lam, k)))
-    if not gam > 0.0:
-        raise ConeError(f"background field not in Gamma_{k} (margin {gam:.3e})")
+    require_in_gamma(lam, k)
     sk1 = symfun.sigma_excl_all(lam, k - 1)
     if l == 0:
         margin = sk1

@@ -1,7 +1,8 @@
 """Numerical verification of the energy-estimate chain on solved states.
 
 Everything here measures inequalities between wedge-type integrals of the
-homotopy family W_t = W_0 + t H(u).  With the identity background, the
+homotopy family W_t = diag(omega0) + t H(u), omega0 the background's diagonal
+entries (fields.add_background).  Against the flat form Omega, the
 dictionary between forms and symmetric functions is
 
     W_t^m ^ Omega^(n-m) / Omega^n                     = sigma_m(W_t) / C(n, m)
@@ -116,7 +117,7 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
 
 
 def homotopy_means(u, omega0, hessian, grid, k, backend="spectral"):
-    """Pointwise t-integrals (L, G, S) along W_t = omega0 + t * hessian,
+    """Pointwise t-integrals (L, G, S) along W_t = diag(omega0) + t * hessian,
     ``hessian`` the quaternionic Hessian of u: over [0, 1/2],
     L = int sigma_{k-1}(W_t) dt and G[i-1] = int gradient_pairing(v(u),
     chi_eigh(W_t), i) dt for i = 1..k; over [0, 1], S[m] = int sigma_m(W_t) dt
@@ -130,10 +131,9 @@ def homotopy_means(u, omega0, hessian, grid, k, backend="spectral"):
     G = np.zeros((k,) + grid.shape)
     S = np.zeros((k,) + grid.shape)
     for t, w1, wh in zip(*t_nodes(k)):
-        # W_t is built in place and dropped before the pairings: at n = 1 it
-        # is the largest array of this loop, which sets the probe's peak memory
-        Wt = t * hessian
-        Wt += omega0
+        # W_t is dropped before the pairings: at n = 1 it is the largest
+        # array of this loop, which sets the probe's peak memory
+        Wt = fl.add_background(t * hessian, omega0)
         spectrum = chi_eigh(Wt) if k > 1 else (fl.eig_field(Wt), None)
         del Wt
         e = np.moveaxis(symfun.elementary_all(spectrum[0], k - 1), -1, 0)
@@ -151,7 +151,7 @@ def homotopy_integral_check(u, means, grid, k, p, eps):
 
         eps^(k-i) * S_{i-1}(z)/C(n,i-1)  <=  (k/i) * S_{k-1}(z)/C(n,k-1),
 
-    with S_m(z) = integral_0^1 sigma_m(W_t(z)) dt, W_t = omega0 + t * H(u);
+    with S_m(z) = integral_0^1 sigma_m(W_t(z)) dt, W_t = diag(omega0) + t * H(u);
     ``slack`` is the worst relative slack over the grid.  Weighted (fixed
     upper limit 1/2):
 
@@ -273,8 +273,8 @@ class SweepReport:
 
 def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     """Evaluate the pointwise homotopy inequalities on the t-grid SWEEP_T, for
-    W_t = omega0 + t * hessian (the quaternionic Hessian of u), with ``lam0``
-    = eig_field(omega0); ``lam0`` and the spectrum of W_1 serve t = 0 and 1.
+    W_t = diag(omega0) + t * hessian (the quaternionic Hessian of u), with
+    ``lam0`` the sorted omega0; ``lam0`` and the spectrum of W_1 serve t = 0, 1.
 
     With Ft = C(n,k)/C(n,l) exp(F) and the measured eps, delta (both shaved
     by 0.5% so the extremal points keep a strictly positive margin):
@@ -301,7 +301,7 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
         )
     delta = SHAVE * cone.delta
     ft = symfun.forcing_factor(n, k, l, F)
-    lam1 = fl.eig_field(omega0 + hessian)
+    lam1 = fl.eig_field(fl.add_background(hessian.copy(), omega0))
     sig1 = {i: symfun.sigma(lam1, i) for i in range(1, k + 1)}
 
     names = ("excluded-sigma-lower-bound", "power-scaling-bound",
@@ -313,7 +313,8 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     lf = math.factorial(l) * math.factorial(n - l)
 
     for t in SWEEP_T:
-        lam_t = lam0 if t == 0 else lam1 if t == 1 else fl.eig_field(omega0 + t * hessian)
+        lam_t = (lam0 if t == 0 else lam1 if t == 1
+                 else fl.eig_field(fl.add_background(t * hessian, omega0)))
         excl = {m: symfun.sigma_excl_all(lam_t, m) for m in {k - 1, l - 1} | set(range(1, k))}
 
         if k >= 2:
@@ -431,10 +432,10 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64),
     constant included).  The homotopy records are evaluated at the smallest
     probed p; the weighted-energy constants at every p.  Both checks share
     one set of t-integrated fields from ``homotopy_means``, every check one
-    quaternionic Hessian of u, and eps and the sweep one spectrum of omega0.
+    quaternionic Hessian of u, and eps and the sweep the sorted omega0.
     """
     u = np.asarray(u, dtype=float)
-    lam0 = fl.eig_field(omega0)
+    lam0 = np.sort(omega0, axis=-1)
     eps = fl.measure_epsilon(lam0, k)
     hess = fl.quaternionic_hessian(u, grid, backend)
     sweep = pointwise_lemma_sweep(omega0, hess, lam0, F, k, l, eps)

@@ -3,7 +3,7 @@
 Unknowns are the potential u (mean-zero gauge during iteration) and a real
 constant b balancing the torus compatibility constraint:
 
-    sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F + b) sigma_l(W_u) = 0,   W_u = W_0 + H(u).
+    sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F + b) sigma_l(W_u) = 0,   W_u = diag(omega0) + H(u).
 
 The equation depends on u only through its second derivatives, so a constant
 shift is invisible; without b the discrete system would be overdetermined.
@@ -172,7 +172,8 @@ def evaluate_expression(expr, grid):
 
 
 def build_problem(cfg):
-    """(grid, omega0 field, F field) from a config.
+    """(grid, omega0, F field) from a config: omega0 holds the background's
+    diagonal entries, shape grid.shape + (n,), all ones for the identity.
 
     Raises ValueError for a wrong number of omega0_diag entries, or an
     expression that does not evaluate to finite values on the grid.
@@ -180,15 +181,11 @@ def build_problem(cfg):
     grid = cfg.grid
     F = evaluate_expression(cfg.F, grid)
     if cfg.omega0_diag is None:
-        omega0 = fl.identity_form(grid)
+        omega0 = np.ones(grid.shape + (cfg.n,))
     else:
         if len(cfg.omega0_diag) != cfg.n:
             raise ValueError(f"omega0_diag needs {cfg.n} entries")
-        omega0 = np.zeros(grid.shape + (2 * cfg.n, 2 * cfg.n), dtype=complex)
-        for a, expr in enumerate(cfg.omega0_diag):
-            d = evaluate_expression(expr, grid)
-            omega0[..., a, a] = d
-            omega0[..., cfg.n + a, cfg.n + a] = d
+        omega0 = np.stack([evaluate_expression(e, grid) for e in cfg.omega0_diag], axis=-1)
     return grid, omega0, F
 
 
@@ -290,7 +287,8 @@ def linearize(spectrum, b, F, grid, k, l, backend="spectral"):
     weights = weights - E[..., None] * symfun.sigma_excl_all(lam, l - 1)
     ell = float(weights.min())
     if ell <= 0:
-        raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e})")
+        raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e}): "
+                        f"cone condition violated at the current iterate")
     G = chi_from_spectrum(V, weights).reshape(-1, 4 * n * n)
 
     # c_PQ = 1/2 Re tr(G B_PQ) = 1/2 Re sum_ij G_ij B_ji, B_PQ the Hessian's
@@ -408,6 +406,7 @@ def solve(cfg):
 
     Each trial W is diagonalized once and only its spectrum is kept (W itself
     is dropped, which lowers the peak memory); the accepted spectrum is reused.
+    The background's spectrum is its sorted diagonal entries.
     A config that build_problem cannot turn into a problem, whose mean F
     overflows, or whose forcing factor overflows at the starting b = -mean F,
     raises ValueError;
@@ -417,17 +416,11 @@ def solve(cfg):
     k, l = cfg.k, cfg.l
     backend = cfg.backend
 
-    lam0 = fl.eig_field(omega0)
-    warnings = []
+    lam0 = np.sort(omega0, axis=-1)
     u = np.zeros(grid.shape)
     b = start_offset(F)
     symfun.require_finite_forcing(cfg.n, k, l, float(np.max(F)) + b)
-    pre_cone = fl.check_cone_condition(lam0, F + b, k, l)
-    if not pre_cone.satisfied:
-        warnings.append(
-            f"cone condition violated for the configured forcing at b = -mean F "
-            f"(margin {pre_cone.worst_margin:.3e})"
-        )
+    fl.require_in_gamma(lam0, k)
 
     spectrum = chi_eigh(fl.omega_u(omega0, u, grid, backend))
     R = residual(spectrum[0], b, F, k, l)
@@ -440,10 +433,7 @@ def solve(cfg):
         try:
             lin = linearize(spectrum, b, F, grid, k, l, backend)
         except ConeError as exc:
-            note = f" [{'; '.join(warnings)}]" if warnings else ""
-            raise ConvergenceError(
-                f"aborted at iteration {it}: {exc}{note}"
-            ) from exc
+            raise ConvergenceError(f"aborted at iteration {it}: {exc}") from exc
         v, db = _solve_newton_step(lin, R)
 
         step = 1.0
@@ -478,11 +468,9 @@ def solve(cfg):
 
     u_out = normalize_sup(u)
     post_cone = fl.check_cone_condition(lam0, F + b, k, l)
-    if not post_cone.satisfied:
-        warnings.append(
-            f"cone condition violated at the solved normalization "
-            f"(margin {post_cone.worst_margin:.3e})"
-        )
+    warnings = [] if post_cone.satisfied else [
+        f"cone condition violated at the solved normalization "
+        f"(margin {post_cone.worst_margin:.3e})"]
     return SolveResult(
         u=u_out,
         b=b,

@@ -297,6 +297,76 @@ def test_solve_cone_warning_in_summary(tmp_path):
     assert not summary["converged"] and "cone condition violated" in summary["error"]
 
 
+@pytest.mark.parametrize("command", ["solve", "cone-check"])
+def test_background_outside_cone_is_a_mathematical_failure(tmp_path, capsys, command):
+    cfg = _write(tmp_path / "s.json", {
+        "n": 2, "k": 2, "l": 0, "points_per_axis": 8, "active_axes": [0],
+        "F": "0.0", "omega0_diag": ["1.0", "-0.5"],
+    })
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    message = "background field not in Gamma_2 (margin -5.000e-01)"
+    if command == "solve":
+        summary = json.loads((out / "solve_summary.json").read_text())
+        assert not summary["converged"] and summary["error"] == message
+    else:
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_background_spectrum_is_never_diagonalized(tmp_path, monkeypatch):
+    # the background's spectrum is its sorted diagonal entries: solve and
+    # cone-check diagonalize no eigenvalue field, and probe only the sweep's
+    # W_1 and its nine inner nodes (at k >= 2 the homotopy nodes use chi_eigh)
+    cfg = _write(tmp_path / "s.json", {
+        "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0, 5],
+        "F": "0.1*sin(2*pi*(x0 + x5))", "omega0_diag": ["1 + 0.2*cos(2*pi*x0)", "1.0"],
+    })
+    calls = {"eig_field": 0, "chi_eigvals": 0}
+
+    def counted(name):
+        real = getattr(fields, name)
+
+        def wrapper(W):
+            calls[name] += 1
+            return real(W)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fields, name, counted(name))
+    sol = str(tmp_path / "sol")
+    for argv, expected in ((["solve", "--config", cfg, "--out", sol], 0),
+                           (["cone-check", "--config", cfg, "--out", str(tmp_path / "c")], 0),
+                           (["probe", "--result", sol, "--out", str(tmp_path / "p")], 10)):
+        assert main([*argv, "--quiet"]) == 0
+        assert calls == {"eig_field": expected, "chi_eigvals": expected}, argv[0]
+        calls.update(eig_field=0, chi_eigvals=0)
+
+
+def test_shipped_configs_run(tmp_path):
+    # README's solve config and both configs/solve_*.json go through solve,
+    # probe and cone-check; README's verify config is the shipped default
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+
+    def block(heading):
+        return json.loads(readme.split(heading, 1)[1].split("```json", 1)[1].split("```", 1)[0])
+
+    assert block("### Verify config") == json.loads(
+        (root / "configs" / "verify_default.json").read_text())
+    configs = {"readme": _write(tmp_path / "readme.json", block("### Solve / cone-check config"))}
+    configs.update((p.stem, str(p)) for p in sorted((root / "configs").glob("solve_*.json")))
+    assert len(configs) == 3
+    for name, cfg in configs.items():
+        out = tmp_path / name
+        assert main(["solve", "--config", cfg, "--out", str(out / "sol"), "--quiet"]) == 0, name
+        assert main(["probe", "--result", str(out / "sol"), "--out", str(out / "probe"),
+                     "--quiet"]) == 0, name
+        assert main(["cone-check", "--config", cfg, "--out", str(out / "cone"),
+                     "--quiet"]) == 0, name
+
+
 def test_cone_check_pass_and_fail(tmp_path):
     good = _write(tmp_path / "good.json", {
         "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0],

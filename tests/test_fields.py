@@ -25,6 +25,12 @@ def _sigma(W, k):
     return symfun.sigma(fl.eig_field(W), k)
 
 
+def _eye(grid):
+    """The identity background as a full matrix field."""
+    m = 2 * grid.n
+    return np.broadcast_to(np.eye(m, dtype=complex), grid.shape + (m, m)).copy()
+
+
 def _assert_hyperhermitian(W):
     assert np.abs(W - np.swapaxes(W, -1, -2).conj()).max() < 1e-10
     assert qt.structure_residual(W) < 1e-10
@@ -351,11 +357,19 @@ def test_gradient_matches_scalar_derivatives():
 
 
 def test_omega_u_affine():
-    g = TorusGrid(1, (0,), 8)
-    u = _field(g, 0, lambda t: np.sin(2 * np.pi * t))
-    om0 = fl.identity_form(g)
-    assert np.array_equal(fl.omega_u(om0, np.zeros(g.shape), g), om0)
-    assert np.array_equal(fl.omega_u(om0, u, g), om0 + fl.quaternionic_hessian(u, g))
+    # W_u is the embedding diag(d, d) of the background entries d plus H(u),
+    # exactly, on a coupled state with a non-constant background
+    g = TorusGrid(2, (0, 1, 4, 5), 8)
+    x = {axis: _field(g, axis, lambda t: t) for axis in g.active_axes}
+    u = 0.1 * np.sin(2 * np.pi * (x[0] + x[5])) + 0.05 * np.cos(2 * np.pi * (x[1] - x[4]))
+    d = np.stack([1 + 0.2 * np.cos(2 * np.pi * x[0]), 0.8 + 0.1 * np.sin(2 * np.pi * x[5])],
+                 axis=-1)
+    embedded = np.concatenate([d, d], axis=-1)[..., None] * np.eye(4)
+    for backend in ("spectral", "fd"):
+        H = fl.quaternionic_hessian(u, g, backend)
+        assert np.abs(H[..., 0, 1]).max() > 1e-2  # off-diagonal: the axes couple
+        assert np.array_equal(fl.omega_u(d, np.zeros(g.shape), g, backend), embedded)
+        assert np.array_equal(fl.omega_u(d, u, g, backend), embedded + H)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +379,7 @@ def test_omega_u_affine():
 
 def test_sigma_field_identity():
     g = TorusGrid(3, (0,), 8)
-    om = fl.identity_form(g)
+    om = _eye(g)
     for k in range(4):
         assert np.array_equal(_sigma(om, k), np.full(g.shape, float(math.comb(3, k))))
 
@@ -397,7 +411,7 @@ def test_eig_field_checks_n1_spectra(W):
 
 def test_gamma_field_report():
     g = TorusGrid(3, (0,), 8)
-    om = fl.identity_form(g)
+    om = _eye(g)
     assert np.array_equal(symfun.gamma_margin(fl.eig_field(om), 2), np.full(g.shape, 3.0))
     W = om.copy()
     W[..., 0, 0] -= 2.0
@@ -409,8 +423,7 @@ def test_gamma_field_report():
 
 def test_measure_epsilon_identity_background():
     g = TorusGrid(2, (0,), 8)
-    om = fl.identity_form(g)
-    eps = fl.measure_epsilon(fl.eig_field(om), 2)
+    eps = fl.measure_epsilon(np.ones(g.shape + (2,)), 2)
     assert eps == pytest.approx(0.995, abs=1e-6)
 
 
@@ -419,11 +432,10 @@ def test_cone_condition_binomial_threshold():
     # C(n-1,k-1) > C(n,k)/C(n,l) e^F C(n-1,l-1)
     n, k, l = 3, 2, 1
     g = TorusGrid(n, (0,), 8)
-    om = fl.identity_form(g)
     thresh = math.log(
         math.comb(n - 1, k - 1) * math.comb(n, l) / (math.comb(n - 1, l - 1) * math.comb(n, k))
     )
-    lam = fl.eig_field(om)
+    lam = np.ones(g.shape + (n,))
     ok = fl.check_cone_condition(lam, np.full(g.shape, thresh - 0.1), k, l)
     bad = fl.check_cone_condition(lam, np.full(g.shape, thresh + 0.1), k, l)
     assert ok.satisfied and not bad.satisfied
@@ -431,32 +443,28 @@ def test_cone_condition_binomial_threshold():
 
 def test_cone_condition_l_zero_always_holds():
     g = TorusGrid(2, (0,), 8)
-    om = fl.identity_form(g)
-    rep = fl.check_cone_condition(fl.eig_field(om), np.full(g.shape, 25.0), 2, 0)
+    rep = fl.check_cone_condition(np.ones(g.shape + (2,)), np.full(g.shape, 25.0), 2, 0)
     assert rep.satisfied
 
 
 def test_cone_condition_locates_single_point_violation():
     n, k, l = 2, 2, 1
     g = TorusGrid(n, (0,), 8)
-    om = fl.identity_form(g)
-    diag = np.ones(g.shape)
-    diag[5] = 0.35  # sigma_1(.|j) dips below Ft at one point
-    W = om.copy()
-    W[..., 0, 0] = diag
-    W[..., 2, 2] = diag
-    rep = fl.check_cone_condition(fl.eig_field(W), np.zeros(g.shape), k, l)
+    d = np.ones(g.shape + (n,))
+    d[5, 0] = 0.35  # sigma_1(.|j) dips below Ft at one point
+    rep = fl.check_cone_condition(np.sort(d, axis=-1), np.zeros(g.shape), k, l)
     assert not rep.satisfied
     assert rep.where == (5,)
 
 
 def test_cone_condition_requires_cone_background():
     g = TorusGrid(2, (0,), 8)
-    W = fl.identity_form(g)
-    W[..., 0, 0] = -3.0
-    W[..., 2, 2] = -3.0
-    with pytest.raises(ConeError):
-        fl.check_cone_condition(fl.eig_field(W), np.zeros(g.shape), 2, 1)
+    d = np.ones(g.shape + (2,))
+    d[..., 0] = -3.0
+    with pytest.raises(ConeError, match=r"background field not in Gamma_2 \(margin "):
+        fl.check_cone_condition(np.sort(d, axis=-1), np.zeros(g.shape), 2, 1)
+    with pytest.raises(ConeError, match=r"background field not in Gamma_2 \(margin "):
+        fl.measure_epsilon(np.sort(d, axis=-1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +490,7 @@ def test_wedge_minor_coeff():
 
 def test_gradient_pairing_constant_and_identity():
     g = TorusGrid(3, (0,), 16)
-    spectrum = qt.chi_eigh(fl.identity_form(g))
+    spectrum = qt.chi_eigh(_eye(g))
     const = fl.gradient_coefficients(np.full(g.shape, 2.0), g)
     for i in (1, 2, 3):
         assert np.abs(fl.gradient_pairing(const, spectrum, i)).max() < 1e-20
@@ -506,8 +514,7 @@ def test_projected_pairing_matches_newton_transform():
             for axis in axes:
                 u = u + 0.05 * np.sin(2 * np.pi * x[axis] + axis)
             grad = fl.gradient_coefficients(u, g)
-            identity = fl.identity_form(g)
-            for W in (identity, fl.omega_u(identity, u, g)):
+            for W in (_eye(g), fl.omega_u(np.ones(g.shape + (n,)), u, g)):
                 spectrum = qt.chi_eigh(W)
                 for i in range(1, n + 1):
                     c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
@@ -528,8 +535,7 @@ def test_mixed_pairing_bound():
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t)) * _field(
         g, 4, lambda t: 1 + 0.3 * np.cos(2 * np.pi * t)
     )
-    base = fl.identity_form(g)
-    W = base.copy()
+    W = _eye(g)
     W[..., 0, 0] += 0.4 * _field(g, 0, lambda t: np.sin(4 * np.pi * t))
     W[..., n, n] = W[..., 0, 0]
     spectrum = qt.chi_eigh(W)

@@ -11,10 +11,10 @@ from hquot.solver import residual
 
 
 def _inputs(u, omega0, grid, k):
-    """What run_probe hands the checks: the Hessian of u, eig_field(omega0),
-    eps and the t-integrated means."""
+    """What run_probe hands the checks: the Hessian of u, the background's
+    spectrum (its sorted entries), eps and the t-integrated means."""
     hess = fl.quaternionic_hessian(u, grid)
-    lam0 = fl.eig_field(omega0)
+    lam0 = np.sort(omega0, axis=-1)
     return hess, lam0, fl.measure_epsilon(lam0, k), probe.homotopy_means(u, omega0, hess, grid, k)
 
 
@@ -34,7 +34,7 @@ def manufactured_state(n, k, l, axes, N, amp=0.03, seed=0):
     for axis in axes:
         u = u + amp * float(rng.uniform(0.5, 1.0)) * np.sin(2 * np.pi * _coords(grid, axis))
     u -= u.max()
-    omega0 = fl.identity_form(grid)
+    omega0 = np.ones(grid.shape + (grid.n,))
     lam = fl.eig_field(fl.omega_u(omega0, u, grid))
     sk = symfun.sigma(lam, k)
     sl = symfun.sigma(lam, l) if l > 0 else 1.0
@@ -130,7 +130,7 @@ def test_homotopy_check_zero_potential_binomials():
     # at u = 0 the t-integrands are the constants sigma_m(identity) = C(n,m)
     n, k = 3, 3
     g = TorusGrid(n, (0,), 8)
-    om0 = fl.identity_form(g)
+    om0 = np.ones(g.shape + (g.n,))
     u = np.zeros(g.shape)
     _, _, eps, means = _inputs(u, om0, g, k)
     recs = probe.homotopy_integral_check(u, means, g, k, 4.0, eps)
@@ -160,7 +160,7 @@ def test_weighted_energy_zero_potential():
     n, k = 2, 2
     g = TorusGrid(n, (0,), 8)
     u = np.zeros(g.shape)
-    _, _, eps, means = _inputs(u, fl.identity_form(g), g, k)
+    _, _, eps, means = _inputs(u, np.ones(g.shape + (g.n,)), g, k)
     for p in (4.0, 16.0):
         rec = probe.weighted_energy_check(u, means, g, k, p, eps)
         assert rec["gradient_term"] == pytest.approx(0.0, abs=1e-20)
@@ -189,9 +189,10 @@ def test_weighted_energy_bounded_over_p():
 def _simpson_means(u, om0, hess, grid, k):
     """(L, G, S) of homotopy_means from the 33-node Simpson rule, with
     eig_field for the sigma integrands and newton_transform_field for the
-    gradient pairings."""
+    gradient pairings; the background ``om0`` is embedded as diag(om0, om0)."""
     n = grid.n
     grad = fl.gradient_coefficients(u, grid)
+    om0 = np.concatenate([om0, om0], axis=-1)[..., None] * np.eye(2 * n)
     L, G, S = 0.0, np.zeros((k,) + grid.shape), np.zeros((k,) + grid.shape)
     for t, w in zip(*_simpson(0.5)):
         Wt = om0 + t * hess
@@ -245,7 +246,7 @@ def test_means_match_simpson_reference(n, k, axes, N, waves):
     # k midpoint nodes integrate the degree < k integrands exactly, where the
     # eigenvectors mix too; Simpson is exact on cubics, hence at these orders
     grid, u = _coupled(n, axes, N, waves)
-    om0 = fl.identity_form(grid)
+    om0 = np.ones(grid.shape + (grid.n,))
     hess = fl.quaternionic_hessian(u, grid)
     diagonal = np.einsum("...ii->...i", hess)[..., None] * np.eye(2 * n)
     assert (np.abs(hess - diagonal).max() > 1e-3) == any(s for _, _, s, _ in waves)
@@ -356,7 +357,7 @@ def test_pointwise_sweep_k1():
 def test_pointwise_sweep_rejects_cone_violation():
     n, k, l = 2, 2, 1
     g = TorusGrid(n, (0,), 8)
-    om0 = fl.identity_form(g)
+    om0 = np.ones(g.shape + (g.n,))
     u = np.zeros(g.shape)
     F = np.full(g.shape, 2.0)  # Ft = e^2 / 2 > 1: condition fails
     hess, lam0, eps, _ = _inputs(u, om0, g, k)

@@ -53,8 +53,14 @@ def test_expression_problem_build():
     grid, om0, F = build_problem(cfg)
     x = np.broadcast_to(grid.coordinate(0), grid.shape)
     assert np.allclose(F, 0.1 * np.sin(2 * np.pi * x))
-    assert np.allclose(om0[..., 0, 0], 1 + 0.2 * np.cos(2 * np.pi * x))
-    assert np.allclose(om0[..., 1, 1], 1.0)
+    # the background is its diagonal entries, one per quaternionic coordinate
+    assert om0.shape == grid.shape + (2,) and om0.dtype == float
+    assert np.allclose(om0[..., 0], 1 + 0.2 * np.cos(2 * np.pi * x))
+    assert np.array_equal(om0[..., 1], np.ones(grid.shape))
+    # omega0_diag omitted: the identity background, all ones
+    _, ident, _ = build_problem(SolverConfig(n=3, k=2, l=1, points_per_axis=8,
+                                             active_axes=(0, 5)))
+    assert np.array_equal(ident, np.ones((8, 8, 3)))
     with pytest.raises(ValueError):
         build_problem(SolverConfig(n=1, k=1, l=0, points_per_axis=8,
                                    active_axes=(0,), F="import os"))
@@ -63,7 +69,7 @@ def test_expression_problem_build():
 def test_residual_trivial_zeros():
     for n, k, l in ((2, 2, 0), (3, 2, 1)):
         grid = TorusGrid(n, (0,), 8)
-        om0 = fl.identity_form(grid)
+        om0 = np.ones(grid.shape + (grid.n,))
         u = np.zeros(grid.shape)
         c = 0.4
         F = np.full(grid.shape, c)
@@ -77,7 +83,7 @@ def test_residual_first_order_perturbation():
     # sigma_2 couples the two axes quadratically, so the remainder after
     # subtracting the linear prediction scales like eta^2
     grid = TorusGrid(2, (0, 4), 8)
-    om0 = fl.identity_form(grid)
+    om0 = np.ones(grid.shape + (grid.n,))
     F = np.zeros(grid.shape)
     k, l = 2, 0
     x = np.broadcast_to(grid.coordinate(0), grid.shape)
@@ -97,7 +103,7 @@ def test_residual_first_order_perturbation():
 
 def test_linearize_b_column_and_laplacian():
     grid = TorusGrid(2, (0, 4), 8)
-    om0 = fl.identity_form(grid)
+    om0 = np.ones(grid.shape + (grid.n,))
     F = np.zeros(grid.shape)
     lin = linearize(_spectrum(om0, np.zeros(grid.shape), grid), 0.0, F, grid, 1, 0)
     coef = math.comb(2, 1)
@@ -116,7 +122,7 @@ def test_linearize_b_column_and_laplacian():
 ])
 def test_linearize_matches_finite_difference(n, k, l, axes, backend):
     grid = TorusGrid(n, axes, 8)
-    om0 = fl.identity_form(grid)
+    om0 = np.ones(grid.shape + (grid.n,))
     rng = np.random.default_rng(3)
     x, y = (np.broadcast_to(grid.coordinate(a), grid.shape) for a in (axes[0], axes[-1]))
     u = 0.004 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
@@ -162,7 +168,7 @@ def test_mean_symbol_matches_operator_on_every_mode(backend):
 
 def test_residual_invariant_under_constant_shift():
     grid = TorusGrid(2, (0,), 16)
-    om0 = fl.identity_form(grid)
+    om0 = np.ones(grid.shape + (grid.n,))
     F = 0.2 * np.broadcast_to(np.sin(2 * np.pi * grid.coordinate(0)), grid.shape)
     u = 0.03 * np.broadcast_to(np.cos(2 * np.pi * grid.coordinate(0)), grid.shape)
     r1 = residual(_lam(om0, u, grid), -0.1, F, 2, 0)
@@ -286,11 +292,22 @@ def test_ellipticity_margin_is_the_cone_margin():
 def test_solve_warns_on_cone_violation():
     # the cone condition fails at the starting normalization b = -mean F:
     # linearize's weights at u = 0 are its margins, so the first Newton step
-    # loses ellipticity and the error carries the cone note
+    # loses ellipticity and the error names the cone condition
     cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=8, active_axes=(0,),
                        F="0.8*sin(2*pi*x0)")
-    with pytest.raises(ConvergenceError, match=r"lost ellipticity .*\[cone condition violated"):
+    with pytest.raises(ConvergenceError, match=r"lost ellipticity .*cone condition violated"):
         solve(cfg)
+
+
+def test_solve_reports_one_cone_verdict():
+    # the start already meets the tolerance, so the solve converges in 0
+    # iterations; its one cone verdict is the check at the solved b
+    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=8, active_axes=(0,),
+                       F="0.8*sin(2*pi*x0)", tolerance=10.0)
+    res = solve(cfg)
+    assert res.iterations == 0 and not res.cone_report.satisfied
+    assert res.warnings == [f"cone condition violated at the solved normalization "
+                            f"(margin {res.cone_report.worst_margin:.3e})"]
 
 
 def test_solve_checks_cone_condition_at_normalization():
@@ -362,6 +379,39 @@ def test_coupled_state_self_convergence():
     assert 1.6 <= orders[0] <= 2.1 and 1.8 <= orders[1] <= 2.1, orders
 
 
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("n, axes, N, omega0_diag, wave", [
+    pytest.param(2, (0, 1, 4, 5), 12, None,
+                 lambda x: 0.01 * np.sin(2 * np.pi * (x[0] + x[5]))
+                 + 0.005 * np.cos(2 * np.pi * (x[1] - x[4])), id="n2-ax0145"),
+    pytest.param(3, (0, 5, 10), 12, None,
+                 lambda x: 0.01 * np.sin(2 * np.pi * (x[0] + x[5]))
+                 + 0.005 * np.cos(2 * np.pi * (x[5] - x[10])), id="n3-ax0510"),
+    pytest.param(2, (0, 5), 16, ("1 + 0.2*cos(2*pi*x0)", "1.0"),
+                 lambda x: 0.01 * np.sin(2 * np.pi * (x[0] + x[5]))
+                 + 0.005 * np.cos(2 * np.pi * x[5]), id="n2-ax05-background"),
+])
+def test_manufactured_recovery(monkeypatch, backend, n, axes, N, omega0_diag, wave):
+    # F read off a coupled u* with the solver's own discrete Hessian: the
+    # discrete problem is solved by u* with b = 0, and solve must find both
+    # (worst measured: |b| 2.2e-12 and a relative u error of 8.7e-11, n2-ax0145
+    # spectral; every case within 4 Newton iterations)
+    k, l = 2, 1
+    cfg = SolverConfig(n=n, k=k, l=l, points_per_axis=N, active_axes=axes,
+                       omega0_diag=omega0_diag, backend=backend)
+    grid, om0, _ = build_problem(cfg)
+    u_star = wave({a: np.broadcast_to(grid.coordinate(a), grid.shape) for a in axes})
+    W = fl.omega_u(om0, u_star, grid, backend)
+    assert np.abs(W[..., 0, 1]).max() > 1e-3  # the eigenvectors mix the axes
+    lam = fl.eig_field(W)
+    F = np.log(symfun.sigma(lam, k) / symfun.sigma(lam, l) * math.comb(n, l) / math.comb(n, k))
+    monkeypatch.setattr(solver, "build_problem", lambda _: (grid, om0, F))
+    res = solve(cfg)
+    u_ref = normalize_sup(u_star)
+    assert abs(res.b) <= 1e-10
+    assert np.abs(res.u - u_ref).max() <= 1e-8 * np.abs(u_ref).max()
+
+
 def test_solution_matches_compatibility_constant():
     # 1-axis forcing: exp(b) must normalize the mean of exp(F) at top order
     cfg = SolverConfig(n=1, k=1, l=0, points_per_axis=32, active_axes=(0,),
@@ -414,7 +464,7 @@ def test_gmres_reports_an_exhausted_budget():
 def test_newton_step_raises_when_gmres_does_not_converge(monkeypatch):
     # a variable-coefficient step needs several inner iterations; allow two
     grid = TorusGrid(2, (0, 5), 8)
-    om0 = fl.identity_form(grid)
+    om0 = np.ones(grid.shape + (grid.n,))
     F = np.zeros(grid.shape)
     x0, x5 = grid.coordinate(0), grid.coordinate(5)
     u = 0.002 * (np.sin(2 * np.pi * (x0 + x5)) + np.cos(2 * np.pi * x0))
