@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import config, oracle, symfun
 from . import fields as fl
-from . import oracle, symfun
 from .errors import ConeError, ConvergenceError, SamplingError, StructureError
 from .grid import load_scalar_field, save_scalar_field
 from .probe import run_probe
@@ -59,49 +59,26 @@ def _echo(quiet, *args):
         print(*args)
 
 
-def _positive_int(value):
-    return type(value) is int and value >= 1
-
-
 def run_verify(config_path, out_dir, seed=None, quiet=False):
     try:
-        cfg = _load_json(config_path)
-        count = cfg["count"]
-        the_seed = seed if seed is not None else cfg.get("seed", 20240601)
-        n_values = cfg.get("n_values", [2, 3, 4, 5])
-        scale = cfg.get("scale", 1.0)
-        props = cfg.get("propositions")
-        algebra_count = cfg.get("algebra_count")
-        if type(the_seed) is not int:
-            raise ValueError(f"seed must be an integer, got {the_seed!r}")
-        if not _positive_int(count):
-            raise ValueError(f"count must be an integer >= 1, got {count!r}")
-        # a number, not a bool; NaN fails both comparisons, inf and huge ints the bound
-        if not (type(scale) in (int, float) and 0 < scale <= sys.float_info.max):
-            raise ValueError(f"scale must be a finite positive number, got {scale!r}")
-        scale = float(scale)
-        if algebra_count is not None and not _positive_int(algebra_count):
-            raise ValueError(f"algebra_count must be an integer >= 1, got {algebra_count!r}")
-        if not (isinstance(n_values, list) and n_values and all(map(_positive_int, n_values))):
-            raise ValueError(f"n_values must be a non-empty list of integers >= 1, "
-                             f"got {n_values!r}")
-        if props is not None and not (isinstance(props, list)
-                                      and all(isinstance(x, str) for x in props)):
-            raise ValueError(f"propositions must be a list of names, got {props!r}")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        cfg = {"seed": 20240601, "n_values": [2, 3, 4, 5], "scale": 1.0,
+               "propositions": None, "algebra_count": None, **_load_json(config_path)}
+        if seed is not None:
+            cfg["seed"] = seed
+        config.check(cfg, config.VERIFY)
+        if "count" not in cfg:
+            raise ValueError("count is required")
+        cfg["scale"] = float(cfg["scale"])
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad verify config: {exc}")
     try:
-        reports = oracle.run_standard_suite(
-            count, the_seed, n_values=n_values, scale=scale,
-            propositions=props, algebra_count=algebra_count,
-        )
+        reports = oracle.run_standard_suite(**cfg)
     except (SamplingError, ValueError) as exc:
         return _fail_usage(str(exc))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "config": {"count": count, "seed": the_seed, "n_values": n_values,
-                   "scale": scale},
+        "config": cfg,
         "reports": [r.to_dict() for r in reports],
         "failures": sum(r.failures for r in reports),
     }
@@ -144,11 +121,8 @@ def run_solve(config_path, out_dir, quiet=False):
 def run_cone_check(config_path, out_dir, quiet=False):
     try:
         raw = _load_json(config_path)
+        config.check(raw, config.CONE_CHECK)
         b_offset = raw.pop("b_offset", "auto")
-        # a number, not a bool or a string; NaN, inf and huge ints fail the bound
-        if b_offset != "auto" and not (type(b_offset) in (int, float)
-                                       and abs(b_offset) <= sys.float_info.max):
-            raise ValueError(f'b_offset must be "auto" or a finite number, got {b_offset!r}')
         cfg = SolverConfig.from_dict(raw)
         _, omega0, F = build_problem(cfg)
         b = start_offset(F) if b_offset == "auto" else float(b_offset)
@@ -184,6 +158,7 @@ def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):
         u, grid = load_scalar_field(rdir / "u.csv")
         if grid != cfg.grid:
             raise ValueError("field grid does not match the config grid")
+        config.check({"b": summary["b"]}, config.PROBE)
         b = float(summary["b"])
         _, omega0, F = build_problem(cfg)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:

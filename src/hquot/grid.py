@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BACKENDS, SOLVE, check
+
 __all__ = [
     "TorusGrid",
     "first_derivative",
@@ -29,8 +31,6 @@ __all__ = [
     "load_scalar_field",
 ]
 
-BACKENDS = ("spectral", "fd")
-
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -40,7 +40,7 @@ class TorusGrid:
     active_axes: which real coordinates the fields vary along (at most 4;
         the matrix algebra still runs at full n).
     points_per_axis: N points per active axis, spacing 1/N; N even, >= 4.
-    n, points_per_axis and each axis must be integers (not bools or floats).
+    Each value must pass its key's test in ``config.SOLVE``.
     """
 
     n: int
@@ -48,18 +48,11 @@ class TorusGrid:
     points_per_axis: int
 
     def __post_init__(self):
-        for key in ("n", "points_per_axis"):
-            if type(getattr(self, key)) is not int:
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        axes = self.active_axes
-        if not (isinstance(axes, (list, tuple)) and all(type(a) is int for a in axes)):
-            raise ValueError(f"active_axes must be a list of integers, got {axes!r}")
-        axes = tuple(axes)
+        check(vars(self), SOLVE)
+        axes = tuple(self.active_axes)
         object.__setattr__(self, "active_axes", axes)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 1 <= len(axes) <= 4:
-            raise ValueError("between 1 and 4 active axes are supported")
+        if len(axes) > 4:
+            raise ValueError("at most 4 active axes are supported")
         if len(set(axes)) != len(axes) or sorted(axes) != list(axes):
             raise ValueError("active_axes must be strictly increasing")
         if not all(0 <= a < 4 * self.n for a in axes):

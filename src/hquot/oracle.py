@@ -22,6 +22,7 @@ import numpy as np
 
 from . import quaternion as qt
 from . import symfun
+from .config import VERIFY, check
 from .errors import SamplingError
 
 __all__ = [
@@ -70,12 +71,9 @@ class SampleSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        check({"count": self.count, "scale": self.scale}, VERIFY)
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
 
 
 @dataclass
@@ -121,7 +119,7 @@ def _normalized_slack(lhs, rhs):
 
 def _tally(proposition, spec, l, *slacks):
     slack = np.concatenate([np.ravel(s) for s in slacks]) if slacks else np.empty(0)
-    failures = int(np.count_nonzero(slack <= -MARGIN))
+    failures = int(np.count_nonzero(~(slack > -MARGIN)))  # a NaN slack fails
     worst = float(slack.min()) if slack.size else None
     return VerificationReport(
         proposition=proposition, n=spec.n, k=spec.k, l=l, samples=spec.count, seed=spec.seed,

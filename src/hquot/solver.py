@@ -30,13 +30,13 @@ from __future__ import annotations
 import ast
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fields as fl
 from . import symfun
+from .config import SOLVE, check
 from .errors import ConeError, ConvergenceError
 from .grid import TorusGrid, second_derivative, symbol
 from .quaternion import chi_eigh, chi_from_spectrum
@@ -76,11 +76,10 @@ class SolverConfig:
 
     F and the optional diagonal background entries are numpy expressions in
     the grid coordinates x0..x{4n-1} (inactive coordinates evaluate to 0.0).
-    ``n``, ``k``, ``l``, ``points_per_axis``, ``seed`` and each active axis
-    must be integers (not bools or floats), the grid valid for TorusGrid,
-    ``tolerance`` finite and positive, ``max_iterations`` an integer >= 1.
-    ``seed`` is a config echo: the solver is deterministic and never reads
-    it; the key is accepted and recorded in the solve summary's config.
+    Each value must pass its key's test in ``config.SOLVE``, the grid must be
+    valid for TorusGrid, and 0 <= l < k <= n.  ``seed`` is a config echo:
+    the solver is deterministic and never reads it; the key is accepted and
+    recorded in the solve summary's config.
     """
 
     n: int
@@ -89,49 +88,28 @@ class SolverConfig:
     points_per_axis: int
     active_axes: tuple
     F: str = "0.0"
-    omega0_diag: tuple | None = None  # n expressions; None = identity
+    omega0_diag: list | None = None  # n expressions; None = identity
     tolerance: float = 1e-9
     max_iterations: int = 30
     backend: str = "spectral"
     seed: int = 20240601
 
     def __post_init__(self):
-        for key in ("k", "l", "seed"):
-            if type(getattr(self, key)) is not int:
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        # TorusGrid checks n, points_per_axis and the axes
+        check(vars(self), SOLVE)
         self.active_axes = self.grid.active_axes
         if not 0 <= self.l < self.k <= self.n:
             raise ValueError(f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
-        tol = self.tolerance
-        # a number, not a bool; NaN fails both comparisons, inf and huge ints the bound
-        if not (type(tol) in (int, float) and 0 < tol <= sys.float_info.max):
-            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-        if not (type(self.max_iterations) is int and self.max_iterations >= 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, "
-                             f"got {self.max_iterations!r}")
-        if self.backend not in ("spectral", "fd"):
-            raise ValueError(f"unknown backend {self.backend!r}")
 
     @property
     def grid(self):
         return TorusGrid(self.n, self.active_axes, self.points_per_axis)
 
     def to_dict(self):
-        d = dict(self.__dict__)
-        d["active_axes"] = list(self.active_axes)
-        d["omega0_diag"] = list(self.omega0_diag) if self.omega0_diag else None
-        return d
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        if data.get("omega0_diag"):
-            data["omega0_diag"] = tuple(data["omega0_diag"])
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check(data, SOLVE)
         return cls(**data)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hquot import cli, fields, oracle
+from hquot import cli, config, fields, oracle
 from hquot.cli import main
 from hquot.errors import StructureError
 
@@ -31,9 +31,28 @@ def test_verify_roundtrip(tmp_path):
     })
     rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 0
-    payload = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    report = (tmp_path / "out" / "verify_report.json").read_bytes()
+    payload = json.loads(report)
     assert payload["failures"] == 0
     assert all(r["failures"] == 0 for r in payload["reports"])
+    # the config echo is complete: it reruns to the same report
+    assert payload["config"] == {"count": 150, "seed": 9, "n_values": [2], "scale": 1.0,
+                                 "propositions": None, "algebra_count": 20}
+    echo = _write(tmp_path / "echo.json", payload["config"])
+    assert main(["verify", "--config", echo, "--out", str(tmp_path / "rerun"), "--quiet"]) == 0
+    assert (tmp_path / "rerun" / "verify_report.json").read_bytes() == report
+
+
+def test_verify_nan_slack_is_a_failure(tmp_path):
+    # at scale 1e308 the samples overflow and the slacks are NaN: not a pass
+    cfg = _write(tmp_path / "v.json", {"count": 10, "n_values": [2], "scale": 1e308,
+                                       "propositions": ["newton-maclaurin"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 1
+    payload = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+    assert payload["failures"] > 0
 
 
 def test_verify_rejects_zero_count(tmp_path):
@@ -77,30 +96,39 @@ def test_verify_rejects_non_finite_scale(tmp_path, capsys, scale):
 
 
 @pytest.mark.parametrize("bad,named", [
-    pytest.param({"count": 2.5}, "count", id="fractional-count"),
-    pytest.param({"algebra_count": "abc"}, "algebra_count", id="string-algebra-count"),
-    pytest.param({"algebra_count": 2.5}, "algebra_count", id="fractional-algebra-count"),
-    pytest.param({"algebra_count": 0}, "algebra_count", id="zero-algebra-count"),
-    pytest.param({"n_values": "23"}, "n_values", id="string-n-values"),
-    pytest.param({"n_values": [2, 2.5]}, "n_values", id="fractional-n"),
-    pytest.param({"propositions": "newton-maclaurin"}, "propositions", id="string-propositions"),
-    pytest.param({"seed": 2.5}, "seed", id="fractional-seed"),
-    pytest.param({"seed": True}, "seed", id="bool-seed"),
-    pytest.param({"scale": None}, "scale", id="null-scale"),
-    pytest.param({"scale": [2.0]}, "scale", id="list-scale"),
-    pytest.param({"scale": {"value": 2.0}}, "scale", id="object-scale"),
-    pytest.param({"scale": True}, "scale", id="bool-scale"),
-    pytest.param({"scale": "2"}, "scale", id="string-scale"),
-    pytest.param({"scale": 0}, "scale", id="zero-scale"),
-    pytest.param({"scale": -1.5}, "scale", id="negative-scale"),
-    pytest.param({"scale": 10**400}, "scale", id="huge-integer-scale"),
+    pytest.param({"count": 2.5}, "count must be", id="fractional-count"),
+    pytest.param({"algebra_count": "abc"}, "algebra_count must be", id="string-algebra-count"),
+    pytest.param({"algebra_count": 2.5}, "algebra_count must be", id="fractional-algebra-count"),
+    pytest.param({"algebra_count": 0}, "algebra_count must be", id="zero-algebra-count"),
+    pytest.param({"n_values": "23"}, "n_values must be", id="string-n-values"),
+    pytest.param({"n_values": [2, 2.5]}, "n_values must be", id="fractional-n"),
+    pytest.param({"propositions": "newton-maclaurin"}, "propositions must be",
+                 id="string-propositions"),
+    pytest.param({"seed": 2.5}, "seed must be", id="fractional-seed"),
+    pytest.param({"seed": True}, "seed must be", id="bool-seed"),
+    pytest.param({"scale": None}, "scale must be", id="null-scale"),
+    pytest.param({"scale": [2.0]}, "scale must be", id="list-scale"),
+    pytest.param({"scale": {"value": 2.0}}, "scale must be", id="object-scale"),
+    pytest.param({"scale": True}, "scale must be", id="bool-scale"),
+    pytest.param({"scale": "2"}, "scale must be", id="string-scale"),
+    pytest.param({"scale": 0}, "scale must be", id="zero-scale"),
+    pytest.param({"scale": -1.5}, "scale must be", id="negative-scale"),
+    pytest.param({"scale": 10**400}, "scale must be", id="huge-integer-scale"),
+    pytest.param({"propositions": []}, "propositions must be", id="no-propositions"),
+    pytest.param({"seed": -1}, "seed must be", id="negative-seed"),
+    pytest.param({"--seed": -1}, "seed must be", id="negative-seed-option"),
+    pytest.param({"n_value": [2]}, "unknown config keys: ['n_value']", id="typo-key"),
 ])
 def test_verify_rejects_bad_config(tmp_path, capsys, bad, named):
+    # "--seed" in ``bad`` is the command-line override, not a config key
+    option = ["--seed", str(bad["--seed"])] if "--seed" in bad else []
     cfg = _write(tmp_path / "v.json", {"count": 10, "n_values": [2], "algebra_count": 3,
-                                       "propositions": ["newton-maclaurin"], **bad})
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+                                       "propositions": ["newton-maclaurin"],
+                                       **{key: v for key, v in bad.items() if key != "--seed"}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                 *option]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{named} must be" in err
+    assert err.startswith("error: ") and named in err
     assert not (tmp_path / "o").exists()
 
 
@@ -182,6 +210,10 @@ def test_solve_bad_config(tmp_path):
     pytest.param({"k": True}, "k must be", id="bool-k"),
     pytest.param({"points_per_axis": 8.0}, "points_per_axis must be", id="fractional-points"),
     pytest.param({"seed": 2.5}, "seed must be", id="fractional-seed"),
+    pytest.param({"omega0_diag": "12"}, "omega0_diag must be", id="string-omega0"),
+    pytest.param({"omega0_diag": {"1": 0, "2": 0}}, "omega0_diag must be", id="object-omega0"),
+    pytest.param({"omega0_diag": []}, "omega0_diag must be", id="empty-omega0"),
+    pytest.param({"F": 0.25}, "F must be", id="number-F"),
 ])
 def test_bad_problem_is_a_usage_error(tmp_path, capsys, command, bad, named):
     cfg = _write(tmp_path / "s.json", {"n": 2, "k": 2, "l": 1, "points_per_axis": 8,
@@ -443,6 +475,19 @@ def test_probe_rejects_bad_problem_in_summary(tmp_path, capsys, solve_cfg):
     assert not (tmp_path / "pr").exists()
 
 
+@pytest.mark.parametrize("b", ["1e-3", True, "inf", None])
+def test_probe_rejects_bad_b_in_summary(tmp_path, capsys, solve_cfg, b):
+    assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol"), "--quiet"]) == 0
+    path = tmp_path / "sol" / "solve_summary.json"
+    summary = json.loads(path.read_text())
+    summary["b"] = b
+    path.write_text(json.dumps(summary))
+    rc = main(["probe", "--result", str(tmp_path / "sol"), "--out", str(tmp_path / "pr"),
+               "--p", "4", "--quiet"])
+    assert rc == 2 and "b must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "pr").exists()
+
+
 def test_probe_bad_p_list(tmp_path, solve_cfg):
     assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol"), "--quiet"]) == 0
     rc = main(["probe", "--result", str(tmp_path / "sol"), "--out", str(tmp_path / "pr"),
@@ -490,3 +535,19 @@ def test_readme_usage_matches_parser(capsys):
             main([command, "--help"])
         parsed = _options(capsys.readouterr().out) - {"--help"}
         assert documented == parsed, f"hquot {command}: README {sorted(documented)}"
+
+
+def test_readme_key_table_matches_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, commands, what, _default = (cell.strip() for cell in line.split("|")[1:-1])
+            for command in commands.split(", "):
+                documented[key.strip("`"), command] = what
+    tables = {"solve": config.SOLVE, "cone-check": config.CONE_CHECK,
+              "verify": config.VERIFY, "probe": config.PROBE}
+    code = {(key, command): what for command, keys in tables.items()
+            for key, (_test, what) in keys.items()}
+    assert documented == code
