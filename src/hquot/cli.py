@@ -72,9 +72,12 @@ def run_verify(config_path, out_dir, seed=None, quiet=False):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad verify config: {exc}")
     try:
-        reports = oracle.run_standard_suite(**cfg)
+        with np.errstate(over="raise"):
+            reports = oracle.run_standard_suite(**cfg)
     except (SamplingError, ValueError) as exc:
         return _fail_usage(str(exc))
+    except FloatingPointError as exc:  # samples beyond the float range test nothing
+        return _fail_usage(f"scale {cfg['scale']!r} overflows the samples ({exc})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -155,20 +158,17 @@ def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):
         if not summary.get("converged"):
             return _fail_usage("solve summary reports no converged state")
         cfg = SolverConfig.from_dict(summary["config"])
-        u, grid = load_scalar_field(rdir / "u.csv")
-        if grid != cfg.grid:
-            raise ValueError("field grid does not match the config grid")
         config.check({"b": summary["b"]}, config.PROBE)
         b = float(summary["b"])
-        _, omega0, F = build_problem(cfg)
+        grid, omega0, F = build_problem(cfg)
+        u = load_scalar_field(rdir / "u.csv", grid)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad probe input: {exc}")
     axes = "-".join(str(a) for a in cfg.active_axes)
     problem_id = f"n{cfg.n}-k{cfg.k}-l{cfg.l}-N{cfg.points_per_axis}-ax{axes}"
     try:
         report = run_probe(u, omega0, F + b, grid, cfg.k, cfg.l,
-                           p_values=p_values, backend=cfg.backend,
-                           problem_id=problem_id)
+                           p_values=p_values, problem_id=problem_id)
     except ConeError as exc:
         _echo(quiet, f"probe hypotheses fail: {exc}")
         out = Path(out_dir)

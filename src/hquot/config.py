@@ -10,9 +10,7 @@ the grid (an even ``points_per_axis >= 4``, 1 to 4 increasing axes in
 
 import sys
 
-__all__ = ["BACKENDS", "SOLVE", "CONE_CHECK", "VERIFY", "PROBE", "check"]
-
-BACKENDS = ("spectral", "fd")
+__all__ = ["SOLVE", "CONE_CHECK", "VERIFY", "PROBE", "check"]
 
 
 def _number(v):
@@ -43,7 +41,7 @@ SOLVE = {
     "omega0_diag": (_or_null(_list(_STRING[0])), "null or a non-empty list of expression strings"),
     "tolerance": _POSITIVE,
     "max_iterations": _COUNT,
-    "backend": (lambda v: v in BACKENDS, '"spectral" or "fd"'),
+    "backend": (lambda v: v in ("spectral", "fd"), '"spectral" or "fd"'),
     "seed": _INTEGER,
 }
 CONE_CHECK = {**SOLVE, "b_offset": (lambda v: v == "auto" or _number(v),

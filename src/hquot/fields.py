@@ -90,7 +90,7 @@ def hessian_basis(grid):
     return basis
 
 
-def quaternionic_hessian(u, grid, backend="spectral"):
+def quaternionic_hessian(u, grid):
     """The hyperhermitian second-derivative matrix field of u.
 
     Each second partial of hessian_basis is computed once and added into the
@@ -100,13 +100,13 @@ def quaternionic_hessian(u, grid, backend="spectral"):
     n = grid.n
     W = np.zeros(grid.shape + (2 * n, 2 * n), dtype=complex)
     for P, Q, B in hessian_basis(grid):
-        d2 = second_derivative(u, grid, P, Q, backend)
+        d2 = second_derivative(u, grid, P, Q)
         for i, j in zip(*np.nonzero(B)):
             W[..., i, j] += B[i, j] * d2
     return W
 
 
-def gradient_coefficients(u, grid, backend="spectral"):
+def gradient_coefficients(u, grid):
     """First-derivative coefficients of u in the embedding layout.
 
     Returns shape grid.shape + (2n,).  Axis P = 4b + c contributes
@@ -121,7 +121,7 @@ def gradient_coefficients(u, grid, backend="spectral"):
     for P in grid.active_axes:
         b, c = divmod(P, 4)
         v = _UNITS[c][0].conj() / math.sqrt(2.0)
-        d1 = first_derivative(u, grid, P, backend)
+        d1 = first_derivative(u, grid, P)
         for i in np.flatnonzero(v):
             g[..., (b, n + b)[i]] += v[i] * d1
     return g
@@ -135,9 +135,9 @@ def add_background(W, omega0):
     return W
 
 
-def omega_u(omega0, u, grid, backend="spectral"):
+def omega_u(omega0, u, grid):
     """W_u = diag(omega0) + quaternionic_hessian(u)."""
-    return add_background(quaternionic_hessian(u, grid, backend), omega0)
+    return add_background(quaternionic_hessian(u, grid), omega0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ listed in ``active_axes`` are discretized; fields are constant along the
 rest, so derivatives there vanish.  A scalar field is a plain ndarray of
 shape ``grid.shape``; form fields carry trailing matrix axes.
 
-Two derivative backends are provided: "spectral" (FFT, exact on band-limited
-data) and "fd" (second-order central differences).  They are independent
+A grid is the whole discretization: its ``backend`` picks the difference
+scheme of every derivative on it, "spectral" (FFT, exact on band-limited
+data) or "fd" (second-order central differences).  The two are independent
 implementations and cross-validate each other.  ``symbol`` is the one table
 of their Fourier multipliers: spectral differentiation applies it, and the
-fd stencils act on each Fourier mode exactly as it says.
+fd stencils act on each Fourier mode exactly as it says.  A field snapshot
+holds no scheme; ``load_scalar_field(path, grid)`` reads it against its grid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BACKENDS, SOLVE, check
+from .config import SOLVE, check
 
 __all__ = [
     "TorusGrid",
@@ -40,12 +42,15 @@ class TorusGrid:
     active_axes: which real coordinates the fields vary along (at most 4;
         the matrix algebra still runs at full n).
     points_per_axis: N points per active axis, spacing 1/N; N even, >= 4.
+    backend: the difference scheme of every derivative on the grid,
+        "spectral" or "fd".
     Each value must pass its key's test in ``config.SOLVE``.
     """
 
     n: int
     active_axes: tuple
     points_per_axis: int
+    backend: str = "spectral"
 
     def __post_init__(self):
         check(vars(self), SOLVE)
@@ -99,12 +104,7 @@ class TorusGrid:
         return {f"x{a}": self.coordinate(a) for a in range(4 * self.n)}
 
 
-def _check_backend(backend):
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
-def symbol(grid, P, Q=None, backend="spectral"):
+def symbol(grid, P, Q=None):
     """Fourier multiplier of d/dx_P (Q None) or d2/dx_P dx_Q on active axes.
 
     The one table of derivative symbols, broadcast-shaped over grid.shape.
@@ -114,30 +114,28 @@ def symbol(grid, P, Q=None, backend="spectral"):
     -(2 - 2 cos kh)/h^2 (the three-point stencil).  A mixed symbol is the
     product of its two first-order symbols.
     """
-    _check_backend(backend)
     if Q is not None and Q != P:
-        return (symbol(grid, P, None, backend) * symbol(grid, Q, None, backend)).real
+        return (symbol(grid, P) * symbol(grid, Q)).real
     N = grid.points_per_axis
     h = grid.spacing
     k = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
     if Q is None:
         k[N // 2] = 0.0
-        s = 1j * np.sin(k * h) / h if backend == "fd" else 1j * k
+        s = 1j * np.sin(k * h) / h if grid.backend == "fd" else 1j * k
     else:
-        s = -(2.0 - 2.0 * np.cos(k * h)) / h**2 if backend == "fd" else -(k**2)
+        s = -(2.0 - 2.0 * np.cos(k * h)) / h**2 if grid.backend == "fd" else -(k**2)
     shape = [1] * grid.dim
     shape[grid.axis_position(P)] = N
     return s.reshape(shape)
 
 
-def first_derivative(u, grid, axis, backend="spectral"):
+def first_derivative(u, grid, axis):
     """d/dx_axis of a periodic scalar field; zero for inactive axes."""
-    _check_backend(backend)
     u = np.asarray(u, dtype=float)
     pos = grid.axis_position(axis)
     if pos is None:
         return np.zeros_like(u)
-    if backend == "fd":
+    if grid.backend == "fd":
         h = grid.spacing
         return (np.roll(u, -1, axis=pos) - np.roll(u, 1, axis=pos)) / (2.0 * h)
     U = np.fft.fft(u, axis=pos)
@@ -145,25 +143,24 @@ def first_derivative(u, grid, axis, backend="spectral"):
     return np.fft.ifft(U, axis=pos).real
 
 
-def second_derivative(u, grid, axis_p, axis_q, backend="spectral"):
+def second_derivative(u, grid, axis_p, axis_q):
     """Mixed second partial d2/dx_p dx_q; symmetric in its axes by construction."""
-    _check_backend(backend)
     u = np.asarray(u, dtype=float)
     pp, qq = grid.axis_position(axis_p), grid.axis_position(axis_q)
     if pp is None or qq is None:
         return np.zeros_like(u)
     if axis_p == axis_q:
-        if backend == "fd":
+        if grid.backend == "fd":
             h = grid.spacing
             return (np.roll(u, -1, axis=pp) - 2.0 * u + np.roll(u, 1, axis=pp)) / h**2
         U = np.fft.fft(u, axis=pp)
         U *= symbol(grid, axis_p, axis_p)
         return np.fft.ifft(U, axis=pp).real
     lo, hi = min(axis_p, axis_q), max(axis_p, axis_q)
-    return first_derivative(first_derivative(u, grid, lo, backend), grid, hi, backend)
+    return first_derivative(first_derivative(u, grid, lo), grid, hi)
 
 
-def integrate(f, grid):
+def integrate(f):
     """Integral over the unit-volume torus: the grid mean (midpoint rule,
     which coincides with the trapezoidal rule on periodic data and is exact
     for band-limited fields)."""
@@ -185,20 +182,6 @@ def _header(grid):
     return f"{_MAGIC}\n# n={grid.n} N={grid.points_per_axis} axes={axes}\n"
 
 
-def _parse_header(lines):
-    if len(lines) < 2 or lines[0].strip() != _MAGIC:
-        raise ValueError("not a scalar field file")
-    meta = {}
-    for tok in lines[1].lstrip("#").split():
-        key, _, val = tok.partition("=")
-        meta[key] = val
-    return TorusGrid(
-        n=int(meta["n"]),
-        active_axes=tuple(int(a) for a in meta["axes"].split(",")),
-        points_per_axis=int(meta["N"]),
-    )
-
-
 def save_scalar_field(path, u, grid):
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
@@ -209,12 +192,15 @@ def save_scalar_field(path, u, grid):
             fh.write(repr(float(v)) + "\n")
 
 
-def load_scalar_field(path):
-    """(u, grid) from a file written by save_scalar_field; a non-finite value
-    raises ValueError naming its line."""
+def load_scalar_field(path, grid):
+    """The field on ``grid`` in a file written by save_scalar_field.  A header
+    other than ``grid``'s raises ValueError naming both, and a non-finite
+    value one naming its line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    grid = _parse_header(lines)
+    want = _header(grid).splitlines()
+    if lines[:2] != want:
+        raise ValueError(f"field header {lines[:2]} does not match the grid's {want}")
     vals = np.array([float(s) for s in lines[2:] if s.strip()], dtype=float)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
@@ -222,5 +208,5 @@ def load_scalar_field(path):
         raise ValueError(f"line {number}: non-finite value {lines[number - 1].strip()!r}")
     if vals.size != grid.num_points:
         raise ValueError(f"expected {grid.num_points} values, found {vals.size}")
-    return vals.reshape(grid.shape), grid
+    return vals.reshape(grid.shape)
 

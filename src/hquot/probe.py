@@ -84,7 +84,7 @@ def _shifted_weight(u, p):
     return np.exp(-p * (u - u.min()))
 
 
-def cherrier_table(u, grid, p_values, backend="spectral"):
+def cherrier_table(u, grid, p_values):
     """Rows (p, E, M, C) with C = E / (p M), E = integral |d exp(-p u / 2)|^2,
     M = integral exp(-p u).
 
@@ -97,8 +97,8 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
         C(p) = (1/4) int e^(-pu) sigma_1(H(u)) / int e^(-pu)
              <= (1/4) max sigma_1(H(u))   for every p > 0.
 
-    With the spectral backend the identity is exact up to aliasing of
-    e^(-pu/2) on the grid; with ``fd`` it holds only to O(h^2) (on a
+    On a spectral grid the identity is exact up to aliasing of
+    e^(-pu/2) on the grid; on an ``fd`` grid it holds only to O(h^2) (on a
     two-axis field at N = 16: 4% relative at p = 4, 14% at p = 64).
     Every p must be finite and positive (ValueError otherwise).
     """
@@ -109,14 +109,14 @@ def cherrier_table(u, grid, p_values, backend="spectral"):
     u = np.asarray(u, dtype=float)
     for p in p_values:
         w = _shifted_weight(u, 0.5 * p)
-        gw = fl.gradient_coefficients(w, grid, backend)
-        E = integrate(np.einsum("...q,...q->...", gw.conj(), gw).real, grid)
-        M = integrate(w * w, grid)
+        gw = fl.gradient_coefficients(w, grid)
+        E = integrate(np.einsum("...q,...q->...", gw.conj(), gw).real)
+        M = integrate(w * w)
         rows.append({"p": float(p), "energy": E, "mass": M, "ratio": E / (p * M)})
     return rows
 
 
-def homotopy_means(u, omega0, hessian, grid, k, backend="spectral"):
+def homotopy_means(u, omega0, hessian, grid, k):
     """Pointwise t-integrals (L, G, S) along W_t = diag(omega0) + t * hessian,
     ``hessian`` the quaternionic Hessian of u: over [0, 1/2],
     L = int sigma_{k-1}(W_t) dt and G[i-1] = int gradient_pairing(v(u),
@@ -126,7 +126,7 @@ def homotopy_means(u, omega0, hessian, grid, k, backend="spectral"):
     One pass over ``t_nodes(k)`` diagonalizes each node once for every order
     and both intervals (order 1 needs no eigenvectors).  No field depends on p.
     """
-    grad = fl.gradient_coefficients(u, grid, backend)
+    grad = fl.gradient_coefficients(u, grid)
     L = np.zeros(grid.shape)
     G = np.zeros((k,) + grid.shape)
     S = np.zeros((k,) + grid.shape)
@@ -166,7 +166,7 @@ def homotopy_integral_check(u, means, grid, k, p, eps):
     n = grid.n
     weight = _shifted_weight(u, p)
     S = means[2]
-    G = [integrate(weight * g, grid) for g in means[1]]
+    G = [integrate(weight * g) for g in means[1]]
 
     records = []
     for i in range(1, k + 1):
@@ -185,10 +185,10 @@ def homotopy_integral_check(u, means, grid, k, p, eps):
             "eps": float(eps),
             "trivial_equality": trivial,
             "slack": float(rel.min()),
-            "lhs_integral": float(integrate(lhs_pt, grid)),
-            "rhs_integral": float(integrate(rhs_pt, grid)),
-            "display_lhs": float(eps * integrate(S[i - 1], grid)),
-            "display_rhs": float((k / i) * integrate(S[k - 1], grid)),
+            "lhs_integral": float(integrate(lhs_pt)),
+            "rhs_integral": float(integrate(rhs_pt)),
+            "display_lhs": float(eps * integrate(S[i - 1])),
+            "display_rhs": float((k / i) * integrate(S[k - 1])),
             "weighted_slack": float((rhs_w - lhs_w) / wscale),
             "weighted_lhs": float(lhs_w),
             "weighted_rhs": float(rhs_w),
@@ -213,9 +213,9 @@ def weighted_energy_check(u, means, grid, k, p, eps):
     echoed into the record.
     """
     weight = _shifted_weight(u, p)
-    L = integrate(weight * means[0], grid) / math.comb(grid.n, k - 1)
-    G = integrate(weight * means[1][k - 1], grid)
-    M0 = integrate(weight, grid)
+    L = integrate(weight * means[0]) / math.comb(grid.n, k - 1)
+    G = integrate(weight * means[1][k - 1])
+    M0 = integrate(weight)
     c_min = L / (p * G + M0)
     return {
         "p": float(p),
@@ -424,8 +424,7 @@ class ProbeReport:
         return bool(sweep_ok and hom_ok and wen_ok)
 
 
-def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64),
-              backend="spectral", problem_id="state"):
+def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64), problem_id="state"):
     """Full probe: Cherrier table, pointwise sweep, homotopy and energy checks.
 
     ``F`` is the effective forcing of the solved state (normalization
@@ -437,12 +436,12 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64),
     u = np.asarray(u, dtype=float)
     lam0 = np.sort(omega0, axis=-1)
     eps = fl.measure_epsilon(lam0, k)
-    hess = fl.quaternionic_hessian(u, grid, backend)
+    hess = fl.quaternionic_hessian(u, grid)
     sweep = pointwise_lemma_sweep(omega0, hess, lam0, F, k, l, eps)
-    means = homotopy_means(u, omega0, hess, grid, k, backend)
+    means = homotopy_means(u, omega0, hess, grid, k)
     homotopy = homotopy_integral_check(u, means, grid, k, float(min(p_values)), eps)
     weighted = [weighted_energy_check(u, means, grid, k, p, eps) for p in p_values]
-    cher = cherrier_table(u, grid, p_values, backend)
+    cher = cherrier_table(u, grid, p_values)
     return ProbeReport(
         problem_id=problem_id,
         k=k,

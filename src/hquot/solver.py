@@ -14,9 +14,13 @@ Newton steps solve the bordered linear system
 
 with L the second-order coefficient operator obtained by differentiating the
 residual through the eigenvalues (Newton transforms), and g the derivative in
-b.  L is elliptic exactly while the iterate stays inside Gamma_k, which the
-damping enforces: any trial step whose cone margin drops below the safeguard
-is rejected and the step halved.  The linear solves use restarted GMRES
+b.  The damping keeps every accepted iterate inside Gamma_k by _CONE_MARGIN:
+a trial step whose cone margin drops below it is rejected and the step
+halved.  That does not make L elliptic.  Its weights
+sigma_{k-1}(lam|j) - Ft sigma_{l-1}(lam|j) can drop to <= 0 at an iterate
+inside Gamma_k, and linearize then raises ConeError: n2k2l1 on axes (0, 5),
+N = 16, F = 0.6 sin(2 pi (x0 + x5)) passes the cone check, yet its solve
+stops there.  The linear solves use restarted GMRES
 (Saad & Schultz 1986), right-preconditioned by the constant-coefficient
 symbol on the torus, so constant-coefficient problems converge in a single
 inner iteration.
@@ -102,7 +106,7 @@ class SolverConfig:
 
     @property
     def grid(self):
-        return TorusGrid(self.n, self.active_axes, self.points_per_axis)
+        return TorusGrid(self.n, self.active_axes, self.points_per_axis, self.backend)
 
     def to_dict(self):
         return dict(vars(self))
@@ -218,14 +222,14 @@ class Linearization:
 
     apply(v) implements the second-order part L[v] = sum c_PQ(z) v_,PQ built
     from the Newton transforms of W_u; b_column is dR/db.  ellipticity_margin
-    is the minimum spectral weight of the transform combination; it must be
-    positive (it is, inside Gamma_k when the quotient factor tracks the
-    equation) or the operator has lost ellipticity.
+    is the minimum weight sigma_{k-1}(lam|j) - Ft sigma_{l-1}(lam|j) of the
+    transform combination, which linearize requires to be positive.  An
+    iterate inside Gamma_k can still have a weight <= 0.  The derivative
+    scheme is the grid's.
     """
 
-    def __init__(self, grid, backend, coeff, b_column, ellipticity_margin):
+    def __init__(self, grid, coeff, b_column, ellipticity_margin):
         self.grid = grid
-        self.backend = backend
         self.coeff = coeff  # dict (P, Q), active axes P <= Q -> field
         self.b_column = b_column
         self.ellipticity_margin = ellipticity_margin
@@ -233,7 +237,7 @@ class Linearization:
     def apply(self, v):
         out = np.zeros_like(v)
         for (P, Q), c in self.coeff.items():
-            out += c * second_derivative(v, self.grid, P, Q, self.backend)
+            out += c * second_derivative(v, self.grid, P, Q)
         return out
 
     def matvec(self, v, db):
@@ -244,11 +248,11 @@ class Linearization:
         preconditioning: sum over pairs of mean(c_PQ) * symbol(P, Q)."""
         sym = np.zeros(self.grid.shape)
         for (P, Q), c in self.coeff.items():
-            sym = sym + float(np.mean(c)) * symbol(self.grid, P, Q, self.backend)
+            sym = sym + float(np.mean(c)) * symbol(self.grid, P, Q)
         return sym
 
 
-def linearize(spectrum, b, F, grid, k, l, backend="spectral"):
+def linearize(spectrum, b, F, grid, k, l):
     """The Linearization of the residual at (u, b), from ``spectrum`` =
     chi_eigh(W_u).
 
@@ -277,7 +281,7 @@ def linearize(spectrum, b, F, grid, k, l, backend="spectral"):
         if np.abs(c).max() > 0:
             coeff[(P, Q)] = c.reshape(grid.shape)
 
-    return Linearization(grid, backend, coeff, -E * symfun.sigma(lam, l), ell)
+    return Linearization(grid, coeff, -E * symfun.sigma(lam, l), ell)
 
 
 def normalize_sup(u):
@@ -392,7 +396,6 @@ def solve(cfg):
     """
     grid, omega0, F = build_problem(cfg)
     k, l = cfg.k, cfg.l
-    backend = cfg.backend
 
     lam0 = np.sort(omega0, axis=-1)
     u = np.zeros(grid.shape)
@@ -400,7 +403,7 @@ def solve(cfg):
     symfun.require_finite_forcing(cfg.n, k, l, float(np.max(F)) + b)
     fl.require_in_gamma(lam0, k)
 
-    spectrum = chi_eigh(fl.omega_u(omega0, u, grid, backend))
+    spectrum = chi_eigh(fl.omega_u(omega0, u, grid))
     R = residual(spectrum[0], b, F, k, l)
     hist = [float(np.abs(R).max())]
     iterations = 0
@@ -409,7 +412,7 @@ def solve(cfg):
         if hist[-1] <= cfg.tolerance:
             break
         try:
-            lin = linearize(spectrum, b, F, grid, k, l, backend)
+            lin = linearize(spectrum, b, F, grid, k, l)
         except ConeError as exc:
             raise ConvergenceError(f"aborted at iteration {it}: {exc}") from exc
         v, db = _solve_newton_step(lin, R)
@@ -420,7 +423,7 @@ def solve(cfg):
             u_try = u + step * v
             u_try -= u_try.mean()
             b_try = b + step * db
-            spectrum_try = chi_eigh(fl.omega_u(omega0, u_try, grid, backend))
+            spectrum_try = chi_eigh(fl.omega_u(omega0, u_try, grid))
             margin = symfun.gamma_margin(spectrum_try[0], k)
             if np.min(margin) <= _CONE_MARGIN:
                 step *= _BACKTRACK

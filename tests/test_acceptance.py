@@ -134,7 +134,7 @@ def test_criterion_4_hessian_patch_tests():
     for axis in g.active_axes:
         x = np.broadcast_to(g.coordinate(axis), g.shape)
         u = u + (1 - np.cos(2 * np.pi * x)) / (2 * np.pi**2)
-    H = fl.quaternionic_hessian(u, g, "spectral")
+    H = fl.quaternionic_hessian(u, g)
     expected = np.zeros((2 * n, 2 * n))
     expected[coord, coord] = 4.0
     expected[n + coord, n + coord] = 4.0
@@ -146,8 +146,8 @@ def test_criterion_4_hessian_patch_tests():
         xa = np.broadcast_to(g2.coordinate(0), g2.shape)
         xb = np.broadcast_to(g2.coordinate(4), g2.shape)
         uu = np.sin(2 * np.pi * xa) + np.cos(2 * np.pi * xb)
-        Hs = fl.quaternionic_hessian(uu, g2, "spectral")
-        Hf = fl.quaternionic_hessian(uu, g2, "fd")
+        Hs = fl.quaternionic_hessian(uu, g2)
+        Hf = fl.quaternionic_hessian(uu, TorusGrid(2, (0, 4), N, "fd"))
         errs.append(float(np.abs(Hs - Hf).max()))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = patch_dev <= 1e-12 and all(abs(o - 2.0) <= 0.1 for o in orders)
@@ -284,14 +284,14 @@ def test_criterion_7b_cherrier_two_fold_bound(solved_family, probed_family):
     for label, rep in probed_family.items():
         cfg, res, _ = solved_family[label]
         grid, _, _ = build_problem(cfg)
-        sigma1 = symfun.sigma(fl.eig_field(fl.quaternionic_hessian(res.u, grid, "spectral")), 1)
+        sigma1 = symfun.sigma(fl.eig_field(fl.quaternionic_hessian(res.u, grid)), 1)
         ceiling = 0.25 * float(sigma1.max())
         shifted = res.u - res.u.min()
         ratios = {row["p"]: row["ratio"] for row in rep.cherrier}
         worst_err = 0.0
         for p, c in ratios.items():
             weight = np.exp(-p * shifted)
-            mean = 0.25 * integrate(weight * sigma1, grid) / integrate(weight, grid)
+            mean = 0.25 * integrate(weight * sigma1) / integrate(weight)
             worst_err = max(worst_err, abs(c - mean) / abs(mean))
         c_max = max(ratios.values())
         case_ok = worst_err <= 1e-8 and c_max <= ceiling

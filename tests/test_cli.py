@@ -8,6 +8,9 @@ import pytest
 from hquot import cli, config, fields, oracle
 from hquot.cli import main
 from hquot.errors import StructureError
+from hquot.grid import load_scalar_field
+from hquot.probe import run_probe
+from hquot.solver import SolverConfig, build_problem
 
 
 def _write(path, obj):
@@ -43,16 +46,17 @@ def test_verify_roundtrip(tmp_path):
     assert (tmp_path / "rerun" / "verify_report.json").read_bytes() == report
 
 
-def test_verify_nan_slack_is_a_failure(tmp_path):
-    # at scale 1e308 the samples overflow and the slacks are NaN: not a pass
-    cfg = _write(tmp_path / "v.json", {"count": 10, "n_values": [2], "scale": 1e308,
+@pytest.mark.parametrize("scale", [1e308, 1e200])
+def test_verify_overflowing_scale_is_a_usage_error(tmp_path, capsys, scale):
+    # the samples leave the float range, so no inequality is tested: exit 2
+    # naming scale, without numpy's overflow warnings
+    cfg = _write(tmp_path / "v.json", {"count": 10, "n_values": [2], "scale": scale,
                                        "propositions": ["newton-maclaurin"]})
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
-    assert rc == 1
-    payload = json.loads((tmp_path / "o" / "verify_report.json").read_text())
-    assert payload["failures"] > 0
+    assert rc == 2 and "error: scale" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_rejects_zero_count(tmp_path):
@@ -438,6 +442,26 @@ def test_probe_solved_state(tmp_path, solve_cfg):
     assert payload["pointwise"]["all_strict_positive"]
     for rec in payload["homotopy"]:
         assert rec["slack"] >= -1e-6 and rec["weighted_slack"] >= -1e-6
+
+
+def test_fd_solve_probes_and_cone_checks(tmp_path):
+    # the snapshot header names no scheme: the probe reads the field against
+    # the config's fd grid, and its report is the library's on that grid
+    cfg = _write(tmp_path / "fd.json", {
+        "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0, 5],
+        "F": "0.2*sin(2*pi*(x0 + x5))", "backend": "fd",
+    })
+    sol, pr = tmp_path / "sol", tmp_path / "pr"
+    assert main(["solve", "--config", cfg, "--out", str(sol), "--quiet"]) == 0
+    assert main(["probe", "--result", str(sol), "--out", str(pr), "--p", "4,8", "--quiet"]) == 0
+    assert main(["cone-check", "--config", cfg, "--out", str(tmp_path / "cc"), "--quiet"]) == 0
+    summary = json.loads((sol / "solve_summary.json").read_text())
+    grid, omega0, F = build_problem(SolverConfig.from_dict(summary["config"]))
+    assert grid.backend == "fd"
+    report = run_probe(load_scalar_field(sol / "u.csv", grid), omega0, F + summary["b"], grid,
+                       2, 1, p_values=(4.0, 8.0), problem_id="n2-k2-l1-N8-ax0-5")
+    assert (pr / "probe_report.json").read_text() == report.to_json()
+    assert (pr / "cherrier.csv").read_text() == report.cherrier_csv()
 
 
 def test_probe_malformed_field(tmp_path, solve_cfg):

@@ -68,31 +68,37 @@ def test_grid_rejects_non_integers(args, field):
         TorusGrid(*args)
 
 
+def test_grid_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="^backend must be"):
+        TorusGrid(1, (0,), 8, "bogus")
+
+
 def test_first_derivative_backends():
     g = TorusGrid(1, (0,), 32)
     x = _field(g, 0, lambda t: t)
     u = np.sin(2 * np.pi * x)
     exact = 2 * np.pi * np.cos(2 * np.pi * x)
-    assert np.abs(first_derivative(u, g, 0, "spectral") - exact).max() < 1e-11
-    assert np.abs(first_derivative(u, g, 0, "fd") - exact).max() < 0.05
-    assert np.array_equal(first_derivative(u, g, 1, "spectral"), np.zeros_like(u))
+    assert np.abs(first_derivative(u, g, 0) - exact).max() < 1e-11
+    assert np.abs(first_derivative(u, TorusGrid(1, (0,), 32, "fd"), 0) - exact).max() < 0.05
+    assert np.array_equal(first_derivative(u, g, 1), np.zeros_like(u))
 
 
 def test_second_derivative_symmetry():
     g = TorusGrid(2, (0, 4), 16)
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t)) * _field(g, 4, lambda t: np.cos(4 * np.pi * t))
     for backend in ("spectral", "fd"):
-        a = second_derivative(u, g, 0, 4, backend)
-        b = second_derivative(u, g, 4, 0, backend)
+        gb = TorusGrid(2, (0, 4), 16, backend)
+        a = second_derivative(u, gb, 0, 4)
+        b = second_derivative(u, gb, 4, 0)
         assert np.array_equal(a, b)
 
 
 def test_integrate_exact_values():
     g = TorusGrid(1, (0,), 16)
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t))
-    assert integrate(np.ones(g.shape), g) == 1.0
-    assert abs(integrate(u, g)) < 1e-12
-    assert integrate(u**2, g) == pytest.approx(0.5, abs=1e-12)
+    assert integrate(np.ones(g.shape)) == 1.0
+    assert abs(integrate(u)) < 1e-12
+    assert integrate(u**2) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_scalar_field_roundtrip(tmp_path):
@@ -101,22 +107,37 @@ def test_scalar_field_roundtrip(tmp_path):
     u = rng.normal(size=g.shape)
     path = tmp_path / "u.csv"
     save_scalar_field(path, u, g)
-    v, g2 = load_scalar_field(path)
-    assert g2 == g
+    v = load_scalar_field(path, g)
     assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param(TorusGrid(3, (0, 4), 8), id="n"),
+    pytest.param(TorusGrid(2, (0, 4), 16), id="N"),
+    pytest.param(TorusGrid(2, (0, 5), 8), id="axes"),
+])
+def test_field_header_must_match_grid(tmp_path, other):
+    # a field is read against its grid; the scheme is not part of the file
+    g = TorusGrid(2, (0, 4), 8)
+    path = tmp_path / "u.csv"
+    u = np.arange(64.0).reshape(g.shape)
+    save_scalar_field(path, u, g)
+    assert np.array_equal(load_scalar_field(path, TorusGrid(2, (0, 4), 8, "fd")), u)
+    with pytest.raises(ValueError, match="does not match the grid's"):
+        load_scalar_field(path, other)
 
 
 def test_malformed_field_file(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# not a field\n")
-    with pytest.raises(ValueError):
-        load_scalar_field(path)
     g = TorusGrid(1, (0,), 4)
+    with pytest.raises(ValueError):
+        load_scalar_field(path, g)
     save_scalar_field(path, np.zeros(g.shape), g)
     text = path.read_text().splitlines()
     path.write_text("\n".join(text[:-1]) + "\n")  # truncate one value
     with pytest.raises(ValueError):
-        load_scalar_field(path)
+        load_scalar_field(path, g)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -128,7 +149,7 @@ def test_non_finite_field_value_names_its_line(tmp_path, value):
     lines[4] = value
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line 5: non-finite value '{value}'"):
-        load_scalar_field(path)
+        load_scalar_field(path, g)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +172,7 @@ def test_hessian_quadratic_patch():
         u = np.zeros(g.shape)
         for axis in g.active_axes:
             u = u + _field(g, axis, lambda t: (1 - np.cos(2 * np.pi * t)) / (2 * np.pi**2))
-        H = fl.quaternionic_hessian(u, g, "spectral")
+        H = fl.quaternionic_hessian(u, g)
         origin = (0,) * g.dim
         expected = np.zeros((2 * n, 2 * n))
         expected[coord, coord] = 4.0
@@ -186,7 +207,7 @@ def test_hessian_fd_exact_on_true_quadratic():
 def test_hessian_sine_trace():
     g = TorusGrid(1, (0,), 16)
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t))
-    H = fl.quaternionic_hessian(u, g, "spectral")
+    H = fl.quaternionic_hessian(u, g)
     s1 = _sigma(H, 1)
     assert np.abs(s1 - (-2 * np.pi**2) * u).max() < 1e-10
     _assert_hyperhermitian(H)
@@ -199,8 +220,8 @@ def test_hessian_backend_convergence_order():
         u = _field(g, 0, lambda t: np.sin(2 * np.pi * t)) + _field(
             g, 4, lambda t: np.cos(2 * np.pi * t)
         )
-        Hs = fl.quaternionic_hessian(u, g, "spectral")
-        Hf = fl.quaternionic_hessian(u, g, "fd")
+        Hs = fl.quaternionic_hessian(u, g)
+        Hf = fl.quaternionic_hessian(u, TorusGrid(2, (0, 4), N, "fd"))
         errs.append(np.abs(Hs - Hf).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(o - 2.0) <= 0.1 for o in orders)
@@ -210,7 +231,7 @@ def test_hessian_off_diagonal_coupling():
     # axes from different quaternionic coordinates produce off-diagonal entries
     g = TorusGrid(2, (0, 5), 12)
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t)) * _field(g, 5, lambda t: np.sin(2 * np.pi * t))
-    H = fl.quaternionic_hessian(u, g, "spectral")
+    H = fl.quaternionic_hessian(u, g)
     assert np.abs(H[..., 0, 1]).max() > 1.0
     _assert_hyperhermitian(H)
 
@@ -266,7 +287,7 @@ def test_tables_are_hamilton_products(monkeypatch, n):
         want[a, b] = q
         got = np.array([[_entry(B, r, t) for t in range(n)] for r in range(n)])
         assert np.array_equal(got, want) and qt.structure_residual(B) == 0.0, (P, Q)
-    monkeypatch.setattr(fl, "first_derivative", lambda u, grid, P, backend: np.ones(grid.shape))
+    monkeypatch.setattr(fl, "first_derivative", lambda u, grid, P: np.ones(grid.shape))
     for P in range(4 * n):
         g = TorusGrid(n, (P,), 4)
         v = fl.gradient_coefficients(np.zeros(g.shape), g)[0]
@@ -304,7 +325,7 @@ def test_hessian_entries_match_defining_formula(axes):
     # a band-limited u; cross-coordinate axes reach the j and k components.
     g, u, modes, phase = _band_limited(axes)
     n = g.n
-    H = fl.quaternionic_hessian(u, g, "spectral")
+    H = fl.quaternionic_hessian(u, g)
     assert np.array_equal(H, np.swapaxes(H, -1, -2).conj())
     _assert_hyperhermitian(H)
     for pt in _sample_points():
@@ -325,7 +346,7 @@ def test_gradient_entries_match_defining_formula(axes):
     # is stored as column 0 of its embedding: X in slot b, -conj(Y) in n + b.
     g, u, modes, phase = _band_limited(axes)
     n = g.n
-    v = fl.gradient_coefficients(u, g, "spectral")
+    v = fl.gradient_coefficients(u, g)
     for pt in _sample_points():
         d1 = np.zeros(4 * n)  # exact du/dx_P at the point
         for (amp, mm), ph in zip(modes, phase):
@@ -366,10 +387,11 @@ def test_omega_u_affine():
                  axis=-1)
     embedded = np.concatenate([d, d], axis=-1)[..., None] * np.eye(4)
     for backend in ("spectral", "fd"):
-        H = fl.quaternionic_hessian(u, g, backend)
+        gb = TorusGrid(2, (0, 1, 4, 5), 8, backend)
+        H = fl.quaternionic_hessian(u, gb)
         assert np.abs(H[..., 0, 1]).max() > 1e-2  # off-diagonal: the axes couple
-        assert np.array_equal(fl.omega_u(d, np.zeros(g.shape), g, backend), embedded)
-        assert np.array_equal(fl.omega_u(d, u, g, backend), embedded + H)
+        assert np.array_equal(fl.omega_u(d, np.zeros(g.shape), gb), embedded)
+        assert np.array_equal(fl.omega_u(d, u, gb), embedded + H)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +583,8 @@ def test_integration_by_parts_adjoint():
     H = fl.quaternionic_hessian(u, g)
     gu = fl.gradient_coefficients(u, g)
     gw = fl.gradient_coefficients(w, g)
-    lhs = integrate(w * _sigma(H, 1), g)
-    rhs = -integrate(np.einsum("...p,...p->...", gw.conj(), gu).real, g)
+    lhs = integrate(w * _sigma(H, 1))
+    rhs = -integrate(np.einsum("...p,...p->...", gw.conj(), gu).real)
     assert abs(lhs - rhs) < 1e-8
 
 
@@ -575,6 +597,6 @@ def test_weighted_integration_by_parts():
     H = fl.quaternionic_hessian(u, g)
     for p in (2.0, 5.0):
         weight = np.exp(-p * u)
-        lhs = integrate(weight * _sigma(H, 1), g)
-        rhs = p * integrate(weight * np.einsum("...p,...p->...", gu.conj(), gu).real, g)
+        lhs = integrate(weight * _sigma(H, 1))
+        rhs = p * integrate(weight * np.einsum("...p,...p->...", gu.conj(), gu).real)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))

@@ -10,7 +10,8 @@ bindings are what the benchmark's tracer rebinds.  Every public name
 read somewhere in the package outside its own definition, unless the
 package re-exports it or ``KEEP`` names it.  In every module, every
 defaulted parameter is set by some package call, unless ``KEEP_DEFAULTS``
-names it: a default nobody overrides is a constant.
+names it: a default nobody overrides is a constant.  No function takes a
+``backend`` parameter: the grid carries its difference scheme.
 Importing ``hquot.cli`` in a fresh interpreter loads no scipy module,
 every span the benchmark's tracer rebinds resolves in the package, and the
 benchmark's verifier-to-proposition map matches the verifiers' reports.
@@ -130,6 +131,17 @@ def test_no_function_local_package_imports(path):
     local = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top]
     assert not local, f"{path.name}: function-local package imports at lines {local}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_backend_parameter(path):
+    # the grid carries the difference scheme, so no function takes one apart
+    # from the grid it differentiates on
+    tree = ast.parse(path.read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and any(isinstance(a, ast.arg) and a.arg == "backend" for a in ast.walk(node.args))]
+    assert not found, f"{path.name}: functions with a backend parameter at lines {found}"
 
 
 # Public names that no package code reads, kept on purpose: one reason each.

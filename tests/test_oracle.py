@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ def test_spec_validation():
         SampleSpec(n=3, k=4, count=10)
     with pytest.raises(ValueError):
         SampleSpec(n=3, k=2, count=5, scale=-1.0)
+
+
+def test_nan_slack_is_a_failure():
+    # at scale 1e308 the samples overflow and the slacks are NaN: not a pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reports = oracle.run_standard_suite(count=10, seed=20240601, n_values=(2,), scale=1e308,
+                                            propositions=["newton-maclaurin"])
+    assert sum(r.failures for r in reports) > 0
 
 
 @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0])
