@@ -146,11 +146,7 @@ def omega_u(omega0, u, grid):
 
 
 def eig_field(W):
-    """Pointwise eigenvalue tuples, shape grid.shape + (n,), ascending.
-
-    Exactly real diagonal fields, every n = 1 field among them, skip the
-    dense solver; their pairs are checked like any other.
-    """
+    """chi_eigvals(W): the pointwise eigenvalue tuples, shape grid.shape + (n,)."""
     return chi_eigvals(W)
 
 
@@ -262,8 +258,8 @@ def gradient_pairing(grad, spectrum, i):
     computed as c_i sum_j |(V^H v)_j|^2 sigma_{i-1}(lam|j) for v = ``grad``
     (from gradient_coefficients) and the spectrum (lam, V) = chi_eigh(W),
     each collapsed eigenvalue weighting its two embedding slots.
-    Nonnegative whenever W is in Gamma_i pointwise.  Order 1 reads no
-    eigenvectors, so V may be None there.
+    Nonnegative whenever W is in Gamma_i pointwise.  Order 1 is c_1 |v|^2,
+    since S_0 = Id.
     """
     lam, V = spectrum
     n = lam.shape[-1]

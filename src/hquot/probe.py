@@ -124,7 +124,7 @@ def homotopy_means(u, omega0, hessian, grid, k):
     for m < k.
 
     One pass over ``t_nodes(k)`` diagonalizes each node once for every order
-    and both intervals (order 1 needs no eigenvectors).  No field depends on p.
+    and both intervals.  No field depends on p.
     """
     grad = fl.gradient_coefficients(u, grid)
     L = np.zeros(grid.shape)
@@ -134,7 +134,7 @@ def homotopy_means(u, omega0, hessian, grid, k):
         # W_t is dropped before the pairings: at n = 1 it is the largest
         # array of this loop, which sets the probe's peak memory
         Wt = fl.add_background(t * hessian, omega0)
-        spectrum = chi_eigh(Wt) if k > 1 else (fl.eig_field(Wt), None)
+        spectrum = chi_eigh(Wt)
         del Wt
         e = np.moveaxis(symfun.elementary_all(spectrum[0], k - 1), -1, 0)
         S += w1 * e

@@ -77,61 +77,36 @@ def structure_residual(M):
     return float(np.abs(r).max())
 
 
-def _is_exactly_real_diagonal(M):
-    """True iff every matrix of the stack is real, diagonal and finite.
-
-    Counts nonzeros in views of M, without a copy.  A NaN off the diagonal
-    counts as nonzero and a non-finite diagonal entry is rejected, so such
-    input goes to eigvalsh.
-    """
-    if M.imag.any():
-        return False
-    R = M.real
-    d = np.einsum("...ii->...i", R)
-    return bool(np.count_nonzero(R) == np.count_nonzero(d) and np.isfinite(d).all())
-
-
 def chi_eigvals(M):
-    """Eigenvalues of stacked hyperhermitian embeddings, pair-collapsed.
-
-    Input ``(..., 2n, 2n)`` hermitian with the chi structure; output
-    ``(..., n)`` ascending.  Each matrix's eigenvalue pairs (on the exact
-    diagonal shortcut, its diagonal entries i and n + i) must agree to
-    1e-8 * (1 + max|eig| of that matrix); a violation or a non-finite entry
+    """The eigenvalues of chi_eigh, without eigenvectors: ``(..., n)``
+    ascending from stacked hyperhermitian embeddings ``(..., 2n, 2n)``,
+    under the same structure checks.  Up to n = 2 this is chi_eigh's
+    eigenvalue output; from n = 3 on, eigvalsh's pairs must agree to
+    1e-8 * (1 + max|eig| of that matrix).  A violation or a non-finite entry
     raises StructureError (a non-hyperhermitian input or an eigensolver
     failure, never silently fixed).
     """
     M = np.asarray(M, dtype=complex)
-    n = M.shape[-1] // 2
-    if _is_exactly_real_diagonal(M):
-        d = np.einsum("...ii->...i", M).real
-        if not np.array_equal(d[..., :n], d[..., n:]):  # exact pairs need no spread
-            _require_spread(np.abs(d[..., :n] - d[..., n:]), d, 2)
-        return np.sort(d[..., :n], axis=-1)
+    if M.shape[-1] <= 4:
+        return chi_eigh(M)[0]
     _require_finite(M)
-    w = np.linalg.eigvalsh(M)
-    return _collapse_pairs(w, 2)
+    return _collapse_pairs(np.linalg.eigvalsh(M), 2)
 
 
-def _require_spread(spread, values, mult):
-    """Raise StructureError unless, matrix by matrix, every group spread
-    ``(..., n)`` is at most _TOL * (1 + the largest |value| of that matrix)
-    over ``values`` ``(..., m)``; a NaN spread is a violation."""
-    spread = spread.max(axis=-1, initial=0.0)
-    limit = _TOL * (1.0 + np.abs(values).max(axis=-1, initial=0.0))
+def _collapse_pairs(w, mult):
+    """Means of the ascending eigenvalues ``w`` ``(..., mult n)`` in groups
+    of ``mult``.  Raises StructureError unless, matrix by matrix, every
+    group's spread (last minus first) is at most _TOL * (1 + the largest |w|
+    of that matrix); a NaN spread is a violation."""
+    groups = [w[..., i::mult] for i in range(mult)]
+    spread = (groups[-1] - groups[0]).max(axis=-1, initial=0.0)
+    limit = _TOL * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
     if not np.all(spread <= limit):
         worst = np.unravel_index(np.argmax(~(spread <= limit)), np.shape(spread))
         raise StructureError(
             f"eigenvalue multiplicity {mult} violated: spread {spread[worst]:.3e} "
             f"exceeds {_TOL:.1e} * (1 + |A|) = {limit[worst]:.3e}"
         )
-
-
-def _collapse_pairs(w, mult):
-    """Means of the ascending eigenvalues ``w`` ``(..., mult n)`` in groups
-    of ``mult``, after checking each group's spread (last minus first)."""
-    groups = [w[..., i::mult] for i in range(mult)]
-    _require_spread(groups[-1] - groups[0], w, mult)
     return functools.reduce(np.add, groups) / mult + 0.0  # + 0.0: no -0.0 means
 
 
@@ -152,18 +127,28 @@ def chi_eigh(M):
     eigenvector matrix ``(..., 2n, 2n)``: columns 2i and 2i + 1 span the
     eigenspace of eigenvalue i.  Spectral functions built from these
     (``chi_from_spectrum``) land back in the quaternionic subalgebra because
-    paired eigenvalues receive identical weights.  Non-finite input raises
-    StructureError naming the entry.  At n = 1 the embedding is lam * Id: lam
-    is read off the diagonal and V is a read-only identity, without LAPACK,
-    and any other entry beyond 1e-8 * (1 + |lam|) raises StructureError.
-    At n = 2, (lam, V) come in closed form (`_chi_eigh_2x2`), not from eigh;
-    from n = 3 on, V is the raw complex one from eigh.
+    paired eigenvalues receive identical weights.
+
+    One dispatch by size, and every branch checks the structure: at n = 1
+    the embedding is lam * Id, so lam is read off the diagonal, V is a
+    read-only identity, and a slot beyond 1e-8 * (1 + |lam|) of lam * Id
+    raises StructureError; at n = 2, (lam, V) come in closed form
+    (`_chi_eigh_2x2`), which checks all 16 slots; from n = 3 on, V is the
+    raw complex one from eigh and the eigenvalue pairs are checked.
+    Non-finite input raises StructureError naming the entry.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-1] == 2:
-        lam = M[..., :1, 0].real.copy()
-        worst = np.abs(M - lam[..., None] * np.eye(2)).max(axis=(-2, -1))
-        ok = worst <= _TOL * (1.0 + np.abs(lam[..., 0]))
+        a = M[..., 0, 0]
+        lam = a.real[..., None].copy()
+        # slot by slot, the deviations |M - lam * Id| of a finite lam; an
+        # infinite lam fails, and non-finite slots are named below
+        with np.errstate(invalid="ignore"):
+            worst = np.abs(a.imag)
+            for dev in (M[..., 0, 1], M[..., 1, 0], M[..., 1, 1] - a.real):
+                worst = np.maximum(worst, np.abs(dev))
+        limit = _TOL * (1.0 + np.abs(lam[..., 0]))
+        ok = (worst <= limit) & (limit < np.inf)
         if not ok.all():
             _require_finite(M)
             raise StructureError(f"1 x 1 embedding is not a real multiple of Id: {worst[~ok].max():.3e}")
@@ -264,11 +249,15 @@ def chi_delete(M, i):
 
 def _require_hyperhermitian(A):
     """The embedding of A after checking that it is finite and, matrix by
-    matrix, hermitian to _TOL * (1 + |A|)."""
+    matrix, hermitian and in the image of chi (blocks X = conj of the lower
+    right one, Y = -conj of the lower left one) to _TOL * (1 + |A|)."""
     M = np.asarray(A, dtype=complex)
     _require_finite(M)
+    n = M.shape[-1] // 2
     axes = (-2, -1)
     residual = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
+    for dev in (M[..., :n, :n] - M[..., n:, n:].conj(), M[..., :n, n:] + M[..., n:, :n].conj()):
+        residual = np.maximum(residual, np.abs(dev).max(axis=axes, initial=0.0))
     if not np.all(residual <= _TOL * (1.0 + np.abs(M).max(axis=axes, initial=0.0))):
         raise StructureError(f"matrix is not hyperhermitian (residual {residual.max():.3e})")
     return M
@@ -349,10 +338,11 @@ def principal_minor_det(A, indices):
 
     ``indices`` is a 0-based set; the full index set yields 1 by convention,
     the empty set yields moore_det(A).  Deleting a symmetric row/column set
-    preserves hyperhermitianness, so the sub-determinant is well defined.
+    preserves hyperhermitianness, so the sub-determinant is well defined;
+    A itself is checked as moore_det's input is, whatever ``indices`` are.
     A stack of embeddings ``(..., 2n, 2n)`` gives one minor per matrix.
     """
-    M = np.asarray(A, dtype=complex)
+    M = _require_hyperhermitian(A)
     n = M.shape[-1] // 2
     idx = sorted(set(int(i) for i in indices))
     if any(i < 0 or i >= n for i in idx):
@@ -400,7 +390,8 @@ def sigma_k_coefficient(A, k):
     s = 1.0 + np.abs(lam).max(axis=-1, initial=0.0)
     nodes = s[..., None] * (np.arange(n + 1) - n / 2.0)
     eye = np.eye(2 * n)
-    vals = np.stack([moore_det(M + nodes[..., j, None, None] * eye)
+    # a shift by t * Id keeps the checked structure, so no node is checked again
+    vals = np.stack([np.prod(chi_eigvals(M + nodes[..., j, None, None] * eye), axis=-1)
                      for j in range(n + 1)], axis=-1)
     # coefficients come highest power first
     coeffs = [np.polyfit(x, y, n)[k]

@@ -441,7 +441,7 @@ def solve(cfg):
                 f"damping underflow at iteration {it} (residual {hist[-1]:.3e})"
             )
         iterations = it
-    else:
+    if not hist[-1] <= cfg.tolerance:
         raise ConvergenceError(
             f"no convergence in {cfg.max_iterations} iterations "
             f"(residual {hist[-1]:.3e})"

@@ -11,7 +11,8 @@ read somewhere in the package outside its own definition, unless the
 package re-exports it or ``KEEP`` names it.  In every module, every
 defaulted parameter is set by some package call, unless ``KEEP_DEFAULTS``
 names it: a default nobody overrides is a constant.  No function takes a
-``backend`` parameter: the grid carries its difference scheme.
+``backend`` parameter: the grid carries its difference scheme.  No module
+but ``quaternion`` calls numpy's eigensolvers.
 Importing ``hquot.cli`` in a fresh interpreter loads no scipy module,
 every span the benchmark's tracer rebinds resolves in the package, and the
 benchmark's verifier-to-proposition map matches the verifiers' reports.
@@ -142,6 +143,23 @@ def test_no_backend_parameter(path):
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
              and any(isinstance(a, ast.arg) and a.arg == "backend" for a in ast.walk(node.args))]
     assert not found, f"{path.name}: functions with a backend parameter at lines {found}"
+
+
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "quaternion"],
+                         ids=lambda p: p.stem)
+def test_no_eigensolver_outside_quaternion(path):
+    # every spectrum comes from the one kernel, quaternion.chi_eigh and its
+    # eigenvalue-only form chi_eigvals
+    tree = ast.parse(path.read_text())
+    found = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS]
+    found += [(node.lineno, alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name in EIGENSOLVERS]
+    assert not found, f"{path.name}: eigensolver calls outside quaternion (line, name) {found}"
 
 
 # Public names that no package code reads, kept on purpose: one reason each.

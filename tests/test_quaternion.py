@@ -279,43 +279,101 @@ def test_chi_from_spectrum_reassembles():
         assert np.abs(S - S.conj().T).max() <= 1e-10 * (1 + np.abs(S).max())
 
 
-def _old_is_exactly_real_diagonal(M):
-    """The off-diagonal-copy test that _is_exactly_real_diagonal replaced."""
-    off = M - np.einsum("...ii->...i", M)[..., None] * np.eye(M.shape[-1])
-    return not off.any() and not M.imag.any()
+def _unitary_conjugate(rng, values):
+    """Q diag(values) Q^H for a random complex unitary Q: hermitian, with
+    the spectrum of ``values``, but no chi embedding."""
+    m = len(values)
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return (Q * np.asarray(values, dtype=float)) @ Q.conj().T
 
 
-def _diagonal_test_cases():
+def _spectrum_cases():
+    """(stack, whether it is an embedding) for chi_eigvals against chi_eigh."""
     rng = np.random.default_rng(83)
     diag = np.zeros((4, 6, 6), dtype=complex)
     diag[:, range(6), range(6)] = rng.normal(size=(4, 6))
-    yield pytest.param(diag, id="diagonal")
-    yield pytest.param(qt.random_hyperhermitian_chi(rng, 3, count=4), id="random")
-    yield pytest.param(np.zeros((2, 4, 4), dtype=complex), id="zero")
-    yield pytest.param(np.zeros((3, 0, 0), dtype=complex), id="empty")
+    yield pytest.param(diag, False, id="diagonal")  # entries i and n + i differ
+    yield pytest.param(qt.random_hyperhermitian_chi(rng, 3, count=4), True, id="random")
+    yield pytest.param(np.zeros((2, 4, 4), dtype=complex), True, id="zero")
+    yield pytest.param(np.zeros((3, 0, 0), dtype=complex), True, id="empty")
     neg = diag.copy()
     neg[1, 2, 3] = -0.0
     neg[2, 0, 0] = -0.0
     neg[3, 4, 1] = complex(0.0, -0.0)
-    yield pytest.param(neg, id="negative-zero")
+    yield pytest.param(neg, False, id="negative-zero")
     for bad in (np.nan, np.inf, -np.inf):
         for place, where in (("diag", (1, 2, 2)), ("off", (1, 2, 3))):
             for part, value in (("real", complex(bad, 0.0)), ("imag", complex(0.0, bad))):
                 M = diag.copy()
                 M[where] = value
-                yield pytest.param(M, id=f"{bad}-{place}-{part}")
+                yield pytest.param(M, False, id=f"{bad}-{place}-{part}")
     imag = diag.copy()
     imag[0, 1, 1] += 1e-300j
-    yield pytest.param(imag, id="tiny-imaginary")
+    yield pytest.param(imag, False, id="tiny-imaginary")
+    for n in range(1, 6):
+        for scale in (1e-3, 1.0, 1e3):
+            stack = qt.random_hyperhermitian_chi(rng, n, scale, count=50)
+            yield pytest.param(stack, True, id=f"random-n{n}-{scale:g}")
+        paired = np.stack([_diag_chi(v) for v in rng.normal(size=(5, n))])
+        paired[2] = _diag_chi(np.full(n, -0.0))
+        yield pytest.param(paired, True, id=f"diagonal-n{n}")
+        for where in ((0, 0), (0, n), (n - 1, 2 * n - 1)):
+            for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+                M = paired.copy()
+                M[(3,) + where] = value
+                yield pytest.param(M, False, id=f"{value}-n{n}-{where[0]}-{where[1]}")
+    yield pytest.param(_unitary_conjugate(rng, [1.0, 1.0, 2.0, 2.0]), False, id="Q-diag-1122")
 
 
-@pytest.mark.parametrize("M", _diagonal_test_cases())
-def test_exact_diagonal_test_matches_off_diagonal_copy(M):
-    with np.errstate(invalid="ignore"):
-        expected = _old_is_exactly_real_diagonal(M)
-    assert qt._is_exactly_real_diagonal(M) is expected
-    if not np.isfinite(M).all():
-        assert not expected  # non-finite input never takes the diagonal shortcut
+@pytest.mark.parametrize("M, embedding", _spectrum_cases())
+def test_chi_eigvals_is_chi_eigh_without_eigenvectors(M, embedding):
+    # one kernel: the eigenvalues of chi_eigh, bit for bit where chi_eigvals
+    # hands over to it (n <= 2) and to roundoff of the matrix's scale where
+    # eigvalsh replaces eigh, and the same StructureError on non-finite
+    # entries, broken pairs and, up to n = 2, broken slots
+    if not embedding:
+        with pytest.raises(StructureError):
+            qt.chi_eigh(M)
+        with pytest.raises(StructureError):
+            qt.chi_eigvals(M)
+        return
+    want = qt.chi_eigh(M)[0]
+    got = qt.chi_eigvals(M)
+    assert got.shape == want.shape == M.shape[:-2] + (M.shape[-1] // 2,)
+    if M.shape[-1] <= 4:
+        assert got.tobytes() == want.tobytes()
+    else:
+        scale = 1.0 + np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_paired_spectrum_without_chi_structure_is_rejected():
+    # Q diag(1, 1, 2, 2) Q^H is hermitian with doubled eigenvalues, but far
+    # from any embedding (structure residual about 0.9): the public routines
+    # once returned 2.0, [1, 2] and 3.0 for it
+    rng = np.random.default_rng(149)
+    for values in ([1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]):
+        M = _unitary_conjugate(rng, values)
+        assert qt.structure_residual(M) > 0.1
+        for call in (qt.moore_det, qt.eigenvalues, lambda A: qt.sigma_k_matrix(A, 2),
+                     lambda A: qt.principal_minor_det(A, [])):
+            with pytest.raises(StructureError, match="not hyperhermitian"):
+                call(M)
+
+
+def test_principal_minor_det_checks_its_input():
+    # a 6 x 6 identity with one off-diagonal entry set is neither hermitian
+    # nor an embedding; deleting nothing once returned 1.0
+    M = np.eye(6, dtype=complex)
+    M[0, 1] = 5.0
+    for indices in ([], [1], [0, 1, 2]):
+        with pytest.raises(StructureError, match="not hyperhermitian"):
+            qt.principal_minor_det(M, indices)
+    with pytest.raises(StructureError, match="not hyperhermitian"):
+        qt.moore_det(M)
+    ok = np.eye(6, dtype=complex)
+    ok[[0, 4], [1, 3]] = 1e-9  # a block slip within 1e-8 * (1 + |A|) still passes
+    assert abs(qt.principal_minor_det(ok, []) - 1.0) < 1e-8
 
 
 def test_random_hyperhermitian_stack_draws_as_single_matrices():
@@ -365,7 +423,8 @@ def test_sigma_routes_on_a_stack_match_single_matrices(n):
 
 def test_exact_diagonal_shortcut_enforces_pairs():
     # diag(1, 2, 1 + 1e-4, 2) is no chi embedding: its entries 0 and n + 0
-    # differ by far more than tol_scale * (1 + |A|), as eigvalsh would report
+    # differ by far more than 1e-8 * (1 + |A|), which the closed-form 4 x 4
+    # slot check reports
     M = np.diag([1.0, 2.0, 1.0 + 1e-4, 2.0]).astype(complex)
     with pytest.raises(StructureError):
         qt.chi_eigvals(M)

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +337,20 @@ def test_solve_iteration_cap():
                        F="0.5*sin(2*pi*x0)", max_iterations=1, tolerance=1e-12)
     with pytest.raises(ConvergenceError):
         solve(cfg)
+
+
+def test_solve_converging_on_the_last_allowed_step():
+    # configs/solve_example.json converges in 3 Newton steps; a cap of 3
+    # must accept the third, and a cap of 2 must not
+    path = Path(__file__).resolve().parents[1] / "configs" / "solve_example.json"
+    spec = json.loads(path.read_text())
+    ref = solve(SolverConfig.from_dict(spec))
+    assert ref.iterations == 3
+    res = solve(SolverConfig.from_dict({**spec, "max_iterations": 3}))
+    assert res.iterations == 3 and res.residual_history == ref.residual_history
+    assert res.b == ref.b and res.u.tobytes() == ref.u.tobytes()
+    with pytest.raises(ConvergenceError, match="no convergence in 2 iterations"):
+        solve(SolverConfig.from_dict({**spec, "max_iterations": 2}))
 
 
 def test_solve_fd_backend():
