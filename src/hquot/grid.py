@@ -11,8 +11,12 @@ scheme of every derivative on it, "spectral" (FFT, exact on band-limited
 data) or "fd" (second-order central differences).  The two are independent
 implementations and cross-validate each other.  ``symbol`` is the one table
 of their Fourier multipliers: spectral differentiation applies it, and the
-fd stencils act on each Fourier mode exactly as it says.  A field snapshot
-holds no scheme; ``load_scalar_field(path, grid)`` reads it against its grid.
+fd stencils act on each Fourier mode exactly as it says.  Fields are real
+and every symbol maps real fields to real fields, so spectral
+differentiation runs one real FFT (``rfft``/``irfft``) along the
+differentiated axis and multiplies the N//2 + 1 modes it keeps; a mixed
+partial is two first derivatives.  A field snapshot holds no scheme;
+``load_scalar_field(path, grid)`` reads it against its grid.
 """
 
 from __future__ import annotations
@@ -138,9 +142,7 @@ def first_derivative(u, grid, axis):
     if grid.backend == "fd":
         h = grid.spacing
         return (np.roll(u, -1, axis=pos) - np.roll(u, 1, axis=pos)) / (2.0 * h)
-    U = np.fft.fft(u, axis=pos)
-    U *= symbol(grid, axis)
-    return np.fft.ifft(U, axis=pos).real
+    return _spectral(u, grid, pos, symbol(grid, axis))
 
 
 def second_derivative(u, grid, axis_p, axis_q):
@@ -153,11 +155,21 @@ def second_derivative(u, grid, axis_p, axis_q):
         if grid.backend == "fd":
             h = grid.spacing
             return (np.roll(u, -1, axis=pp) - 2.0 * u + np.roll(u, 1, axis=pp)) / h**2
-        U = np.fft.fft(u, axis=pp)
-        U *= symbol(grid, axis_p, axis_p)
-        return np.fft.ifft(U, axis=pp).real
+        return _spectral(u, grid, pp, symbol(grid, axis_p, axis_p))
     lo, hi = min(axis_p, axis_q), max(axis_p, axis_q)
     return first_derivative(first_derivative(u, grid, lo), grid, hi)
+
+
+def _spectral(u, grid, pos, s):
+    """Apply the one-axis multiplier ``s`` (a ``symbol`` table) to the real
+    field u along array axis ``pos``.  A symbol maps real fields to real
+    fields, so one real FFT suffices: it keeps the first N//2 + 1 modes and
+    their entries of ``s``."""
+    half = [slice(None)] * grid.dim
+    half[pos] = slice(grid.points_per_axis // 2 + 1)
+    U = np.fft.rfft(u, axis=pos)
+    U *= s[tuple(half)]
+    return np.fft.irfft(U, n=grid.points_per_axis, axis=pos)
 
 
 def integrate(f):
@@ -186,10 +198,9 @@ def save_scalar_field(path, u, grid):
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
+    values = "\n".join(map(repr, u.ravel(order="C").tolist()))
     with open(path, "w") as fh:
-        fh.write(_header(grid))
-        for v in u.ravel(order="C"):
-            fh.write(repr(float(v)) + "\n")
+        fh.write(_header(grid) + values + "\n")
 
 
 def load_scalar_field(path, grid):

@@ -323,14 +323,14 @@ def eigenvalues(A, route="complex"):
 
 
 def moore_det(A):
-    """Moore determinant: the product of the real eigenvalues.
+    """Moore determinant: the product of the real eigenvalues, which is the
+    principal minor with nothing deleted.
 
     Signed (unlike det(realize(A))^(1/4)); satisfies moore_det(Id) = 1 and
     |moore_det(A)|^4 = det(realize(A)).  A stack of embeddings gives one
     determinant per matrix.
     """
-    lam = eigenvalues(A)
-    return _scalar_or_stack(np.prod(lam, axis=-1))
+    return principal_minor_det(A, ())
 
 
 def principal_minor_det(A, indices):
@@ -339,7 +339,7 @@ def principal_minor_det(A, indices):
     ``indices`` is a 0-based set; the full index set yields 1 by convention,
     the empty set yields moore_det(A).  Deleting a symmetric row/column set
     preserves hyperhermitianness, so the sub-determinant is well defined;
-    A itself is checked as moore_det's input is, whatever ``indices`` are.
+    A itself is checked, whatever ``indices`` are.
     A stack of embeddings ``(..., 2n, 2n)`` gives one minor per matrix.
     """
     M = _require_hyperhermitian(A)
@@ -347,11 +347,17 @@ def principal_minor_det(A, indices):
     idx = sorted(set(int(i) for i in indices))
     if any(i < 0 or i >= n for i in idx):
         raise ValueError(f"indices out of range for n={n}: {idx}")
+    return _scalar_or_stack(_minor_det(M, idx))
+
+
+def _minor_det(M, idx):
+    """principal_minor_det's value, one per matrix: M is an embedding stack
+    that _require_hyperhermitian has passed, ``idx`` sorted and in range."""
     for i in reversed(idx):
         M = chi_delete(M, i)
     if M.shape[-1] == 0:
-        return _scalar_or_stack(np.ones(M.shape[:-2]))
-    return _scalar_or_stack(np.prod(chi_eigvals(M), axis=-1))
+        return np.ones(M.shape[:-2])
+    return np.prod(chi_eigvals(M), axis=-1)
 
 
 def sigma_k_matrix(A, k):
@@ -368,12 +374,13 @@ def sigma_k_matrix(A, k):
 
 def sigma_k_minor_sum(A, k):
     """sigma_k via the sum of k x k principal minors (deleting n-k indices);
-    one eigenvalue solve per index set, shared by a whole stack."""
+    one eigenvalue solve per index set, shared by a whole stack.  A is
+    checked once, not once per minor."""
     M = _require_hyperhermitian(A)
     n = M.shape[-1] // 2
     total = np.zeros(M.shape[:-2])
     for I in itertools.combinations(range(n), n - k):
-        total += principal_minor_det(M, I)
+        total += _minor_det(M, I)
     return _scalar_or_stack(total)
 
 

@@ -43,7 +43,7 @@ from . import symfun
 from .config import SOLVE, check
 from .errors import ConeError, ConvergenceError
 from .grid import TorusGrid, second_derivative, symbol
-from .quaternion import chi_eigh, chi_from_spectrum
+from .quaternion import chi_eigh
 
 __all__ = [
     "SolverConfig",
@@ -221,11 +221,13 @@ class Linearization:
     """Derivative of the residual at (u, b) as a bordered linear operator.
 
     apply(v) implements the second-order part L[v] = sum c_PQ(z) v_,PQ built
-    from the Newton transforms of W_u; b_column is dR/db.  ellipticity_margin
+    from the Newton transforms of W_u; ``coeff`` holds the real fields c_PQ
+    that are not identically zero, and b_column is dR/db.  ellipticity_margin
     is the minimum weight sigma_{k-1}(lam|j) - Ft sigma_{l-1}(lam|j) of the
     transform combination, which linearize requires to be positive.  An
     iterate inside Gamma_k can still have a weight <= 0.  The derivative
-    scheme is the grid's.
+    scheme is the grid's: on a spectral grid each pure pair costs one real
+    FFT pair along its axis and each mixed pair two.
     """
 
     def __init__(self, grid, coeff, b_column, ellipticity_margin):
@@ -259,7 +261,11 @@ def linearize(spectrum, b, F, grid, k, l):
     Its coefficient matrix G = S_{k-1}(W) - Ft S_{l-1}(W) has the eigenvectors
     V of W_u and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft
     sigma_{l-1}(lam|j), the ellipticity weights: the cone condition's
-    margins at Ft = C(n,k)/C(n,l) e^(F+b).
+    margins at Ft = C(n,k)/C(n,l) e^(F+b).  The coefficients are
+    c_PQ = 1/2 Re tr(G B_PQ), B_PQ the Hessian's embedding of d2/dx_P dx_Q
+    (fields.hessian_basis).  G B_PQ lies in the image of chi, whose lower
+    diagonal block is the conjugate of the upper one, so c_PQ =
+    Re sum_{i<n, j} G_ij B_ji: only the top n rows of G are formed.
     """
     n = grid.n
     lam, V = spectrum
@@ -271,13 +277,18 @@ def linearize(spectrum, b, F, grid, k, l):
     if ell <= 0:
         raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e}): "
                         f"cone condition violated at the current iterate")
-    G = chi_from_spectrum(V, weights).reshape(-1, 4 * n * n)
+    # conj of the top n rows of G = V diag(weights doubled) V^H:
+    # conj(V_top w) @ V^T reads V through a transposed view, with no copy
+    Gc = V[..., :n, :] * np.repeat(weights, 2, axis=-1)[..., None, :]
+    np.conjugate(Gc, out=Gc)
+    Gc = (Gc @ np.swapaxes(V, -1, -2)).reshape(-1, 2 * n * n)
 
-    # c_PQ = 1/2 Re tr(G B_PQ) = 1/2 Re sum_ij G_ij B_ji, B_PQ the Hessian's
-    # embedding of d2/dx_P dx_Q: a matrix-vector product over flattened slots
+    # c_PQ = Re sum_{i<n, j} conj(G_ij) conj(B_ji): a matrix-vector product
+    # over the flattened top-row slots; the copy keeps no view that would
+    # hold the complex product alive
     coeff = {}
     for P, Q, B in fl.hessian_basis(grid):
-        c = 0.5 * (G @ B.T.ravel()).real
+        c = (Gc @ B[:, :n].T.conj().ravel()).real.copy()
         if np.abs(c).max() > 0:
             coeff[(P, Q)] = c.reshape(grid.shape)
 

@@ -93,6 +93,37 @@ def test_second_derivative_symmetry():
         assert np.array_equal(a, b)
 
 
+def _complex_fft_derivative(u, pos, order):
+    """Reference derivative along array axis pos: the full complex FFT, the
+    multiplier ik (Nyquist zeroed) or -k^2, the inverse, the real part."""
+    N = u.shape[pos]
+    k = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
+    if order == 1:
+        k[N // 2] = 0.0
+    s = 1j * k if order == 1 else -(k**2)
+    shape = [1] * u.ndim
+    shape[pos] = N
+    return np.fft.ifft(np.fft.fft(u, axis=pos) * s.reshape(shape), axis=pos).real
+
+
+@pytest.mark.parametrize("axes,N", [((0,), 16), ((0, 5), 16), ((0, 1, 4), 8), ((0, 1, 4, 5), 8)])
+def test_spectral_derivatives_match_complex_fft(axes, N):
+    # white noise carries the Nyquist mode; the real half-spectrum transform
+    # must give the full complex transform's derivatives on every axis
+    grid = TorusGrid(2, axes, N)
+    u = np.random.default_rng(len(axes)).normal(size=grid.shape)
+    for i, P in enumerate(axes):
+        pos = grid.axis_position(P)
+        d1 = _complex_fft_derivative(u, pos, 1)
+        pairs = [(first_derivative(u, grid, P), d1),
+                 (second_derivative(u, grid, P, P), _complex_fft_derivative(u, pos, 2))]
+        for Q in axes[i + 1:]:
+            mixed = _complex_fft_derivative(d1, grid.axis_position(Q), 1)
+            pairs.append((second_derivative(u, grid, Q, P), mixed))
+        for got, ref in pairs:
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_integrate_exact_values():
     g = TorusGrid(1, (0,), 16)
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t))
@@ -109,6 +140,26 @@ def test_scalar_field_roundtrip(tmp_path):
     save_scalar_field(path, u, g)
     v = load_scalar_field(path, g)
     assert np.array_equal(u, v)
+
+
+def _write_v1(path, u, grid):
+    """The v1 snapshot format, value by value: two header lines, then one
+    shortest-roundtrip decimal per line in C order."""
+    axes = ",".join(str(a) for a in grid.active_axes)
+    with open(path, "w") as fh:
+        fh.write(f"# hquot scalar field v1\n# n={grid.n} N={grid.points_per_axis} axes={axes}\n")
+        for v in u.ravel(order="C"):
+            fh.write(repr(float(v)) + "\n")
+
+
+def test_scalar_field_bytes_match_the_v1_format(tmp_path):
+    g = TorusGrid(2, (0, 1, 4), 8)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=g.shape) * 10.0 ** rng.integers(-300, 300, size=g.shape)
+    u.flat[:6] = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1.0, 0.1]
+    save_scalar_field(tmp_path / "u.csv", u, g)
+    _write_v1(tmp_path / "ref.csv", u, g)
+    assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("other", [

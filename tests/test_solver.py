@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hquot import fields as fl, solver, symfun
+from hquot import fields as fl, quaternion as qt, solver, symfun
 from hquot.errors import ConeError, ConvergenceError
 from hquot.grid import TorusGrid, integrate
 from hquot.quaternion import chi_eigh
@@ -148,6 +148,62 @@ def test_linearize_matches_finite_difference(n, k, l, axes, backend):
     lam = _lam(om0, u, grid)
     fdb = (residual(lam, b + eta, F, k, l) - residual(lam, b - eta, F, k, l)) / (2 * eta)
     assert np.abs(fdb - lin.b_column).max() < 1e-6
+
+
+def _half_trace_coefficients(spectrum, b, F, grid, k, l):
+    """Reference c_PQ = 1/2 Re tr(G B_PQ) for every hessian_basis pair, with
+    the whole G = chi_from_spectrum(V, weights) formed."""
+    lam, V = spectrum
+    E = symfun.forcing_factor(grid.n, k, l, F + b)
+    weights = symfun.sigma_excl_all(lam, k - 1) - E[..., None] * symfun.sigma_excl_all(lam, l - 1)
+    G = qt.chi_from_spectrum(V, weights)
+    return {(P, Q): 0.5 * np.trace(G @ B, axis1=-2, axis2=-1).real
+            for P, Q, B in fl.hessian_basis(grid)}
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("n,k,l,axes,N", [
+    pytest.param(1, 1, 0, (0, 1, 2, 3), 8, id="n1k1l0-ax0123"),
+    pytest.param(2, 2, 1, (0, 1, 4, 5), 8, id="n2k2l1-ax0145"),
+    pytest.param(3, 2, 1, (0, 5, 10), 8, id="n3k2l1-ax0510"),
+    pytest.param(3, 3, 1, (1, 6, 11), 8, id="n3k3l1-ax1611"),
+])
+def test_linearize_coefficients_are_half_traces(n, k, l, axes, N, backend):
+    # linearize reads only the top rows of G; on coupled states its
+    # coefficients must be the half traces of the whole G times B_PQ
+    grid = TorusGrid(n, axes, N, backend)
+    om0 = np.ones(grid.shape + (n,))
+    x = {a: np.broadcast_to(grid.coordinate(a), grid.shape) for a in axes}
+    u = 0.004 * np.sin(2 * np.pi * (x[axes[0]] + x[axes[-1]])) \
+        + 0.002 * np.cos(2 * np.pi * (x[axes[1]] - x[axes[-1]]))
+    F = 0.1 * np.sin(2 * np.pi * (x[axes[0]] + x[axes[1]]))
+    spectrum = _spectrum(om0, u, grid)
+    lin = linearize(spectrum, -0.05, F, grid, k, l)
+    ref = _half_trace_coefficients(spectrum, -0.05, F, grid, k, l)
+    scale = max(np.abs(c).max() for c in ref.values())
+    for (P, Q), c in ref.items():
+        got = lin.coeff.get((P, Q), np.zeros(grid.shape))
+        assert np.abs(got - c).max() <= 1e-13 * scale, (P, Q)
+    mixed = max((np.abs(c).max() for (P, Q), c in ref.items() if P // 4 != Q // 4), default=0.0)
+    # n = 1 has no mixed pair of distinct quaternionic coordinates
+    assert mixed > 1e-3 * scale if n > 1 else mixed == 0.0
+
+
+def test_solve_makes_no_einsum_contraction(monkeypatch):
+    # products of three or more factors on the solve path go to matmul (BLAS)
+    operands = []
+    einsum = np.einsum
+
+    def counting(subscripts, *ops, **kwargs):
+        operands.append(len(ops))
+        return einsum(subscripts, *ops, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    for n, axes in ((2, (0, 1, 4, 5)), (3, (0, 5, 10))):
+        cfg = SolverConfig(n=n, k=2, l=1, points_per_axis=8, active_axes=axes,
+                           F="0.1*sin(2*pi*(x0 + x5)) + 0.05*cos(2*pi*(x1 - x4))")
+        assert solve(cfg).iterations >= 2
+    assert max(operands, default=0) < 3
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
