@@ -136,19 +136,10 @@ def run_cone_check(config_path, out_dir, quiet=False):
     report = fl.check_cone_condition(np.sort(omega0, axis=-1), F + b, cfg.k, cfg.l)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "config": cfg.to_dict(),
-        "b_offset": b,
-        "satisfied": bool(report.satisfied),
-        "worst_margin": report.worst_margin,
-        "where": list(report.where),
-        "slot": report.slot,
-        "delta": report.delta,
-    }
-    _write_json(out / "cone_report.json", payload)
-    _echo(quiet, f"cone condition {'holds' if report.satisfied else 'FAILS'} "
-                 f"(margin {report.worst_margin:.6g}, delta {report.delta:.6g})")
-    return 0 if report.satisfied else 1
+    _write_json(out / "cone_report.json", {"config": cfg.to_dict(), "b_offset": b, **report})
+    _echo(quiet, f"cone condition {'holds' if report['satisfied'] else 'FAILS'} "
+                 f"(margin {report['worst_margin']:.6g}, delta {report['delta']:.6g})")
+    return 0 if report["satisfied"] else 1
 
 
 def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):

@@ -30,7 +30,6 @@ grid.shape + (2n, 2n) (stacked embeddings), gradients grid.shape + (2n,).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "require_in_gamma",
     "measure_epsilon",
     "check_cone_condition",
-    "ConeConditionReport",
     "newton_transform_field",
     "gradient_pairing",
 ]
@@ -57,9 +55,9 @@ __all__ = [
 # chi(1), chi(i), chi(j), chi(k): the embedded unit e_c of real coordinate 4a + c
 _UNITS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
                    [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
-# measure_epsilon keeps this fraction of the bisected margin, so the measured
-# eps leaves both cone conditions strictly satisfied
-_EPS_SHAVE = 0.995
+# the fraction of a measured margin that is kept (measure_epsilon's eps, the
+# probe's delta), so the strict inequalities it bounds stay strict
+SHAVE = 0.995
 
 
 def hessian_basis(grid):
@@ -160,8 +158,10 @@ def require_in_gamma(lam, k):
 
 def measure_epsilon(lam, k):
     """Largest eps (shaved by 0.5%) with omega0 - eps*Id and Id - eps*omega0
-    both in Gamma_k at every point, found by bisection on the eigenvalue
-    field ``lam`` of omega0."""
+    both in Gamma_k at every point, found by bisection on [0, 1] on the
+    eigenvalue field ``lam`` of omega0.  No eps >= 1 qualifies: the two
+    conditions at eps = 1 ask for sigma_1(lam - 1) > 0 and sigma_1(1 - lam)
+    > 0, which are exact negatives of each other in floating point."""
 
     def feasible(eps):
         return bool(
@@ -171,48 +171,28 @@ def measure_epsilon(lam, k):
 
     require_in_gamma(lam, k)
     lo, hi = 0.0, 1.0
-    for _ in range(70):
-        if feasible(hi):
-            lo, hi = hi, 2.0 * hi
-        else:
-            break
-    else:
-        return _EPS_SHAVE * lo
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    return _EPS_SHAVE * lo
-
-
-@dataclass
-class ConeConditionReport:
-    """Local cone condition for the (k, l) quotient against a forcing field.
-
-    margin(z) = min_j [ sigma_{k-1}(lam|j) - Ft(z) sigma_{l-1}(lam|j) ] with
-    Ft = C(n,k)/C(n,l) * exp(F); satisfied iff the global minimum is positive.
-    ``delta`` is the measured root gap min_{z,j} [ratio^(1/(k-l)) - Ft^(1/(k-l))]
-    (for l = 0 the condition is vacuous and delta is the raw sigma margin).
-    """
-
-    satisfied: bool
-    worst_margin: float
-    where: tuple
-    slot: int
-    delta: float
-    k: int
-    l: int
-
-    def __bool__(self):
-        return self.satisfied
+    return SHAVE * lo
 
 
 def check_cone_condition(lam, F, k, l):
-    """The ConeConditionReport of the eigenvalue field ``lam`` of the
-    background against the forcing field F; raises ConeError if ``lam`` is
-    not in Gamma_k."""
+    """Local cone condition for the (k, l) quotient of the eigenvalue field
+    ``lam`` of the background against the forcing field F; raises ConeError
+    if ``lam`` is not in Gamma_k.
+
+    margin(z) = min_j [ sigma_{k-1}(lam|j) - Ft(z) sigma_{l-1}(lam|j) ] with
+    Ft = C(n,k)/C(n,l) * exp(F).  Returns the dict {"satisfied",
+    "worst_margin", "where", "slot", "delta"}: satisfied iff the global
+    minimum ``worst_margin`` is positive, ``where`` the grid index tuple and
+    ``slot`` the eigenvalue slot of that minimum, and ``delta`` the measured
+    root gap min_{z,j} [ratio^(1/(k-l)) - Ft^(1/(k-l))] (for l = 0 the
+    condition is vacuous and delta is the raw sigma margin).
+    """
     n = lam.shape[-1]
     if not 0 <= l < k <= n:
         raise ValueError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
@@ -229,15 +209,13 @@ def check_cone_condition(lam, F, k, l):
         delta = float(((sk1 / sl1) ** root - ft[..., None] ** root).min())
     worst = float(margin.min())
     idx = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    return ConeConditionReport(
-        satisfied=worst > 0.0,
-        worst_margin=worst,
-        where=tuple(int(i) for i in idx[:-1]),
-        slot=int(idx[-1]),
-        delta=delta,
-        k=k,
-        l=l,
-    )
+    return {
+        "satisfied": worst > 0.0,
+        "worst_margin": worst,
+        "where": tuple(int(i) for i in idx[:-1]),
+        "slot": int(idx[-1]),
+        "delta": delta,
+    }
 
 
 # ---------------------------------------------------------------------------

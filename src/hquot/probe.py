@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,13 +59,11 @@ __all__ = [
     "homotopy_integral_check",
     "weighted_energy_check",
     "pointwise_lemma_sweep",
-    "SweepReport",
     "ProbeReport",
     "run_probe",
 ]
 
 SWEEP_T = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
-SHAVE = 0.995
 
 
 def t_nodes(k):
@@ -232,45 +230,6 @@ def weighted_energy_check(u, means, grid, k, p, eps):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepReport:
-    """Margins of the pointwise homotopy inequalities.
-
-    ``margins`` maps an inequality name to its worst strictly positive margin
-    over the full (t, point, slot) sweep; ``margins_by_t`` keeps the per-node
-    breakdown (worst over points/slots at each t, None where the node is an
-    equality corner or outside the inequality's range).
-    ``equality_residuals`` holds the residuals of corners that are exact
-    equalities by construction (the power-scaling bound at t = 1).
-    """
-
-    k: int
-    l: int
-    eps: float
-    delta: float
-    t_grid: tuple
-    margins: dict
-    margins_by_t: dict
-    equality_residuals: dict
-
-    @property
-    def all_strict_positive(self):
-        return all(v > 0.0 for v in self.margins.values())
-
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "l": self.l,
-            "eps": self.eps,
-            "delta": self.delta,
-            "t_grid": list(self.t_grid),
-            "margins": dict(self.margins),
-            "margins_by_t": {name: list(v) for name, v in self.margins_by_t.items()},
-            "equality_residuals": dict(self.equality_residuals),
-            "all_strict_positive": self.all_strict_positive,
-        }
-
-
 def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     """Evaluate the pointwise homotopy inequalities on the t-grid SWEEP_T, for
     W_t = diag(omega0) + t * hessian (the quaternionic Hessian of u), with
@@ -291,15 +250,23 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
 
     ``F`` must be the forcing field for which u actually solves the equation
     (include any normalization constant).
+
+    Returns the dict of ``k``, ``l``, ``eps``, ``delta`` (shaved), ``t_grid``
+    and: ``margins``, each inequality's worst strictly positive margin over
+    the full (t, point, slot) sweep; ``margins_by_t``, the per-node breakdown
+    (worst over points/slots at each t, None where the node is an equality
+    corner or outside the inequality's range); ``equality_residuals``, the
+    residuals of corners that are exact equalities by construction (the
+    power-scaling bound at t = 1); and ``all_strict_positive``.
     """
     n = lam0.shape[-1]
     cone = fl.check_cone_condition(lam0, F, k, l)
-    if not cone.satisfied:
+    if not cone["satisfied"]:
         raise ConeError(
-            f"cone condition fails (margin {cone.worst_margin:.3e}); the sweep "
+            f"cone condition fails (margin {cone['worst_margin']:.3e}); the sweep "
             "hypotheses are void"
         )
-    delta = SHAVE * cone.delta
+    delta = fl.SHAVE * cone["delta"]
     ft = symfun.forcing_factor(n, k, l, F)
     lam1 = fl.eig_field(fl.add_background(hessian.copy(), omega0))
     sig1 = {i: symfun.sigma(lam1, i) for i in range(1, k + 1)}
@@ -317,14 +284,12 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
                  else fl.eig_field(fl.add_background(t * hessian, omega0)))
         excl = {m: symfun.sigma_excl_all(lam_t, m) for m in {k - 1, l - 1} | set(range(1, k))}
 
-        if k >= 2:
-            by_t["excluded-sigma-lower-bound"].append(min(
-                float((excl[i - 1]
-                       - ((1 - t) * eps) ** (i - 1) * math.comb(n - 1, i - 1)).min())
-                for i in range(2, k + 1)
-            ))
-        else:
-            by_t["excluded-sigma-lower-bound"].append(None)
+        by_t["excluded-sigma-lower-bound"].append(min(
+            (float((excl[i - 1]
+                    - ((1 - t) * eps) ** (i - 1) * math.comb(n - 1, i - 1)).min())
+             for i in range(2, k + 1)),
+            default=None,
+        ))
 
         if t == 0:
             by_t["power-scaling-bound"].append(None)
@@ -362,12 +327,17 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
         finite = [v for v in vals if v is not None]
         if finite:
             margins[name] = min(finite)
-    by_t = {name: vals for name, vals in by_t.items() if name in margins}
-    return SweepReport(
-        k=k, l=l, eps=float(eps), delta=float(delta), t_grid=tuple(float(t) for t in SWEEP_T),
-        margins=margins, margins_by_t=by_t,
-        equality_residuals={k2: float(v) for k2, v in equality.items()},
-    )
+    return {
+        "k": k,
+        "l": l,
+        "eps": float(eps),
+        "delta": float(delta),
+        "t_grid": [float(t) for t in SWEEP_T],
+        "margins": margins,
+        "margins_by_t": {name: vals for name, vals in by_t.items() if name in margins},
+        "equality_residuals": {name: float(v) for name, v in equality.items()},
+        "all_strict_positive": all(v > 0.0 for v in margins.values()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +350,7 @@ class ProbeReport:
     problem_id: str
     k: int
     l: int
-    p_values: tuple
+    p_values: list
     eps: float
     delta: float
     cherrier: list
@@ -390,19 +360,7 @@ class ProbeReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "problem_id": self.problem_id,
-            "k": self.k,
-            "l": self.l,
-            "p_values": [float(p) for p in self.p_values],
-            "eps": self.eps,
-            "delta": self.delta,
-            "cherrier": self.cherrier,
-            "pointwise": self.pointwise,
-            "homotopy": self.homotopy,
-            "weighted_energy": self.weighted_energy,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -446,11 +404,11 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64), problem_id=
         problem_id=problem_id,
         k=k,
         l=l,
-        p_values=tuple(p_values),
+        p_values=[float(p) for p in p_values],
         eps=float(eps),
-        delta=float(sweep.delta),
+        delta=sweep["delta"],
         cherrier=cher,
-        pointwise=sweep.to_dict(),
+        pointwise=sweep,
         homotopy=homotopy,
         weighted_energy=weighted,
         notes={

@@ -81,16 +81,16 @@ def chi_eigvals(M):
     """The eigenvalues of chi_eigh, without eigenvectors: ``(..., n)``
     ascending from stacked hyperhermitian embeddings ``(..., 2n, 2n)``,
     under the same structure checks.  Up to n = 2 this is chi_eigh's
-    eigenvalue output; from n = 3 on, eigvalsh's pairs must agree to
-    1e-8 * (1 + max|eig| of that matrix).  A violation or a non-finite entry
-    raises StructureError (a non-hyperhermitian input or an eigensolver
-    failure, never silently fixed).
+    eigenvalue output; from n = 3 on, the input must be hyperhermitian to
+    1e-8 * (1 + |A|) and eigvalsh's pairs must agree to 1e-8 * (1 + max|eig|
+    of that matrix).  A violation or a non-finite entry raises StructureError
+    (a non-hyperhermitian input or an eigensolver failure, never silently
+    fixed).
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-1] <= 4:
         return chi_eigh(M)[0]
-    _require_finite(M)
-    return _collapse_pairs(np.linalg.eigvalsh(M), 2)
+    return _collapse_pairs(np.linalg.eigvalsh(_require_hyperhermitian(M)), 2)
 
 
 def _collapse_pairs(w, mult):
@@ -133,8 +133,9 @@ def chi_eigh(M):
     the embedding is lam * Id, so lam is read off the diagonal, V is a
     read-only identity, and a slot beyond 1e-8 * (1 + |lam|) of lam * Id
     raises StructureError; at n = 2, (lam, V) come in closed form
-    (`_chi_eigh_2x2`), which checks all 16 slots; from n = 3 on, V is the
-    raw complex one from eigh and the eigenvalue pairs are checked.
+    (`_chi_eigh_2x2`), which checks all 16 slots; from n = 3 on, the input
+    must be hermitian and in the image of chi (`_require_hyperhermitian`),
+    V is the raw complex one from eigh and the eigenvalue pairs are checked.
     Non-finite input raises StructureError naming the entry.
     """
     M = np.asarray(M, dtype=complex)
@@ -155,8 +156,7 @@ def chi_eigh(M):
         return lam, np.broadcast_to(np.eye(2, dtype=complex), M.shape)
     if M.shape[-1] == 4:
         return _chi_eigh_2x2(M)
-    _require_finite(M)
-    w, V = np.linalg.eigh(M)
+    w, V = np.linalg.eigh(_require_hyperhermitian(M))
     lam = _collapse_pairs(w, 2)
     return lam, V
 
@@ -250,10 +250,24 @@ def chi_delete(M, i):
 def _require_hyperhermitian(A):
     """The embedding of A after checking that it is finite and, matrix by
     matrix, hermitian and in the image of chi (blocks X = conj of the lower
-    right one, Y = -conj of the lower left one) to _TOL * (1 + |A|)."""
+    right one, Y = -conj of the lower left one) to _TOL * (1 + |A|).
+
+    An exact embedding, as every field the solver and the probe build, is
+    recognized first by comparing real and imaginary parts (for finite
+    floats, x + y == 0 exactly when x == -y), which builds no complex
+    temporary; only other input pays for the residual.
+    """
     M = np.asarray(A, dtype=complex)
     _require_finite(M)
     n = M.shape[-1] // 2
+    re, im = M.real, M.imag
+    if (np.array_equal(re, np.swapaxes(re, -1, -2))
+            and not (im + np.swapaxes(im, -1, -2)).any()
+            and np.array_equal(re[..., :n, :n], re[..., n:, n:])
+            and not (im[..., :n, :n] + im[..., n:, n:]).any()
+            and not (re[..., :n, n:] + re[..., n:, :n]).any()
+            and np.array_equal(im[..., :n, n:], im[..., n:, :n])):
+        return M
     axes = (-2, -1)
     residual = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
     for dev in (M[..., :n, :n] - M[..., n:, n:].conj(), M[..., :n, n:] + M[..., n:, :n].conj()):
@@ -313,11 +327,10 @@ def eigenvalues(A, route="complex"):
     ``(..., n)``, and both reject non-finite entries and enforce the
     multiplicity pattern at width 1e-8 * (1 + |A|).
     """
-    M = _require_hyperhermitian(A)
     if route == "complex":
-        return chi_eigvals(M)
+        return chi_eigvals(A)
     if route == "real":
-        w = np.linalg.eigvalsh(realize(M))
+        w = np.linalg.eigvalsh(realize(_require_hyperhermitian(A)))
         return _collapse_pairs(w, 4)
     raise ValueError(f"unknown route {route!r}")
 
@@ -375,7 +388,7 @@ def sigma_k_matrix(A, k):
 def sigma_k_minor_sum(A, k):
     """sigma_k via the sum of k x k principal minors (deleting n-k indices);
     one eigenvalue solve per index set, shared by a whole stack.  A is
-    checked once, not once per minor."""
+    checked here, and chi_eigvals checks each minor of order 3 and up."""
     M = _require_hyperhermitian(A)
     n = M.shape[-1] // 2
     total = np.zeros(M.shape[:-2])
@@ -397,7 +410,8 @@ def sigma_k_coefficient(A, k):
     s = 1.0 + np.abs(lam).max(axis=-1, initial=0.0)
     nodes = s[..., None] * (np.arange(n + 1) - n / 2.0)
     eye = np.eye(2 * n)
-    # a shift by t * Id keeps the checked structure, so no node is checked again
+    # a shift by t * Id keeps the checked structure; from n = 3 on,
+    # chi_eigvals checks each node again
     vals = np.stack([np.prod(chi_eigvals(M + nodes[..., j, None, None] * eye), axis=-1)
                      for j in range(n + 1)], axis=-1)
     # coefficients come highest power first

@@ -188,7 +188,7 @@ class SolveResult:
     residual_history: list
     converged: bool
     gamma_margin: float
-    cone_report: object
+    cone_report: dict
     warnings: list = field(default_factory=list)
 
     def summary(self):
@@ -201,11 +201,8 @@ class SolveResult:
             "gamma_margin": self.gamma_margin,
             "sup_u": float(self.u.max()),
             "osc_u": float(self.u.max() - self.u.min()),
-            "cone_condition": {
-                "satisfied": bool(self.cone_report.satisfied),
-                "worst_margin": self.cone_report.worst_margin,
-                "delta": self.cone_report.delta,
-            },
+            "cone_condition": {key: self.cone_report[key]
+                               for key in ("satisfied", "worst_margin", "delta")},
             "warnings": list(self.warnings),
         }
 
@@ -460,9 +457,9 @@ def solve(cfg):
 
     u_out = normalize_sup(u)
     post_cone = fl.check_cone_condition(lam0, F + b, k, l)
-    warnings = [] if post_cone.satisfied else [
+    warnings = [] if post_cone["satisfied"] else [
         f"cone condition violated at the solved normalization "
-        f"(margin {post_cone.worst_margin:.3e})"]
+        f"(margin {post_cone['worst_margin']:.3e})"]
     return SolveResult(
         u=u_out,
         b=b,

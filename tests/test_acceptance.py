@@ -221,7 +221,7 @@ def test_criterion_6_solver_convergence(solved_family):
 def probed_family(solved_family):
     out = {}
     for label, (cfg, res, _) in solved_family.items():
-        if not res.cone_report.satisfied:
+        if not res.cone_report["satisfied"]:
             continue
         grid, om0, F = build_problem(cfg)
         rep = probe.run_probe(res.u, om0, F + res.b, grid, cfg.k, cfg.l,

@@ -464,6 +464,27 @@ def test_fd_solve_probes_and_cone_checks(tmp_path):
     assert (pr / "cherrier.csv").read_text() == report.cherrier_csv()
 
 
+def test_written_report_key_sets(tmp_path):
+    # the cone check and the pointwise sweep return the dicts that are
+    # written, so these key sets are pinned here
+    cfg = _write(tmp_path / "s.json", {
+        "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0],
+        "F": "0.1*sin(2*pi*x0)",
+    })
+    sol, pr, cc = tmp_path / "sol", tmp_path / "pr", tmp_path / "cc"
+    assert main(["solve", "--config", cfg, "--out", str(sol), "--quiet"]) == 0
+    assert main(["probe", "--result", str(sol), "--out", str(pr), "--p", "4,8", "--quiet"]) == 0
+    assert main(["cone-check", "--config", cfg, "--out", str(cc), "--quiet"]) == 0
+    cone = json.loads((cc / "cone_report.json").read_text())
+    assert set(cone) == {"config", "b_offset", "satisfied", "worst_margin", "where", "slot",
+                         "delta"}
+    summary = json.loads((sol / "solve_summary.json").read_text())
+    assert set(summary["cone_condition"]) == {"satisfied", "worst_margin", "delta"}
+    pointwise = json.loads((pr / "probe_report.json").read_text())["pointwise"]
+    assert set(pointwise) == {"k", "l", "eps", "delta", "t_grid", "margins", "margins_by_t",
+                              "equality_residuals", "all_strict_positive"}
+
+
 def test_probe_malformed_field(tmp_path, solve_cfg):
     assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol"), "--quiet"]) == 0
     (tmp_path / "sol" / "u.csv").write_text("# hquot scalar field v1\n# n=1 N=16 axes=0\n1.0\n")

@@ -511,13 +511,13 @@ def test_cone_condition_binomial_threshold():
     lam = np.ones(g.shape + (n,))
     ok = fl.check_cone_condition(lam, np.full(g.shape, thresh - 0.1), k, l)
     bad = fl.check_cone_condition(lam, np.full(g.shape, thresh + 0.1), k, l)
-    assert ok.satisfied and not bad.satisfied
+    assert ok["satisfied"] and not bad["satisfied"]
 
 
 def test_cone_condition_l_zero_always_holds():
     g = TorusGrid(2, (0,), 8)
     rep = fl.check_cone_condition(np.ones(g.shape + (2,)), np.full(g.shape, 25.0), 2, 0)
-    assert rep.satisfied
+    assert rep["satisfied"]
 
 
 def test_cone_condition_locates_single_point_violation():
@@ -526,8 +526,8 @@ def test_cone_condition_locates_single_point_violation():
     d = np.ones(g.shape + (n,))
     d[5, 0] = 0.35  # sigma_1(.|j) dips below Ft at one point
     rep = fl.check_cone_condition(np.sort(d, axis=-1), np.zeros(g.shape), k, l)
-    assert not rep.satisfied
-    assert rep.where == (5,)
+    assert not rep["satisfied"]
+    assert rep["where"] == (5,)
 
 
 def test_cone_condition_requires_cone_background():

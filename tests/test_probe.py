@@ -288,28 +288,61 @@ def test_run_probe_one_hessian(monkeypatch):
     assert len(calls) == 1
 
 
+def _approx_by_t(want):
+    """``want``, a sweep's per-node margins, compared list by list to 1e-12
+    relative (pytest.approx compares lists nested in a dict exactly)."""
+    return {name: pytest.approx(v, rel=1e-12) for name, v in want.items()}
+
+
 def test_pointwise_sweep_manufactured():
     grid, u, om0, F = manufactured_state(2, 2, 1, (0, 5), 12, amp=0.03)
     hess, lam0, eps, _ = _inputs(u, om0, grid, 2)
     rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 2, 1, eps)
-    assert set(rep.margins) == {
+    assert set(rep["margins"]) == {
         "excluded-sigma-lower-bound",
         "power-scaling-bound",
         "cone-gap-persistence",
         "cone-gap-floor",
     }
-    assert rep.all_strict_positive
-    assert rep.equality_residuals["power-scaling-bound"] == 0.0
-    assert 0 < rep.eps <= 1.0
-    assert rep.delta > 0
+    assert rep["all_strict_positive"]
+    assert rep["equality_residuals"]["power-scaling-bound"] == 0.0
+    assert 0 < rep["eps"] <= 1.0
+    assert rep["delta"] > 0
 
 
 def test_pointwise_sweep_monge_ampere_case():
     grid, u, om0, F = manufactured_state(3, 3, 0, (0,), 12, amp=0.05)
     hess, lam0, eps, _ = _inputs(u, om0, grid, 3)
     rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 3, 0, eps)
-    assert rep.all_strict_positive
-    assert "cone-gap-floor" in rep.margins
+    assert rep["all_strict_positive"]
+    assert "cone-gap-floor" in rep["margins"]
+    # at l = 0 the floor is the excluded-sigma bound's i = k term, and
+    # persistence reads sigma_{k-1}(W_t|j) alone
+    assert rep["margins"] == pytest.approx({
+        "excluded-sigma-lower-bound": 0.009975000000000178,
+        "power-scaling-bound": 0.18225623519986084,
+        "cone-gap-persistence": 0.19219178631987477,
+        "cone-gap-floor": 0.009975000000000178,
+    }, rel=1e-12)
+    assert rep["margins_by_t"] == _approx_by_t({
+        "excluded-sigma-lower-bound": [
+            0.009975000000000178, 0.11729892863198754, 0.20482235726397502,
+            0.2725452858959629, 0.3204677145279503, 0.3485896431599377, 0.35691107179192505,
+            0.3454320004239125, 0.3141524290558999, 0.26307235768788734, 0.19219178631987477],
+        "power-scaling-bound": [
+            None, 26.999999999999996, 11.999999999999996, 6.999999999999999,
+            4.499999999999999, 2.9999999999999996, 2.0, 1.0746719175399289,
+            0.4987328798049294, 0.18225623519986084, None],
+        "cone-gap-persistence": [
+            1.0, 0.9192191786319874, 0.8384383572639749, 0.7576575358959627,
+            0.6768767145279502, 0.5960958931599376, 0.515315071791925, 0.43453425042391247,
+            0.3537534290558999, 0.27297260768788734, 0.19219178631987477],
+        "cone-gap-floor": [
+            0.009975000000000178, 0.11729892863198754, 0.20482235726397502,
+            0.2725452858959629, 0.3204677145279503, 0.3485896431599377, 0.35691107179192505,
+            0.3454320004239125, 0.3141524290558999, 0.26307235768788734, 0.19219178631987477],
+    })
+    assert rep["equality_residuals"] == {"power-scaling-bound": 0.0}
 
 
 def test_pointwise_sweep_diagonalizes_each_inner_node_once(monkeypatch):
@@ -328,30 +361,42 @@ def test_pointwise_sweep_diagonalizes_each_inner_node_once(monkeypatch):
     monkeypatch.setattr(fl, "eig_field", counting)
     rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 2, 1, eps)
     assert len(calls) == len(probe.SWEEP_T) - 1
-    assert rep.eps == pytest.approx(0.9949999999999999, rel=1e-12)
-    assert rep.delta == pytest.approx(0.28444013739716073, rel=1e-12)
-    assert rep.margins == pytest.approx({
+    assert rep["eps"] == pytest.approx(0.9949999999999999, rel=1e-12)
+    assert rep["delta"] == pytest.approx(0.28444013739716073, rel=1e-12)
+    assert rep["margins"] == pytest.approx({
         "excluded-sigma-lower-bound": 0.0050000000000001155,
         "power-scaling-bound": 0.13893971186053067,
         "cone-gap-persistence": 0.0014293474241062754,
         "cone-gap-floor": 0.0028586948482126617,
     }, rel=1e-12)
-    assert {name: v[-1] for name, v in rep.margins_by_t.items()} == pytest.approx({
+    assert {name: v[-1] for name, v in rep["margins_by_t"].items()} == pytest.approx({
         "excluded-sigma-lower-bound": 0.5153150717919233,
         "power-scaling-bound": None,
         "cone-gap-persistence": 0.14040706978157957,
         "cone-gap-floor": 0.28081413956315915,
     }, rel=1e-12)
-    assert rep.equality_residuals == {"power-scaling-bound": 0.0}
+    assert rep["equality_residuals"] == {"power-scaling-bound": 0.0}
 
 
 def test_pointwise_sweep_k1():
     grid, u, om0, F = manufactured_state(1, 1, 0, (0,), 16, amp=0.05)
     hess, lam0, eps, _ = _inputs(u, om0, grid, 1)
     rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 1, 0, eps)
-    assert rep.all_strict_positive
-    assert "excluded-sigma-lower-bound" not in rep.margins  # no admissible order
-    assert "cone-gap-floor" not in rep.margins  # degenerate at k = 1
+    assert rep["all_strict_positive"]
+    assert "excluded-sigma-lower-bound" not in rep["margins"]  # no admissible order
+    assert "cone-gap-floor" not in rep["margins"]  # degenerate at k = 1
+    assert rep["margins"] == pytest.approx({
+        "power-scaling-bound": 0.11111111111111105,
+        "cone-gap-persistence": 1.0,
+    }, rel=1e-12)
+    assert rep["margins_by_t"] == _approx_by_t({
+        "power-scaling-bound": [
+            None, 8.999999999999998, 3.9999999999999996, 2.333333333333333,
+            1.4999999999999998, 0.9999999999999998, 0.6666666666666665, 0.4285714285714284,
+            0.25, 0.11111111111111105, None],
+        "cone-gap-persistence": [1.0] * 11,
+    })
+    assert rep["equality_residuals"] == {"power-scaling-bound": 0.0}
 
 
 def test_pointwise_sweep_rejects_cone_violation():
@@ -374,7 +419,7 @@ def test_probe_with_varying_background():
                        F="0.08*sin(2*pi*x0)",
                        omega0_diag=("1 + 0.15*cos(2*pi*x0)", "1.0"))
     res = solve(cfg)
-    assert res.cone_report.satisfied
+    assert res.cone_report["satisfied"]
     grid, om0, F = build_problem(cfg)
     rep = probe.run_probe(res.u, om0, F + res.b, grid, 2, 1, p_values=(4, 8),
                           problem_id="varying-background")

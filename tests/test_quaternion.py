@@ -323,6 +323,10 @@ def _spectrum_cases():
                 M[(3,) + where] = value
                 yield pytest.param(M, False, id=f"{value}-n{n}-{where[0]}-{where[1]}")
     yield pytest.param(_unitary_conjugate(rng, [1.0, 1.0, 2.0, 2.0]), False, id="Q-diag-1122")
+    # hermitian with exact pairs but no embedding: eigh's pair check alone
+    # once returned [1, 2, 3] for it
+    yield pytest.param(_unitary_conjugate(rng, [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]), False,
+                       id="Q-diag-112233")
 
 
 @pytest.mark.parametrize("M, embedding", _spectrum_cases())
@@ -330,7 +334,7 @@ def test_chi_eigvals_is_chi_eigh_without_eigenvectors(M, embedding):
     # one kernel: the eigenvalues of chi_eigh, bit for bit where chi_eigvals
     # hands over to it (n <= 2) and to roundoff of the matrix's scale where
     # eigvalsh replaces eigh, and the same StructureError on non-finite
-    # entries, broken pairs and, up to n = 2, broken slots
+    # entries, broken pairs and matrices outside the image of chi
     if not embedding:
         with pytest.raises(StructureError):
             qt.chi_eigh(M)
@@ -374,6 +378,31 @@ def test_principal_minor_det_checks_its_input():
     ok = np.eye(6, dtype=complex)
     ok[[0, 4], [1, 3]] = 1e-9  # a block slip within 1e-8 * (1 + |A|) still passes
     assert abs(qt.principal_minor_det(ok, []) - 1.0) < 1e-8
+
+
+_D = 1e-3
+
+
+@pytest.mark.parametrize("edits", [
+    pytest.param([((0, 1), _D), ((3, 4), _D)], id="re-symmetric"),
+    pytest.param([((0, 1), _D * 1j), ((3, 4), -_D * 1j)], id="im-antisymmetric"),
+    pytest.param([((0, 0), _D)], id="re-X"),
+    pytest.param([((3, 4), _D * 1j), ((4, 3), -_D * 1j)], id="im-X"),
+    pytest.param([((0, 4), _D), ((4, 0), _D)], id="re-Y"),
+    pytest.param([((0, 4), _D * 1j), ((4, 0), -_D * 1j)], id="im-Y"),
+])
+def test_structure_check_covers_each_relation(edits):
+    # an n = 3 embedding with exactly one of its six real relations broken
+    # by 1e-3: Re symmetric, Im antisymmetric, X = conj of the lower right
+    # block, Y = -conj of the lower left one.  Deleting every index leaves
+    # no eigenvalue check behind the structure check, and chi_eigh and
+    # chi_eigvals run the structure check before their pair check
+    M = qt.random_hyperhermitian_chi(np.random.default_rng(151), 3)
+    for where, value in edits:
+        M[where] += value
+    for call in (lambda A: qt.principal_minor_det(A, range(3)), qt.chi_eigh, qt.chi_eigvals):
+        with pytest.raises(StructureError, match="not hyperhermitian"):
+            call(M)
 
 
 def test_random_hyperhermitian_stack_draws_as_single_matrices():

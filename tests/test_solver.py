@@ -327,7 +327,7 @@ def test_solve_quotient_case_with_background():
                        omega0_diag=("1 + 0.1*cos(2*pi*x0)", "1.0"))
     res = solve(cfg)
     assert res.converged and res.residual_history[-1] <= 1e-9
-    assert res.cone_report.satisfied
+    assert res.cone_report["satisfied"]
     grid, om0, F = build_problem(cfg)
     assert symfun.in_gamma_k(_lam(om0, res.u, grid), 2).all()
 
@@ -344,7 +344,7 @@ def test_ellipticity_margin_is_the_cone_margin():
     assert np.abs(W[..., 0, 1]).max() > 1e-3  # eigenvectors mix the axes
     lin = linearize(chi_eigh(W), res.b, F, grid, k, l)
     cone = fl.check_cone_condition(fl.eig_field(W), F + res.b, k, l)
-    assert lin.ellipticity_margin == pytest.approx(cone.worst_margin, rel=1e-12)
+    assert lin.ellipticity_margin == pytest.approx(cone["worst_margin"], rel=1e-12)
 
 
 def test_solve_warns_on_cone_violation():
@@ -363,9 +363,9 @@ def test_solve_reports_one_cone_verdict():
     cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=8, active_axes=(0,),
                        F="0.8*sin(2*pi*x0)", tolerance=10.0)
     res = solve(cfg)
-    assert res.iterations == 0 and not res.cone_report.satisfied
+    assert res.iterations == 0 and not res.cone_report["satisfied"]
     assert res.warnings == [f"cone condition violated at the solved normalization "
-                            f"(margin {res.cone_report.worst_margin:.3e})"]
+                            f"(margin {res.cone_report['worst_margin']:.3e})"]
 
 
 def test_solve_checks_cone_condition_at_normalization():
@@ -378,7 +378,7 @@ def test_solve_checks_cone_condition_at_normalization():
         res = solve(cfg)
     assert res.converged and res.warnings == []
     assert res.b == pytest.approx(-800.0, abs=0.01)
-    assert res.cone_report.satisfied
+    assert res.cone_report["satisfied"]
 
 
 def test_solve_background_outside_cone_raises():
