@@ -40,6 +40,7 @@ from .quaternion import chi_eigh, chi_eigvals, chi_from_spectrum
 
 __all__ = [
     "hessian_basis",
+    "assemble_hessian",
     "quaternionic_hessian",
     "gradient_coefficients",
     "add_background",
@@ -88,20 +89,27 @@ def hessian_basis(grid):
     return basis
 
 
-def quaternionic_hessian(u, grid):
-    """The hyperhermitian second-derivative matrix field of u.
+def assemble_hessian(basis, partials):
+    """sum B d2 over the (P, Q, B) of ``basis`` = hessian_basis(grid) and the
+    matching second partials ``partials``: whole fields, or the same slice
+    of each.  Returns shape d2.shape + (2n, 2n).
 
-    Each second partial of hessian_basis is computed once and added into the
-    nonzero slots of its B, so the output is exactly hyperhermitian.
+    Each d2 is added into the nonzero slots of its B only, so the output is
+    exactly hyperhermitian.
     """
-    u = np.asarray(u, dtype=float)
-    n = grid.n
-    W = np.zeros(grid.shape + (2 * n, 2 * n), dtype=complex)
-    for P, Q, B in hessian_basis(grid):
-        d2 = second_derivative(u, grid, P, Q)
+    W = np.zeros(partials[0].shape + basis[0][2].shape, dtype=complex)
+    for (_, _, B), d2 in zip(basis, partials):
         for i, j in zip(*np.nonzero(B)):
             W[..., i, j] += B[i, j] * d2
     return W
+
+
+def quaternionic_hessian(u, grid):
+    """The hyperhermitian second-derivative matrix field of u: each second
+    partial of hessian_basis is computed once and assembled."""
+    u = np.asarray(u, dtype=float)
+    basis = hessian_basis(grid)
+    return assemble_hessian(basis, [second_derivative(u, grid, P, Q) for P, Q, _ in basis])
 
 
 def gradient_coefficients(u, grid):
@@ -128,8 +136,9 @@ def gradient_coefficients(u, grid):
 def add_background(W, omega0):
     """Add the background entries ``omega0`` (shape (..., n)) to the slots
     (a, a) and (n+a, n+a) of the matrix field W, in place; returns W."""
-    slots = np.arange(W.shape[-1])
-    W[..., slots, slots] += np.concatenate([omega0, omega0], axis=-1)
+    n = omega0.shape[-1]
+    for a in range(2 * n):
+        W[..., a, a] += omega0[..., a % n]
     return W
 
 
@@ -149,11 +158,12 @@ def eig_field(W):
 
 
 def require_in_gamma(lam, k):
-    """Raise ConeError unless the eigenvalue field ``lam`` of the background
-    lies in Gamma_k at every point."""
+    """The least Gamma_k margin of the eigenvalue field ``lam`` of the
+    background; raise ConeError unless it is positive."""
     gam = float(np.min(symfun.gamma_margin(lam, k)))
     if not gam > 0.0:
         raise ConeError(f"background field not in Gamma_{k} (margin {gam:.3e})")
+    return gam
 
 
 def measure_epsilon(lam, k):

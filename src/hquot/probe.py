@@ -280,9 +280,14 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     lf = math.factorial(l) * math.factorial(n - l)
 
     for t in SWEEP_T:
+        # the previous node's fields go before W_t is built: W_t and its
+        # spectrum set the probe's peak memory
+        lam_t = excl = gaps = thresh = floor = lhs4 = None
         lam_t = (lam0 if t == 0 else lam1 if t == 1
                  else fl.eig_field(fl.add_background(t * hessian, omega0)))
-        excl = {m: symfun.sigma_excl_all(lam_t, m) for m in {k - 1, l - 1} | set(range(1, k))}
+        # at l = 0 the order l - 1 = -1 is a zero field that no margin reads
+        excl = {m: symfun.sigma_excl_all(lam_t, m)
+                for m in {k - 1, l - 1} | set(range(1, k)) if m >= 0}
 
         by_t["excluded-sigma-lower-bound"].append(min(
             (float((excl[i - 1]

@@ -18,9 +18,10 @@ b.  The damping keeps every accepted iterate inside Gamma_k by _CONE_MARGIN:
 a trial step whose cone margin drops below it is rejected and the step
 halved.  That does not make L elliptic.  Its weights
 sigma_{k-1}(lam|j) - Ft sigma_{l-1}(lam|j) can drop to <= 0 at an iterate
-inside Gamma_k, and linearize then raises ConeError: n2k2l1 on axes (0, 5),
-N = 16, F = 0.6 sin(2 pi (x0 + x5)) passes the cone check, yet its solve
-stops there.  The linear solves use restarted GMRES
+inside Gamma_k.  Every trial computes L's coefficients, but the ConeError
+is raised only when the Newton step from such an iterate is about to use
+L: n2k2l1 on axes (0, 5), N = 16, F = 0.6 sin(2 pi (x0 + x5)) passes the
+cone check, yet its solve stops there.  The linear solves use restarted GMRES
 (Saad & Schultz 1986), right-preconditioned by the constant-coefficient
 symbol on the torus, so constant-coefficient problems converge in a single
 inner iteration.
@@ -72,6 +73,9 @@ _BACKTRACK = 0.5
 _CONE_MARGIN = 1e-10
 _LINEAR_RTOL = 1e-12
 _LINEAR_MAXITER = 400
+# grid points per block of solve's pointwise stage: the four-axis solve's
+# peak memory stops falling at this size, and smaller blocks run slower
+_BLOCK = 4096
 
 
 @dataclass
@@ -221,7 +225,8 @@ class Linearization:
     from the Newton transforms of W_u; ``coeff`` holds the real fields c_PQ
     that are not identically zero, and b_column is dR/db.  ellipticity_margin
     is the minimum weight sigma_{k-1}(lam|j) - Ft sigma_{l-1}(lam|j) of the
-    transform combination, which linearize requires to be positive.  An
+    transform combination.  Building the operator, by linearize or by a
+    Newton step of solve, raises ConeError unless it is positive; an
     iterate inside Gamma_k can still have a weight <= 0.  The derivative
     scheme is the grid's: on a spectral grid each pure pair costs one real
     FFT pair along its axis and each mixed pair two.
@@ -253,10 +258,24 @@ class Linearization:
 
 def linearize(spectrum, b, F, grid, k, l):
     """The Linearization of the residual at (u, b), from ``spectrum`` =
-    chi_eigh(W_u).
+    chi_eigh(W_u), computed on the whole field at once; raises ConeError
+    unless its ellipticity margin is positive.  solve computes the same
+    operator block by block (_pointwise).
+    """
+    E = symfun.forcing_factor(grid.n, k, l, F + b)
+    basis = fl.hessian_basis(grid)
+    c = np.empty((len(basis), grid.num_points))
+    ell = _top_row_coefficients(spectrum, E, basis, k, l, c)
+    return _linearization(grid, basis, c, ell, spectrum[0], E, l)
 
-    Its coefficient matrix G = S_{k-1}(W) - Ft S_{l-1}(W) has the eigenvectors
-    V of W_u and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft
+
+def _top_row_coefficients(spectrum, E, basis, k, l, out):
+    """Write the coefficients c_PQ at ``spectrum`` = (lam, V) and forcing
+    factors E into the rows of ``out`` (one per pair of ``basis``, the points
+    flattened); return the least ellipticity weight.
+
+    The coefficient matrix G = S_{k-1}(W) - Ft S_{l-1}(W) has the
+    eigenvectors V of W and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft
     sigma_{l-1}(lam|j), the ellipticity weights: the cone condition's
     margins at Ft = C(n,k)/C(n,l) e^(F+b).  The coefficients are
     c_PQ = 1/2 Re tr(G B_PQ), B_PQ the Hessian's embedding of d2/dx_P dx_Q
@@ -264,32 +283,60 @@ def linearize(spectrum, b, F, grid, k, l):
     diagonal block is the conjugate of the upper one, so c_PQ =
     Re sum_{i<n, j} G_ij B_ji: only the top n rows of G are formed.
     """
-    n = grid.n
     lam, V = spectrum
-    E = symfun.forcing_factor(n, k, l, F + b)
-
+    n = lam.shape[-1]
     weights = symfun.sigma_excl_all(lam, k - 1)
     weights = weights - E[..., None] * symfun.sigma_excl_all(lam, l - 1)
-    ell = float(weights.min())
-    if ell <= 0:
-        raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e}): "
-                        f"cone condition violated at the current iterate")
     # conj of the top n rows of G = V diag(weights doubled) V^H:
     # conj(V_top w) @ V^T reads V through a transposed view, with no copy
     Gc = V[..., :n, :] * np.repeat(weights, 2, axis=-1)[..., None, :]
     np.conjugate(Gc, out=Gc)
     Gc = (Gc @ np.swapaxes(V, -1, -2)).reshape(-1, 2 * n * n)
-
     # c_PQ = Re sum_{i<n, j} conj(G_ij) conj(B_ji): a matrix-vector product
-    # over the flattened top-row slots; the copy keeps no view that would
-    # hold the complex product alive
-    coeff = {}
-    for P, Q, B in fl.hessian_basis(grid):
-        c = (Gc @ B[:, :n].T.conj().ravel()).real.copy()
-        if np.abs(c).max() > 0:
-            coeff[(P, Q)] = c.reshape(grid.shape)
+    # over the flattened top-row slots
+    for row, (_, _, B) in zip(out, basis):
+        row[:] = (Gc @ B[:, :n].T.conj().ravel()).real
+    return weights.min()
 
+
+def _linearization(grid, basis, c, ell, lam, E, l):
+    """The Linearization with the coefficient rows ``c`` of ``basis`` (a pair
+    whose row is zero on the whole grid is left out), ellipticity margin
+    ``ell`` and dR/db = -E sigma_l(lam), E the forcing factors; raises
+    ConeError unless ell > 0."""
+    ell = float(ell)
+    if ell <= 0:
+        raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e}): "
+                        f"cone condition violated at the current iterate")
+    coeff = {(P, Q): row.reshape(grid.shape)
+             for (P, Q, _), row in zip(basis, c) if np.abs(row).max() > 0}
     return Linearization(grid, coeff, -E * symfun.sigma(lam, l), ell)
+
+
+def _pointwise(omega0, u, b, F, grid, basis, k, l):
+    """The pointwise stage at (u, b), run over blocks of _BLOCK grid points:
+    returns (lam, c, ell), the eigenvalue field of W_u and the coefficient
+    rows and least ellipticity weight of linearize's operator at (u, b).
+
+    Only the second partials of u, lam and c are whole fields.  Each block's
+    W_u and eigenvectors are dropped when the next block is assembled.  No
+    arithmetic depends on the blocking, so the results equal the whole-field
+    route's bit for bit.
+    """
+    n, m = grid.n, grid.num_points
+    d2 = [second_derivative(u, grid, P, Q).reshape(m) for P, Q, _ in basis]
+    om = omega0.reshape(m, n)
+    E = symfun.forcing_factor(n, k, l, F + b).reshape(m)
+    lam = np.empty((m, n))
+    c = np.empty((len(basis), m))
+    ell = np.inf
+    for s in range(0, m, _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        W = fl.add_background(fl.assemble_hessian(basis, [d[blk] for d in d2]), om[blk])
+        spectrum = chi_eigh(W)
+        lam[blk] = spectrum[0]
+        ell = np.minimum(ell, _top_row_coefficients(spectrum, E[blk], basis, k, l, c[:, blk]))
+    return lam.reshape(grid.shape + (n,)), c, ell
 
 
 def normalize_sup(u):
@@ -394,57 +441,62 @@ def _solve_newton_step(lin, R):
 def solve(cfg):
     """Run the damped Newton iteration; returns a SolveResult with sup u = 0.
 
-    Each trial W is diagonalized once and only its spectrum is kept (W itself
-    is dropped, which lowers the peak memory); the accepted spectrum is reused.
-    The background's spectrum is its sorted diagonal entries.
+    Each trial (u, b) runs the pointwise stage once (_pointwise): block by
+    block, W_u is assembled from the second partials of u and diagonalized,
+    and only the eigenvalues and the linearization's coefficient rows are
+    kept, so no whole W_u or eigenvector field exists.  The residual, the
+    cone margin and the next Newton step read those; the accepted trial's
+    cone margin is the result's gamma_margin.  The start W_u = diag(omega0)
+    has the spectrum omega0 sorted.
     A config that build_problem cannot turn into a problem, whose mean F
     overflows, or whose forcing factor overflows at the starting b = -mean F,
     raises ValueError;
     mathematical failures raise ConeError or ConvergenceError.
     """
     grid, omega0, F = build_problem(cfg)
-    k, l = cfg.k, cfg.l
+    n, k, l = cfg.n, cfg.k, cfg.l
+    basis = fl.hessian_basis(grid)
 
     lam0 = np.sort(omega0, axis=-1)
     u = np.zeros(grid.shape)
     b = start_offset(F)
-    symfun.require_finite_forcing(cfg.n, k, l, float(np.max(F)) + b)
-    fl.require_in_gamma(lam0, k)
+    symfun.require_finite_forcing(n, k, l, float(np.max(F)) + b)
+    gam = fl.require_in_gamma(lam0, k)  # the start W_u is diag(omega0)
 
-    spectrum = chi_eigh(fl.omega_u(omega0, u, grid))
-    R = residual(spectrum[0], b, F, k, l)
+    lam, c, ell = _pointwise(omega0, u, b, F, grid, basis, k, l)
+    R = residual(lam, b, F, k, l)
     hist = [float(np.abs(R).max())]
     iterations = 0
 
     for it in range(1, cfg.max_iterations + 1):
         if hist[-1] <= cfg.tolerance:
             break
+        E = symfun.forcing_factor(n, k, l, F + b)
         try:
-            lin = linearize(spectrum, b, F, grid, k, l)
+            lin = _linearization(grid, basis, c, ell, lam, E, l)
         except ConeError as exc:
             raise ConvergenceError(f"aborted at iteration {it}: {exc}") from exc
         v, db = _solve_newton_step(lin, R)
+        del lin, c  # every trial builds its own coefficient rows
 
         step = 1.0
-        accepted = False
         while step >= 1e-12:
             u_try = u + step * v
             u_try -= u_try.mean()
             b_try = b + step * db
-            spectrum_try = chi_eigh(fl.omega_u(omega0, u_try, grid))
-            margin = symfun.gamma_margin(spectrum_try[0], k)
-            if np.min(margin) <= _CONE_MARGIN:
+            lam_try, c, ell_try = _pointwise(omega0, u_try, b_try, F, grid, basis, k, l)
+            gam_try = float(np.min(symfun.gamma_margin(lam_try, k)))
+            if gam_try <= _CONE_MARGIN:
                 step *= _BACKTRACK
                 continue
-            R_try = residual(spectrum_try[0], b_try, F, k, l)
+            R_try = residual(lam_try, b_try, F, k, l)
             r_try = float(np.abs(R_try).max())
             if r_try < (1.0 - 1e-4 * step) * hist[-1] or r_try <= cfg.tolerance:
-                u, b, spectrum, R = u_try, b_try, spectrum_try, R_try
+                u, b, lam, ell, gam, R = u_try, b_try, lam_try, ell_try, gam_try, R_try
                 hist.append(r_try)
-                accepted = True
                 break
             step *= _BACKTRACK
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"damping underflow at iteration {it} (residual {hist[-1]:.3e})"
             )
@@ -466,7 +518,7 @@ def solve(cfg):
         iterations=iterations,
         residual_history=hist,
         converged=True,
-        gamma_margin=float(np.min(symfun.gamma_margin(spectrum[0], k))),
+        gamma_margin=gam,
         cone_report=post_cone,
         warnings=warnings,
     )

@@ -166,6 +166,10 @@ def test_no_eigensolver_outside_quaternion(path):
 KEEP = {
     "fields.newton_transform_field": "benchmark span and the tests' pairing reference; "
                                       "goes with ROADMAP item 1",
+    "fields.omega_u": "benchmark span and the whole W_u field that tests build; solve "
+                      "assembles W_u block by block",
+    "solver.linearize": "the whole-field operator at a given spectrum, which tests check "
+                        "solve's blocked stage against",
 }
 
 

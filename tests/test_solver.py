@@ -244,45 +244,98 @@ def test_normalize_sup():
 
 
 def _count_eigendecompositions(monkeypatch, cfg):
-    """Solve cfg, counting chi_eigh calls (through solver's bound name),
-    np.linalg eigensolver calls and omega_u calls (the trial W's)."""
-    counts = {"chi_eigh": 0, "lapack": 0, "omega_u": 0}
+    """Solve cfg, counting chi_eigh calls and the matrices each gets (through
+    solver's bound name), np.linalg eigensolver calls, and runs of the
+    pointwise stage (the start and one per trial step)."""
+    counts = {"chi_eigh": [], "lapack": 0, "stage": 0}
 
-    def counted(key, f):
+    def eigh(M):
+        counts["chi_eigh"].append(math.prod(M.shape[:-2]))
+        return real_eigh(M)
+
+    def lapack(f):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            counts["lapack"] += 1
             return f(*args, **kwargs)
         return wrapper
 
+    def stage(*args):
+        counts["stage"] += 1
+        return real_stage(*args)
+
+    real_eigh, real_stage = solver.chi_eigh, solver._pointwise
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, counted("lapack", getattr(np.linalg, name)))
-    monkeypatch.setattr(solver, "chi_eigh", counted("chi_eigh", solver.chi_eigh))
-    monkeypatch.setattr(fl, "omega_u", counted("omega_u", fl.omega_u))
+        monkeypatch.setattr(np.linalg, name, lapack(getattr(np.linalg, name)))
+    monkeypatch.setattr(solver, "chi_eigh", eigh)
+    monkeypatch.setattr(solver, "_pointwise", stage)
     res = solve(cfg)
     assert res.converged and res.iterations >= 2
+    # no trial is rejected on these states, so the trials are the accepted steps
+    assert counts["stage"] == 1 + res.iterations
+    # blocks of at most _BLOCK matrices, the last one partial, cover every
+    # point once per stage run: one eigendecomposition per point and trial
+    points = cfg.grid.num_points
+    assert points % solver._BLOCK and points > solver._BLOCK
+    assert max(counts["chi_eigh"]) == solver._BLOCK
+    assert sum(counts["chi_eigh"]) == points * counts["stage"]
     return counts
 
 
+_FOUR_AXIS_F = "0.1*sin(2*pi*(x0 + x5)) + 0.05*cos(2*pi*(x1 - x4))"
+
+
 def test_solve_one_eigendecomposition_per_trial_step(monkeypatch):
-    # every trial W is diagonalized once, and the accepted spectrum is reused
-    # by the residual, the cone margin and the next linearization;
-    # omega_u runs once at the start and once per trial step.  At n = 2
-    # chi_eigh is closed-form, so LAPACK is never called
-    # forcing along x0 + x5 couples the axes, so no iterate is diagonal
-    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=16, active_axes=(0, 5),
-                       F="0.1*sin(2*pi*(x0 + x5))")
+    # every trial W is diagonalized once, block by block, and the accepted
+    # eigenvalues and coefficients serve the residual, the cone margin and
+    # the next Newton step.  At n = 2 chi_eigh is closed-form, so LAPACK is
+    # never called.  Four axes at N = 12 are 20736 points: five whole blocks
+    # and a remainder; the forcing couples the axes, so no iterate is diagonal
+    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=12, active_axes=(0, 1, 4, 5),
+                       F=_FOUR_AXIS_F)
     counts = _count_eigendecompositions(monkeypatch, cfg)
-    assert 0 < counts["chi_eigh"] <= counts["omega_u"]
     assert counts["lapack"] == 0
 
 
 def test_solve_n3_one_lapack_eigendecomposition_per_trial_step(monkeypatch):
     # from n = 3 on, each chi_eigh is one LAPACK eigh and nothing else
-    # diagonalizes: the same bound holds for the np.linalg calls
-    cfg = SolverConfig(n=3, k=2, l=1, points_per_axis=8, active_axes=(0, 5, 10),
-                       F="0.1*sin(2*pi*(x0 + x5)) + 0.05*cos(2*pi*(x5 - x10))")
+    # diagonalizes
+    cfg = SolverConfig(n=3, k=2, l=1, points_per_axis=12, active_axes=(0, 1, 4, 5),
+                       F=_FOUR_AXIS_F)
     counts = _count_eigendecompositions(monkeypatch, cfg)
-    assert 0 < counts["lapack"] == counts["chi_eigh"] <= counts["omega_u"]
+    assert counts["lapack"] == len(counts["chi_eigh"])
+
+
+def test_blocked_stage_equals_the_whole_field_route():
+    # the pointwise stage of solve, block by block, against one chi_eigh and
+    # one linearize on the whole field: equal bit for bit, on a coupled
+    # four-axis state whose point count is not a multiple of the block
+    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=12, active_axes=(0, 1, 4, 5),
+                       F=_FOUR_AXIS_F)
+    grid, om0, F = build_problem(cfg)
+    assert grid.num_points % solver._BLOCK and grid.num_points > solver._BLOCK
+    res = solve(cfg)
+    u, b, k, l = res.u, res.b, cfg.k, cfg.l
+    basis = fl.hessian_basis(grid)
+    lam, c, ell = solver._pointwise(om0, u, b, F, grid, basis, k, l)
+    E = symfun.forcing_factor(grid.n, k, l, F + b)
+    blocked = solver._linearization(grid, basis, c, ell, lam, E, l)
+
+    W = fl.omega_u(om0, u, grid)
+    assert np.abs(W[..., 0, 1]).max() > 1e-3  # eigenvectors mix the axes
+    spectrum = chi_eigh(W)
+    whole = linearize(spectrum, b, F, grid, k, l)
+    assert np.array_equal(lam, spectrum[0])
+    assert np.array_equal(residual(lam, b, F, k, l), residual(spectrum[0], b, F, k, l))
+    assert blocked.coeff.keys() == whole.coeff.keys()
+    assert len(whole.coeff) == len(basis)
+    for key, field in whole.coeff.items():
+        assert np.array_equal(blocked.coeff[key], field), key
+    assert np.array_equal(blocked.b_column, whole.b_column)
+    assert blocked.ellipticity_margin == whole.ellipticity_margin > 0
+    # the reported cone margin is the accepted iterate's (u differs from the
+    # iterate by the sup shift, which moves the FFT derivatives by roundoff)
+    assert res.gamma_margin == pytest.approx(float(np.min(symfun.gamma_margin(lam, k))),
+                                             rel=1e-12)
 
 
 def test_solve_constant_forcing_exact():
