@@ -5,10 +5,10 @@ __version__ = "0.1.0"
 
 from .errors import ConeError, ConvergenceError, SamplingError, StructureError
 from .grid import TorusGrid, integrate
-from .oracle import SampleSpec, VerificationReport, run_standard_suite
-from .probe import ProbeReport, run_probe
+from .oracle import SampleSpec, run_standard_suite
+from .probe import run_probe
 from .quaternion import eigenvalues, moore_det
-from .solver import SolveResult, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 __all__ = [
     "ConeError",
@@ -18,13 +18,10 @@ __all__ = [
     "TorusGrid",
     "integrate",
     "SampleSpec",
-    "VerificationReport",
     "run_standard_suite",
-    "ProbeReport",
     "run_probe",
     "eigenvalues",
     "moore_det",
-    "SolveResult",
     "SolverConfig",
     "solve",
     "__version__",

@@ -80,16 +80,15 @@ def run_verify(config_path, out_dir, seed=None, quiet=False):
         return _fail_usage(f"scale {cfg['scale']!r} overflows the samples ({exc})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
+    _write_json(out / "verify_report.json", {
         "config": cfg,
-        "reports": [r.to_dict() for r in reports],
-        "failures": sum(r.failures for r in reports),
-    }
-    _write_json(out / "verify_report.json", payload)
-    failed = [r for r in reports if not r.passed]
+        "reports": reports,
+        "failures": sum(r["failures"] for r in reports),
+    })
+    failed = [r for r in reports if r["failures"]]
     for r in reports:
-        _echo(quiet, f"{r.proposition:28s} n={r.n} k={r.k} l={r.l} "
-                     f"checks={r.checks} failures={r.failures}")
+        _echo(quiet, f"{r['proposition']:28s} n={r['n']} k={r['k']} l={r['l']} "
+                     f"checks={r['checks']} failures={r['failures']}")
     _echo(quiet, f"{len(reports)} reports, {len(failed)} failing")
     return 0 if not failed else 1
 
@@ -101,7 +100,7 @@ def run_solve(config_path, out_dir, quiet=False):
         return _fail_usage(f"bad solve config: {exc}")
     out = Path(out_dir)
     try:
-        result = solve(cfg)
+        u, summary = solve(cfg)
     except (ConvergenceError, ConeError) as exc:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "solve_summary.json", {"config": cfg.to_dict(),
@@ -111,12 +110,11 @@ def run_solve(config_path, out_dir, quiet=False):
     except ValueError as exc:  # a bad expression, or a forcing factor that overflows
         return _fail_usage(f"bad solve config: {exc}")
     out.mkdir(parents=True, exist_ok=True)
-    save_scalar_field(out / "u.csv", result.u, cfg.grid)
-    summary = {"config": cfg.to_dict(), **result.summary()}
-    _write_json(out / "solve_summary.json", summary)
-    _echo(quiet, f"converged in {result.iterations} iterations, "
-                 f"b = {result.b:.12g}, residual = {result.residual_history[-1]:.3e}")
-    for w in result.warnings:
+    save_scalar_field(out / "u.csv", u, cfg.grid)
+    _write_json(out / "solve_summary.json", {"config": cfg.to_dict(), **summary})
+    _echo(quiet, f"converged in {summary['iterations']} iterations, "
+                 f"b = {summary['b']:.12g}, residual = {summary['final_residual']:.3e}")
+    for w in summary["warnings"]:
         _echo(quiet, f"warning: {w}")
     return 0
 
@@ -157,22 +155,23 @@ def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):
         return _fail_usage(f"bad probe input: {exc}")
     axes = "-".join(str(a) for a in cfg.active_axes)
     problem_id = f"n{cfg.n}-k{cfg.k}-l{cfg.l}-N{cfg.points_per_axis}-ax{axes}"
+    out = Path(out_dir)
     try:
         report = run_probe(u, omega0, F + b, grid, cfg.k, cfg.l,
                            p_values=p_values, problem_id=problem_id)
     except ConeError as exc:
         _echo(quiet, f"probe hypotheses fail: {exc}")
-        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "probe_report.json", {"error": str(exc), "mandatory_ok": False})
         return 1
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "probe_report.json").write_text(report.to_json())
-    (out / "cherrier.csv").write_text(report.cherrier_csv())
-    _echo(quiet, f"eps = {report.eps:.6g}, delta = {report.delta:.6g}, "
-                 f"mandatory inequalities {'hold' if report.mandatory_ok else 'FAIL'}")
-    return 0 if report.mandatory_ok else 1
+    _write_json(out / "probe_report.json", report)
+    rows = [f"{r['p']!r},{r['energy']!r},{r['mass']!r},{r['ratio']!r}\n"
+            for r in report["cherrier"]]
+    (out / "cherrier.csv").write_text("p,energy,mass,ratio\n" + "".join(rows))
+    _echo(quiet, f"eps = {report['eps']:.6g}, delta = {report['delta']:.6g}, "
+                 f"mandatory inequalities {'hold' if report['mandatory_ok'] else 'FAIL'}")
+    return 0 if report["mandatory_ok"] else 1
 
 
 def main(argv=None):

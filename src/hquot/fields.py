@@ -171,15 +171,21 @@ def measure_epsilon(lam, k):
     both in Gamma_k at every point, found by bisection on [0, 1] on the
     eigenvalue field ``lam`` of omega0.  No eps >= 1 qualifies: the two
     conditions at eps = 1 ask for sigma_1(lam - 1) > 0 and sigma_1(1 - lam)
-    > 0, which are exact negatives of each other in floating point."""
+    > 0, which are exact negatives of each other in floating point.
+
+    The bisection tests the distinct tuples of ``lam`` only: feasibility is
+    a test of each tuple, so eps is bit for bit the whole field's."""
 
     def feasible(eps):
         return bool(
-            symfun.in_gamma_k(lam - eps, k).all()
-            and symfun.in_gamma_k(1.0 - eps * lam, k).all()
+            symfun.in_gamma_k(rows - eps, k).all()
+            and symfun.in_gamma_k(1.0 - eps * rows, k).all()
         )
 
     require_in_gamma(lam, k)
+    rows = lam.reshape(-1, lam.shape[-1])
+    rows = rows[np.lexsort(rows.T)]
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -21,6 +21,7 @@ partial is two first derivatives.  A field snapshot holds no scheme;
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,15 +207,22 @@ def save_scalar_field(path, u, grid):
 def load_scalar_field(path, grid):
     """The field on ``grid`` in a file written by save_scalar_field.  A header
     other than ``grid``'s raises ValueError naming both, and a non-finite
-    value one naming its line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    value one naming its line.  Blank lines are skipped; every other line
+    must hold one number."""
     want = _header(grid).splitlines()
-    if lines[:2] != want:
-        raise ValueError(f"field header {lines[:2]} does not match the grid's {want}")
-    vals = np.array([float(s) for s in lines[2:] if s.strip()], dtype=float)
+    with open(path) as fh:
+        head = (fh.readline() + fh.readline()).splitlines()
+    if head != want:
+        raise ValueError(f"field header {head} does not match the grid's {want}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no values: the count check names it
+        vals = np.loadtxt(path, skiprows=2, comments=None, ndmin=2)
+    if vals.shape[1] != 1:
+        raise ValueError(f"{vals.shape[1]} values on every line, expected one")
     bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
+    if bad.size:  # read the lines again to name the first bad one
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         number = [i for i, s in enumerate(lines[2:], start=3) if s.strip()][bad[0]]
         raise ValueError(f"line {number}: non-finite value {lines[number - 1].strip()!r}")
     if vals.size != grid.num_points:

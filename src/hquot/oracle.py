@@ -13,10 +13,9 @@ spec seed; batches are independent, so reports merge associatively.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .errors import SamplingError
 __all__ = [
     "MARGIN",
     "SampleSpec",
-    "VerificationReport",
     "sample_gamma_k",
     "sample_hyperhermitian_gamma_k",
     "verify_deletion_cone",
@@ -76,33 +74,6 @@ class SampleSpec:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one proposition over one sample batch."""
-
-    proposition: str
-    n: int
-    k: int
-    l: int | None
-    samples: int
-    checks: int
-    failures: int
-    worst_violation: float | None
-    min_slack: float | None
-    seed: int
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return self.failures == 0
-
-    def to_dict(self):
-        return asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
 def _rng(spec, tag):
     if not isinstance(tag, tuple):
         tag = (tag,)
@@ -118,16 +89,17 @@ def _normalized_slack(lhs, rhs):
 
 
 def _tally(proposition, spec, l, *slacks):
+    """One verify_report.json entry: the outcome of one proposition over one
+    sample batch, failing where a slack is not above -MARGIN."""
     slack = np.concatenate([np.ravel(s) for s in slacks]) if slacks else np.empty(0)
     failures = int(np.count_nonzero(~(slack > -MARGIN)))  # a NaN slack fails
     worst = float(slack.min()) if slack.size else None
-    return VerificationReport(
-        proposition=proposition, n=spec.n, k=spec.k, l=l, samples=spec.count, seed=spec.seed,
-        checks=int(slack.size),
-        failures=failures,
-        worst_violation=(worst if failures else None),
-        min_slack=worst,
-    )
+    return {
+        "proposition": proposition, "n": spec.n, "k": spec.k, "l": l,
+        "samples": spec.count, "seed": spec.seed, "checks": int(slack.size),
+        "failures": failures, "worst_violation": worst if failures else None,
+        "min_slack": worst, "notes": {},
+    }
 
 
 def _admissible(spec, ls, first):
@@ -183,6 +155,9 @@ def sample_hyperhermitian_gamma_k(spec, tag=0):
     Uh = U.conj().transpose(0, 2, 1)
     Uh *= np.concatenate([lam, lam], axis=1)[:, None, :]
     A = Uh @ U
+    # U and Uh go before the symmetrization: with its two temporaries they
+    # set the peak memory of verify
+    del U, Uh
     A = (A + A.conj().transpose(0, 2, 1)) / 2.0
     return A, lam
 
@@ -252,7 +227,7 @@ def verify_matrix_concavity(spec, ls):
         fa, mid, fb = symfun.quotient_root(np.stack([lam_a, lam_mid, lam_b]), k, l, check=False)
         report = _tally("matrix-quotient-concavity", spec, l,
                         _normalized_slack(mid, (fa + fb) / 2.0 - 1e-15))
-        report.notes["resample_rounds"] = resamples
+        report["notes"]["resample_rounds"] = resamples
         reports.append(report)
     return reports
 
@@ -471,7 +446,8 @@ STANDARD_PROPOSITIONS = (
 
 def run_standard_suite(count, seed, n_values=(2, 3, 4, 5), scale=1.0,
                        propositions=None, algebra_count=None):
-    """Run every verifier over all admissible (n, k, l); returns report list.
+    """Run every verifier over all admissible (n, k, l); returns the list of
+    verify_report.json entries (``_tally``'s dicts).
 
     ``algebra_count`` sets the sample count of the algebra cross-checks
     (moore-realization, sigma-triple, homomorphism) independently of the
@@ -515,7 +491,7 @@ def run_standard_suite(count, seed, n_values=(2, 3, 4, 5), scale=1.0,
                            if name in want and k >= first)
             rows = [fn(spec, range(first, k)) for name, fn, first in per_l
                     if name in want and first < k]
-            reports.extend(r for l in range(k) for row in rows for r in row if r.l == l)
+            reports.extend(r for l in range(k) for row in rows for r in row if r["l"] == l)
         aspec = spec_for(n, max(1, n - 1), acount)
         if "moore-realization" in want:
             reports.append(verify_moore_realization(aspec))

@@ -40,9 +40,7 @@ on p, so each p costs three weighted grid integrals.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,7 +57,6 @@ __all__ = [
     "homotopy_integral_check",
     "weighted_energy_check",
     "pointwise_lemma_sweep",
-    "ProbeReport",
     "run_probe",
 ]
 
@@ -350,43 +347,6 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProbeReport:
-    problem_id: str
-    k: int
-    l: int
-    p_values: list
-    eps: float
-    delta: float
-    cherrier: list
-    pointwise: dict
-    homotopy: list
-    weighted_energy: list
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def cherrier_csv(self):
-        lines = ["p,energy,mass,ratio"]
-        for row in self.cherrier:
-            lines.append(
-                f"{row['p']!r},{row['energy']!r},{row['mass']!r},{row['ratio']!r}"
-            )
-        return "\n".join(lines) + "\n"
-
-    @property
-    def mandatory_ok(self):
-        sweep_ok = self.pointwise.get("all_strict_positive", False)
-        hom_ok = all(r["slack"] >= -1e-6 and r["weighted_slack"] >= -1e-6
-                     for r in self.homotopy)
-        wen_ok = all(np.isfinite(r["c_min"]) and r["c_min"] > 0 for r in self.weighted_energy)
-        return bool(sweep_ok and hom_ok and wen_ok)
-
-
 def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64), problem_id="state"):
     """Full probe: Cherrier table, pointwise sweep, homotopy and energy checks.
 
@@ -395,6 +355,10 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64), problem_id=
     probed p; the weighted-energy constants at every p.  Both checks share
     one set of t-integrated fields from ``homotopy_means``, every check one
     quaternionic Hessian of u, and eps and the sweep the sorted omega0.
+
+    Returns the dict of probe_report.json.  Its ``mandatory_ok`` holds iff
+    every sweep margin is strictly positive, every homotopy slack (pointwise
+    and weighted) is at least -1e-6, and every c_min is finite and positive.
     """
     u = np.asarray(u, dtype=float)
     lam0 = np.sort(omega0, axis=-1)
@@ -404,20 +368,23 @@ def run_probe(u, omega0, F, grid, k, l, p_values=(4, 8, 16, 32, 64), problem_id=
     means = homotopy_means(u, omega0, hess, grid, k)
     homotopy = homotopy_integral_check(u, means, grid, k, float(min(p_values)), eps)
     weighted = [weighted_energy_check(u, means, grid, k, p, eps) for p in p_values]
-    cher = cherrier_table(u, grid, p_values)
-    return ProbeReport(
-        problem_id=problem_id,
-        k=k,
-        l=l,
-        p_values=[float(p) for p in p_values],
-        eps=float(eps),
-        delta=sweep["delta"],
-        cherrier=cher,
-        pointwise=sweep,
-        homotopy=homotopy,
-        weighted_energy=weighted,
-        notes={
+    return {
+        "problem_id": problem_id,
+        "k": k,
+        "l": l,
+        "p_values": [float(p) for p in p_values],
+        "eps": float(eps),
+        "delta": sweep["delta"],
+        "cherrier": cherrier_table(u, grid, p_values),
+        "pointwise": sweep,
+        "homotopy": homotopy,
+        "weighted_energy": weighted,
+        "mandatory_ok": bool(
+            sweep["all_strict_positive"]
+            and all(r["slack"] >= -1e-6 and r["weighted_slack"] >= -1e-6 for r in homotopy)
+            and all(np.isfinite(r["c_min"]) and r["c_min"] > 0 for r in weighted)),
+        "notes": {
             "weight_shift": "exp(-p u) integrals use u - min(u); relative slacks are shift-free",
             "t_quadrature": f"interpolatory on the {k} midpoints of [0, 1], exact on degree < {k}",
         },
-    )
+    }

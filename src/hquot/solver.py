@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .quaternion import chi_eigh
 
 __all__ = [
     "SolverConfig",
-    "SolveResult",
     "Linearization",
     "build_problem",
     "start_offset",
@@ -182,33 +181,6 @@ def start_offset(F):
     if not math.isfinite(b):
         raise ValueError(f"b = -mean F is not finite ({b}): the mean of F overflows")
     return b
-
-
-@dataclass
-class SolveResult:
-    u: np.ndarray
-    b: float
-    iterations: int
-    residual_history: list
-    converged: bool
-    gamma_margin: float
-    cone_report: dict
-    warnings: list = field(default_factory=list)
-
-    def summary(self):
-        return {
-            "b": self.b,
-            "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residual_history],
-            "final_residual": float(self.residual_history[-1]),
-            "converged": self.converged,
-            "gamma_margin": self.gamma_margin,
-            "sup_u": float(self.u.max()),
-            "osc_u": float(self.u.max() - self.u.min()),
-            "cone_condition": {key: self.cone_report[key]
-                               for key in ("satisfied", "worst_margin", "delta")},
-            "warnings": list(self.warnings),
-        }
 
 
 def residual(lam, b, F, k, l):
@@ -439,15 +411,19 @@ def _solve_newton_step(lin, R):
 
 
 def solve(cfg):
-    """Run the damped Newton iteration; returns a SolveResult with sup u = 0.
+    """Run the damped Newton iteration; returns (u, summary) with sup u = 0.
+
+    ``summary`` is solve_summary.json without its config echo: b, the
+    iteration count, the residual history and its last entry, the accepted
+    iterate's cone margin gamma_margin, sup and oscillation of u, the cone
+    condition at the solved b, and its warnings.
 
     Each trial (u, b) runs the pointwise stage once (_pointwise): block by
     block, W_u is assembled from the second partials of u and diagonalized,
     and only the eigenvalues and the linearization's coefficient rows are
     kept, so no whole W_u or eigenvector field exists.  The residual, the
-    cone margin and the next Newton step read those; the accepted trial's
-    cone margin is the result's gamma_margin.  The start W_u = diag(omega0)
-    has the spectrum omega0 sorted.
+    cone margin and the next Newton step read those.  The start
+    W_u = diag(omega0) has the spectrum omega0 sorted.
     A config that build_problem cannot turn into a problem, whose mean F
     overflows, or whose forcing factor overflows at the starting b = -mean F,
     raises ValueError;
@@ -507,18 +483,20 @@ def solve(cfg):
             f"(residual {hist[-1]:.3e})"
         )
 
-    u_out = normalize_sup(u)
-    post_cone = fl.check_cone_condition(lam0, F + b, k, l)
-    warnings = [] if post_cone["satisfied"] else [
+    u = normalize_sup(u)
+    cone = fl.check_cone_condition(lam0, F + b, k, l)
+    warnings = [] if cone["satisfied"] else [
         f"cone condition violated at the solved normalization "
-        f"(margin {post_cone['worst_margin']:.3e})"]
-    return SolveResult(
-        u=u_out,
-        b=b,
-        iterations=iterations,
-        residual_history=hist,
-        converged=True,
-        gamma_margin=gam,
-        cone_report=post_cone,
-        warnings=warnings,
-    )
+        f"(margin {cone['worst_margin']:.3e})"]
+    return u, {
+        "b": b,
+        "iterations": iterations,
+        "residual_history": hist,
+        "final_residual": hist[-1],
+        "converged": True,
+        "gamma_margin": gam,
+        "sup_u": float(u.max()),
+        "osc_u": float(u.max() - u.min()),
+        "cone_condition": {key: cone[key] for key in ("satisfied", "worst_margin", "delta")},
+        "warnings": warnings,
+    }

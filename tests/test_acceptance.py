@@ -112,9 +112,9 @@ def test_criterion_3_inequality_oracle():
         propositions=INEQUALITY_PROPS,
     )
     elapsed = time.monotonic() - t0
-    failures = sum(r.failures for r in reports)
-    checked = sum(r.checks for r in reports)
-    slacks = [r.min_slack for r in reports if r.min_slack is not None]
+    failures = sum(r["failures"] for r in reports)
+    checked = sum(r["checks"] for r in reports)
+    slacks = [r["min_slack"] for r in reports if r["min_slack"] is not None]
     ok = failures == 0 and elapsed < 300.0
     _report(3, "inequality oracle: 0 failures at margin -1e-10, 10^4 samples, all (k,l), <5min",
             ok, f"{len(reports)} reports, {checked} checks, min slack {min(slacks):.2e}, {elapsed:.0f}s")
@@ -192,26 +192,27 @@ def solved_family():
 def test_criterion_5_constant_forcing_exact():
     c = 0.8
     cfg = SolverConfig(n=2, k=2, l=0, points_per_axis=16, active_axes=(0,), F=f"{c}")
-    res = solve(cfg)
-    ok = (res.iterations <= 2 and np.abs(res.u).max() <= 1e-12
-          and abs(res.b + c) <= 1e-12)
+    u, summary = solve(cfg)
+    ok = (summary["iterations"] <= 2 and np.abs(u).max() <= 1e-12
+          and abs(summary["b"] + c) <= 1e-12)
     _report(5, "constant forcing: u = 0 (1e-12), b = -c (1e-12), <= 2 iterations",
-            ok, f"iters {res.iterations}, sup|u| {np.abs(res.u).max():.1e}, "
-                f"|b+c| {abs(res.b + c):.1e}")
+            ok, f"iters {summary['iterations']}, sup|u| {np.abs(u).max():.1e}, "
+                f"|b+c| {abs(summary['b'] + c):.1e}")
 
 
 def test_criterion_6_solver_convergence(solved_family):
     details = []
     ok = True
-    for label, (cfg, res, elapsed) in solved_family.items():
-        tail = res.residual_history[-1] / res.residual_history[-2]
-        case_ok = (res.residual_history[-1] <= 1e-9
-                   and res.gamma_margin > 0
+    for label, (cfg, (u, summary), elapsed) in solved_family.items():
+        hist = summary["residual_history"]
+        tail = hist[-1] / hist[-2]
+        case_ok = (hist[-1] <= 1e-9
+                   and summary["gamma_margin"] > 0
                    and tail <= 0.1
                    and elapsed < 300.0)
         ok = ok and case_ok
-        details.append(f"{label}: r={res.residual_history[-1]:.1e} tail={tail:.1e} "
-                       f"margin={res.gamma_margin:.2f} {elapsed:.1f}s"
+        details.append(f"{label}: r={hist[-1]:.1e} tail={tail:.1e} "
+                       f"margin={summary['gamma_margin']:.2f} {elapsed:.1f}s"
                        + ("" if case_ok else " <-- FAIL"))
     _report(6, "solver family: residual <= 1e-9, cone margin > 0, tail ratio <= 0.1, <5min/case",
             ok, "; ".join(details))
@@ -220,11 +221,11 @@ def test_criterion_6_solver_convergence(solved_family):
 @pytest.fixture(scope="module")
 def probed_family(solved_family):
     out = {}
-    for label, (cfg, res, _) in solved_family.items():
-        if not res.cone_report["satisfied"]:
+    for label, (cfg, (u, summary), _) in solved_family.items():
+        if not summary["cone_condition"]["satisfied"]:
             continue
         grid, om0, F = build_problem(cfg)
-        rep = probe.run_probe(res.u, om0, F + res.b, grid, cfg.k, cfg.l,
+        rep = probe.run_probe(u, om0, F + summary["b"], grid, cfg.k, cfg.l,
                               p_values=(4, 8, 16, 32, 64), problem_id=label)
         out[label] = rep
     return out
@@ -235,15 +236,15 @@ def test_criterion_7a_estimate_chain(probed_family):
     details = []
     ok = True
     for label, rep in probed_family.items():
-        margins_ok = rep.pointwise["all_strict_positive"]
+        margins_ok = rep["pointwise"]["all_strict_positive"]
         hom_ok = all(r["slack"] >= -1e-6 and r["weighted_slack"] >= -1e-6
-                     for r in rep.homotopy)
+                     for r in rep["homotopy"])
         wen_ok = all(np.isfinite(r["c_min"]) and r["c_min"] > 0
-                     for r in rep.weighted_energy)
+                     for r in rep["weighted_energy"])
         case_ok = margins_ok and hom_ok and wen_ok
         ok = ok and case_ok
-        worst_m = min(rep.pointwise["margins"].values())
-        worst_s = min(min(r["slack"], r["weighted_slack"]) for r in rep.homotopy)
+        worst_m = min(rep["pointwise"]["margins"].values())
+        worst_s = min(min(r["slack"], r["weighted_slack"]) for r in rep["homotopy"])
         details.append(f"{label}: margin {worst_m:.2e} slack {worst_s:.2e}"
                        + ("" if case_ok else " <-- FAIL"))
     _report("7a", "estimate chain: sweep margins > 0, homotopy/energy slacks >= -1e-6",
@@ -282,12 +283,12 @@ def test_criterion_7b_cherrier_two_fold_bound(solved_family, probed_family):
     details = []
     ok = True
     for label, rep in probed_family.items():
-        cfg, res, _ = solved_family[label]
+        cfg, (u, _), _ = solved_family[label]
         grid, _, _ = build_problem(cfg)
-        sigma1 = symfun.sigma(fl.eig_field(fl.quaternionic_hessian(res.u, grid)), 1)
+        sigma1 = symfun.sigma(fl.eig_field(fl.quaternionic_hessian(u, grid)), 1)
         ceiling = 0.25 * float(sigma1.max())
-        shifted = res.u - res.u.min()
-        ratios = {row["p"]: row["ratio"] for row in rep.cherrier}
+        shifted = u - u.min()
+        ratios = {row["p"]: row["ratio"] for row in rep["cherrier"]}
         worst_err = 0.0
         for p, c in ratios.items():
             weight = np.exp(-p * shifted)

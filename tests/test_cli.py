@@ -460,29 +460,48 @@ def test_fd_solve_probes_and_cone_checks(tmp_path):
     assert grid.backend == "fd"
     report = run_probe(load_scalar_field(sol / "u.csv", grid), omega0, F + summary["b"], grid,
                        2, 1, p_values=(4.0, 8.0), problem_id="n2-k2-l1-N8-ax0-5")
-    assert (pr / "probe_report.json").read_text() == report.to_json()
-    assert (pr / "cherrier.csv").read_text() == report.cherrier_csv()
+    assert (pr / "probe_report.json").read_text() == json.dumps(report, sort_keys=True,
+                                                                indent=2) + "\n"
+    assert (pr / "cherrier.csv").read_text() == "p,energy,mass,ratio\n" + "".join(
+        f"{r['p']!r},{r['energy']!r},{r['mass']!r},{r['ratio']!r}\n" for r in report["cherrier"])
 
 
 def test_written_report_key_sets(tmp_path):
-    # the cone check and the pointwise sweep return the dicts that are
-    # written, so these key sets are pinned here
+    # every command writes the dict its library call returns, so the key
+    # sets of the written files are pinned here
     cfg = _write(tmp_path / "s.json", {
         "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0],
         "F": "0.1*sin(2*pi*x0)",
     })
-    sol, pr, cc = tmp_path / "sol", tmp_path / "pr", tmp_path / "cc"
+    vcfg = _write(tmp_path / "v.json", {"count": 20, "seed": 3, "n_values": [2],
+                                        "algebra_count": 5})
+    sol, pr, cc, ver = tmp_path / "sol", tmp_path / "pr", tmp_path / "cc", tmp_path / "ver"
     assert main(["solve", "--config", cfg, "--out", str(sol), "--quiet"]) == 0
     assert main(["probe", "--result", str(sol), "--out", str(pr), "--p", "4,8", "--quiet"]) == 0
     assert main(["cone-check", "--config", cfg, "--out", str(cc), "--quiet"]) == 0
+    assert main(["verify", "--config", vcfg, "--out", str(ver), "--quiet"]) == 0
     cone = json.loads((cc / "cone_report.json").read_text())
     assert set(cone) == {"config", "b_offset", "satisfied", "worst_margin", "where", "slot",
                          "delta"}
     summary = json.loads((sol / "solve_summary.json").read_text())
+    assert set(summary) == {"config", "b", "iterations", "residual_history", "final_residual",
+                            "converged", "gamma_margin", "sup_u", "osc_u", "cone_condition",
+                            "warnings"}
     assert set(summary["cone_condition"]) == {"satisfied", "worst_margin", "delta"}
-    pointwise = json.loads((pr / "probe_report.json").read_text())["pointwise"]
-    assert set(pointwise) == {"k", "l", "eps", "delta", "t_grid", "margins", "margins_by_t",
-                              "equality_residuals", "all_strict_positive"}
+    probe = json.loads((pr / "probe_report.json").read_text())
+    assert set(probe) == {"problem_id", "k", "l", "p_values", "eps", "delta", "cherrier",
+                          "pointwise", "homotopy", "weighted_energy", "mandatory_ok", "notes"}
+    assert probe["mandatory_ok"] is True
+    assert set(probe["pointwise"]) == {"k", "l", "eps", "delta", "t_grid", "margins",
+                                       "margins_by_t", "equality_residuals",
+                                       "all_strict_positive"}
+    csv = (pr / "cherrier.csv").read_text().splitlines()
+    assert csv[0] == "p,energy,mass,ratio" and len(csv) == 3
+    verify = json.loads((ver / "verify_report.json").read_text())
+    assert set(verify) == {"config", "reports", "failures"}
+    assert verify["reports"] and all(
+        set(r) == {"proposition", "n", "k", "l", "samples", "checks", "failures",
+                   "worst_violation", "min_slack", "seed", "notes"} for r in verify["reports"])
 
 
 def test_probe_malformed_field(tmp_path, solve_cfg):

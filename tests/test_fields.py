@@ -189,6 +189,15 @@ def test_malformed_field_file(tmp_path):
     path.write_text("\n".join(text[:-1]) + "\n")  # truncate one value
     with pytest.raises(ValueError):
         load_scalar_field(path, g)
+    path.write_text("\n".join(text[:-2] + ["1.0 2.0"]) + "\n")  # two values on a line
+    with pytest.raises(ValueError):
+        load_scalar_field(path, g)
+    path.write_text("\n".join(text[:2] + ["0.0 0.0"] * 2) + "\n")  # on every line
+    with pytest.raises(ValueError, match="2 values on every line"):
+        load_scalar_field(path, g)
+    # blank and whitespace-only lines are skipped
+    path.write_text("\n".join(text[:3] + ["", "  \t"] + text[3:]) + "\n")
+    assert np.array_equal(load_scalar_field(path, g), np.zeros(g.shape))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -498,6 +507,34 @@ def test_measure_epsilon_identity_background():
     g = TorusGrid(2, (0,), 8)
     eps = fl.measure_epsilon(np.ones(g.shape + (2,)), 2)
     assert eps == pytest.approx(0.995, abs=1e-6)
+
+
+@pytest.mark.parametrize("omega0_diag, distinct", [
+    (None, 1),
+    (["1 + 0.5*cos(2*pi*x0)", "1.0 - 0.3*sin(2*pi*x5)", "0.7"], 180),
+])
+def test_measure_epsilon_bisects_the_distinct_tuples(monkeypatch, omega0_diag, distinct):
+    # feasibility is a test of each tuple, so the field and its distinct rows
+    # give the same eps bit for bit; past the one whole-field cone check, the
+    # bisection reads the distinct rows only
+    from hquot.solver import SolverConfig, build_problem
+
+    cfg = SolverConfig(n=3, k=3, l=0, points_per_axis=16, active_axes=(0, 5),
+                       omega0_diag=omega0_diag)
+    lam = np.sort(build_problem(cfg)[1], axis=-1)
+    rows = np.unique(lam.reshape(-1, 3), axis=0)
+    assert len(rows) == distinct and lam.size // 3 == 256
+    tuples = []
+    real = symfun.elementary_all
+
+    def counting(lam, *args):
+        tuples.append(lam.size // lam.shape[-1])
+        return real(lam, *args)
+
+    monkeypatch.setattr(symfun, "elementary_all", counting)
+    eps = fl.measure_epsilon(lam, 3)
+    assert sum(t > distinct for t in tuples) == 1
+    assert eps.hex() == fl.measure_epsilon(rows, 3).hex()
 
 
 def test_cone_condition_binomial_threshold():

@@ -12,7 +12,8 @@ package re-exports it or ``KEEP`` names it.  In every module, every
 defaulted parameter is set by some package call, unless ``KEEP_DEFAULTS``
 names it: a default nobody overrides is a constant.  No function takes a
 ``backend`` parameter: the grid carries its difference scheme.  No module
-but ``quaternion`` calls numpy's eigensolvers.
+but ``quaternion`` calls numpy's eigensolvers, and none but ``cli`` imports
+``json``.
 Importing ``hquot.cli`` in a fresh interpreter loads no scipy module,
 every span the benchmark's tracer rebinds resolves in the package, and the
 benchmark's verifier-to-proposition map matches the verifiers' reports.
@@ -160,6 +161,18 @@ def test_no_eigensolver_outside_quaternion(path):
               if isinstance(node, ast.ImportFrom) for alias in node.names
               if alias.name in EIGENSOLVERS]
     assert not found, f"{path.name}: eigensolver calls outside quaternion (line, name) {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "cli"], ids=lambda p: p.stem)
+def test_no_json_outside_cli(path):
+    # library calls return the dicts the commands write, and cli serializes
+    # every report through its one _write_json
+    tree = ast.parse(path.read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json"
+                                                     for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"]
+    assert not found, f"{path.name}: imports json at lines {found}"
 
 
 # Public names that no package code reads, kept on purpose: one reason each.
@@ -318,7 +331,7 @@ def test_benchmark_proposition_map_matches_reports(monkeypatch):
         fn = getattr(oracle, fn_name)
         l_indexed = len(inspect.signature(fn).parameters) == 2
         reports = fn(spec, [1]) if l_indexed else [fn(spec)]
-        names = {r.proposition for r in reports}
+        names = {r["proposition"] for r in reports}
         if names != {proposition}:
             wrong[fn_name] = sorted(names)
     assert not wrong, f"verifiers whose reports name another proposition: {wrong}"

@@ -202,7 +202,7 @@ def test_solve_makes_no_einsum_contraction(monkeypatch):
     for n, axes in ((2, (0, 1, 4, 5)), (3, (0, 5, 10))):
         cfg = SolverConfig(n=n, k=2, l=1, points_per_axis=8, active_axes=axes,
                            F="0.1*sin(2*pi*(x0 + x5)) + 0.05*cos(2*pi*(x1 - x4))")
-        assert solve(cfg).iterations >= 2
+        assert solve(cfg)[1]["iterations"] >= 2
     assert max(operands, default=0) < 3
 
 
@@ -268,10 +268,10 @@ def _count_eigendecompositions(monkeypatch, cfg):
         monkeypatch.setattr(np.linalg, name, lapack(getattr(np.linalg, name)))
     monkeypatch.setattr(solver, "chi_eigh", eigh)
     monkeypatch.setattr(solver, "_pointwise", stage)
-    res = solve(cfg)
-    assert res.converged and res.iterations >= 2
+    u, summary = solve(cfg)
+    assert summary["converged"] and summary["iterations"] >= 2
     # no trial is rejected on these states, so the trials are the accepted steps
-    assert counts["stage"] == 1 + res.iterations
+    assert counts["stage"] == 1 + summary["iterations"]
     # blocks of at most _BLOCK matrices, the last one partial, cover every
     # point once per stage run: one eigendecomposition per point and trial
     points = cfg.grid.num_points
@@ -313,8 +313,8 @@ def test_blocked_stage_equals_the_whole_field_route():
                        F=_FOUR_AXIS_F)
     grid, om0, F = build_problem(cfg)
     assert grid.num_points % solver._BLOCK and grid.num_points > solver._BLOCK
-    res = solve(cfg)
-    u, b, k, l = res.u, res.b, cfg.k, cfg.l
+    u, summary = solve(cfg)
+    b, k, l = summary["b"], cfg.k, cfg.l
     basis = fl.hessian_basis(grid)
     lam, c, ell = solver._pointwise(om0, u, b, F, grid, basis, k, l)
     E = symfun.forcing_factor(grid.n, k, l, F + b)
@@ -334,33 +334,33 @@ def test_blocked_stage_equals_the_whole_field_route():
     assert blocked.ellipticity_margin == whole.ellipticity_margin > 0
     # the reported cone margin is the accepted iterate's (u differs from the
     # iterate by the sup shift, which moves the FFT derivatives by roundoff)
-    assert res.gamma_margin == pytest.approx(float(np.min(symfun.gamma_margin(lam, k))),
+    assert summary["gamma_margin"] == pytest.approx(float(np.min(symfun.gamma_margin(lam, k))),
                                              rel=1e-12)
 
 
 def test_solve_constant_forcing_exact():
     c = 0.7
     cfg = SolverConfig(n=2, k=2, l=0, points_per_axis=16, active_axes=(0,), F=f"{c}")
-    res = solve(cfg)
-    assert res.iterations <= 2
-    assert np.abs(res.u).max() <= 1e-12
-    assert abs(res.b + c) <= 1e-12
-    assert res.residual_history[-1] <= 1e-12
+    u, summary = solve(cfg)
+    assert summary["iterations"] <= 2
+    assert np.abs(u).max() <= 1e-12
+    assert abs(summary["b"] + c) <= 1e-12
+    assert summary["residual_history"][-1] <= 1e-12
 
 
 def test_solve_sine_monge_ampere():
     cfg = SolverConfig(n=1, k=1, l=0, points_per_axis=16, active_axes=(0,),
                        F="0.5*sin(2*pi*x0)")
-    res = solve(cfg)
-    assert res.converged
-    assert res.residual_history[-1] <= 1e-9
-    assert res.u.max() == 0.0
-    assert res.gamma_margin > 0
+    u, summary = solve(cfg)
+    assert summary["converged"]
+    assert summary["residual_history"][-1] <= 1e-9
+    assert u.max() == 0.0
+    assert summary["gamma_margin"] > 0
     # quadratic tail
-    assert res.residual_history[-1] / res.residual_history[-2] <= 0.1
+    assert summary["residual_history"][-1] / summary["residual_history"][-2] <= 0.1
     # mean-zero gauge: residual unchanged by the sup shift
     grid, om0, F = build_problem(cfg)
-    R = residual(_lam(om0, res.u, grid), res.b, F, 1, 0)
+    R = residual(_lam(om0, u, grid), summary["b"], F, 1, 0)
     assert np.abs(R).max() <= 2e-9
 
 
@@ -369,8 +369,8 @@ def test_solve_amplitude_growth():
     for A in (0.1, 0.2):
         cfg = SolverConfig(n=1, k=1, l=0, points_per_axis=16, active_axes=(0,),
                            F=f"{A}*sin(2*pi*x0)")
-        res = solve(cfg)
-        osc[A] = float(res.u.max() - res.u.min())
+        u, summary = solve(cfg)
+        osc[A] = float(u.max() - u.min())
     assert 0 < osc[0.1] < osc[0.2] < 1.0
 
 
@@ -378,11 +378,11 @@ def test_solve_quotient_case_with_background():
     cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=16, active_axes=(0,),
                        F="0.1*sin(2*pi*x0)",
                        omega0_diag=("1 + 0.1*cos(2*pi*x0)", "1.0"))
-    res = solve(cfg)
-    assert res.converged and res.residual_history[-1] <= 1e-9
-    assert res.cone_report["satisfied"]
+    u, summary = solve(cfg)
+    assert summary["converged"] and summary["residual_history"][-1] <= 1e-9
+    assert summary["cone_condition"]["satisfied"]
     grid, om0, F = build_problem(cfg)
-    assert symfun.in_gamma_k(_lam(om0, res.u, grid), 2).all()
+    assert symfun.in_gamma_k(_lam(om0, u, grid), 2).all()
 
 
 def test_ellipticity_margin_is_the_cone_margin():
@@ -391,12 +391,12 @@ def test_ellipticity_margin_is_the_cone_margin():
     k, l = 2, 1
     cfg = SolverConfig(n=2, k=k, l=l, points_per_axis=12, active_axes=(0, 5),
                        F="0.1*sin(2*pi*(x0 + x5))")
-    res = solve(cfg)
+    u, summary = solve(cfg)
     grid, om0, F = build_problem(cfg)
-    W = fl.omega_u(om0, res.u, grid)
+    W = fl.omega_u(om0, u, grid)
     assert np.abs(W[..., 0, 1]).max() > 1e-3  # eigenvectors mix the axes
-    lin = linearize(chi_eigh(W), res.b, F, grid, k, l)
-    cone = fl.check_cone_condition(fl.eig_field(W), F + res.b, k, l)
+    lin = linearize(chi_eigh(W), summary["b"], F, grid, k, l)
+    cone = fl.check_cone_condition(fl.eig_field(W), F + summary["b"], k, l)
     assert lin.ellipticity_margin == pytest.approx(cone["worst_margin"], rel=1e-12)
 
 
@@ -415,10 +415,10 @@ def test_solve_reports_one_cone_verdict():
     # iterations; its one cone verdict is the check at the solved b
     cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=8, active_axes=(0,),
                        F="0.8*sin(2*pi*x0)", tolerance=10.0)
-    res = solve(cfg)
-    assert res.iterations == 0 and not res.cone_report["satisfied"]
-    assert res.warnings == [f"cone condition violated at the solved normalization "
-                            f"(margin {res.cone_report['worst_margin']:.3e})"]
+    u, summary = solve(cfg)
+    assert summary["iterations"] == 0 and not summary["cone_condition"]["satisfied"]
+    assert summary["warnings"] == [f"cone condition violated at the solved normalization "
+                                   f"(margin {summary['cone_condition']['worst_margin']:.3e})"]
 
 
 def test_solve_checks_cone_condition_at_normalization():
@@ -428,10 +428,10 @@ def test_solve_checks_cone_condition_at_normalization():
                        F="800 + 0.1*sin(2*pi*x0)")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = solve(cfg)
-    assert res.converged and res.warnings == []
-    assert res.b == pytest.approx(-800.0, abs=0.01)
-    assert res.cone_report["satisfied"]
+        u, summary = solve(cfg)
+    assert summary["converged"] and summary["warnings"] == []
+    assert summary["b"] == pytest.approx(-800.0, abs=0.01)
+    assert summary["cone_condition"]["satisfied"]
 
 
 def test_solve_background_outside_cone_raises():
@@ -453,11 +453,11 @@ def test_solve_converging_on_the_last_allowed_step():
     # must accept the third, and a cap of 2 must not
     path = Path(__file__).resolve().parents[1] / "configs" / "solve_example.json"
     spec = json.loads(path.read_text())
-    ref = solve(SolverConfig.from_dict(spec))
-    assert ref.iterations == 3
-    res = solve(SolverConfig.from_dict({**spec, "max_iterations": 3}))
-    assert res.iterations == 3 and res.residual_history == ref.residual_history
-    assert res.b == ref.b and res.u.tobytes() == ref.u.tobytes()
+    u_ref, ref = solve(SolverConfig.from_dict(spec))
+    assert ref["iterations"] == 3
+    u, summary = solve(SolverConfig.from_dict({**spec, "max_iterations": 3}))
+    assert summary["iterations"] == 3 and summary["residual_history"] == ref["residual_history"]
+    assert summary["b"] == ref["b"] and u.tobytes() == u_ref.tobytes()
     with pytest.raises(ConvergenceError, match="no convergence in 2 iterations"):
         solve(SolverConfig.from_dict({**spec, "max_iterations": 2}))
 
@@ -465,20 +465,20 @@ def test_solve_converging_on_the_last_allowed_step():
 def test_solve_fd_backend():
     cfg = SolverConfig(n=1, k=1, l=0, points_per_axis=16, active_axes=(0,),
                        F="0.5*sin(2*pi*x0)", backend="fd")
-    res = solve(cfg)
-    assert res.residual_history[-1] <= 1e-9
-    ref = solve(SolverConfig(n=1, k=1, l=0, points_per_axis=16, active_axes=(0,),
-                             F="0.5*sin(2*pi*x0)", backend="spectral"))
+    u, summary = solve(cfg)
+    assert summary["residual_history"][-1] <= 1e-9
+    u_ref, _ = solve(SolverConfig(n=1, k=1, l=0, points_per_axis=16, active_axes=(0,),
+                                  F="0.5*sin(2*pi*x0)", backend="spectral"))
     # both solve their own discretization; the states differ at O(h^2)
-    assert np.abs(res.u - ref.u).max() < 5e-3
+    assert np.abs(u - u_ref).max() < 5e-3
 
 
 def test_solve_four_axis_linear_case():
     cfg = SolverConfig(n=1, k=1, l=0, points_per_axis=8, active_axes=(0, 1, 2, 3),
                        F="0.1*sin(2*pi*x0)")
-    res = solve(cfg)
-    assert res.residual_history[-1] <= 1e-9
-    assert res.iterations <= 3
+    u, summary = solve(cfg)
+    assert summary["residual_history"][-1] <= 1e-9
+    assert summary["iterations"] <= 3
 
 
 def test_coupled_state_self_convergence():
@@ -494,12 +494,12 @@ def test_coupled_state_self_convergence():
                            backend=backend)
         return cfg, solve(cfg)
 
-    cfg, res = run(24, "spectral")
-    H = fl.quaternionic_hessian(res.u, cfg.grid)
+    cfg, (u, summary) = run(24, "spectral")
+    H = fl.quaternionic_hessian(u, cfg.grid)
     assert np.abs(H[..., 0, 1]).max() > 0.1  # an off-diagonal, coupled state
-    limit = run(32, "spectral")[1].b
-    assert abs(res.b - limit) <= 1e-13
-    errs = [abs(run(N, "fd")[1].b - limit) for N in (8, 16, 32)]
+    limit = run(32, "spectral")[1][1]["b"]
+    assert abs(summary["b"] - limit) <= 1e-13
+    errs = [abs(run(N, "fd")[1][1]["b"] - limit) for N in (8, 16, 32)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert 1.6 <= orders[0] <= 2.1 and 1.8 <= orders[1] <= 2.1, orders
 
@@ -531,21 +531,21 @@ def test_manufactured_recovery(monkeypatch, backend, n, axes, N, omega0_diag, wa
     lam = fl.eig_field(W)
     F = np.log(symfun.sigma(lam, k) / symfun.sigma(lam, l) * math.comb(n, l) / math.comb(n, k))
     monkeypatch.setattr(solver, "build_problem", lambda _: (grid, om0, F))
-    res = solve(cfg)
+    u, summary = solve(cfg)
     u_ref = normalize_sup(u_star)
-    assert abs(res.b) <= 1e-10
-    assert np.abs(res.u - u_ref).max() <= 1e-8 * np.abs(u_ref).max()
+    assert abs(summary["b"]) <= 1e-10
+    assert np.abs(u - u_ref).max() <= 1e-8 * np.abs(u_ref).max()
 
 
 def test_solution_matches_compatibility_constant():
     # 1-axis forcing: exp(b) must normalize the mean of exp(F) at top order
     cfg = SolverConfig(n=1, k=1, l=0, points_per_axis=32, active_axes=(0,),
                        F="0.3*sin(2*pi*x0)")
-    res = solve(cfg)
+    u, summary = solve(cfg)
     grid, om0, F = build_problem(cfg)
     # integral of sigma_1(W_u) - e^(F+b) sigma_0 = 0 and mean(H) = 0 forces
     # mean(e^(F+b)) = sigma_1(identity) = 1
-    assert integrate(np.exp(F + res.b)) == pytest.approx(1.0, abs=1e-10)
+    assert integrate(np.exp(F + summary["b"])) == pytest.approx(1.0, abs=1e-10)
 
 
 def _nonsymmetric_system(size=30):
