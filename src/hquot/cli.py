@@ -150,6 +150,7 @@ def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):
         config.check({"b": summary["b"]}, config.PROBE)
         b = float(summary["b"])
         grid, omega0, F = build_problem(cfg)
+        F += b  # the effective forcing, in place: the probe holds one F field
         u = load_scalar_field(rdir / "u.csv", grid)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad probe input: {exc}")
@@ -157,7 +158,7 @@ def run_probe_cmd(result_dir, out_dir, p_values, quiet=False):
     problem_id = f"n{cfg.n}-k{cfg.k}-l{cfg.l}-N{cfg.points_per_axis}-ax{axes}"
     out = Path(out_dir)
     try:
-        report = run_probe(u, omega0, F + b, grid, cfg.k, cfg.l,
+        report = run_probe(u, omega0, F, grid, cfg.k, cfg.l,
                            p_values=p_values, problem_id=problem_id)
     except ConeError as exc:
         _echo(quiet, f"probe hypotheses fail: {exc}")

@@ -206,26 +206,42 @@ def save_scalar_field(path, u, grid):
 
 def load_scalar_field(path, grid):
     """The field on ``grid`` in a file written by save_scalar_field.  A header
-    other than ``grid``'s raises ValueError naming both, and a non-finite
-    value one naming its line.  Blank lines are skipped; every other line
-    must hold one number."""
+    other than ``grid``'s raises ValueError naming both, and a line that is
+    not one number, or a non-finite value, one naming its file line.  Blank
+    lines are skipped."""
     want = _header(grid).splitlines()
     with open(path) as fh:
         head = (fh.readline() + fh.readline()).splitlines()
     if head != want:
         raise ValueError(f"field header {head} does not match the grid's {want}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no values: the count check names it
-        vals = np.loadtxt(path, skiprows=2, comments=None, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no values: the count check names it
+            vals = np.loadtxt(path, skiprows=2, comments=None, ndmin=2)
+    except ValueError:  # numpy's row counts values, not file lines: name the line
+        for number, text in _value_lines(path):
+            try:  # the same parser, so the two agree on what a number is
+                one = np.loadtxt([text], comments=None).size == 1
+            except ValueError:
+                one = False
+            if not one:
+                raise ValueError(f"line {number}: expected one number, found {text!r}") from None
+        raise
     if vals.shape[1] != 1:
         raise ValueError(f"{vals.shape[1]} values on every line, expected one")
     bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:  # read the lines again to name the first bad one
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        number = [i for i, s in enumerate(lines[2:], start=3) if s.strip()][bad[0]]
-        raise ValueError(f"line {number}: non-finite value {lines[number - 1].strip()!r}")
+    if bad.size:
+        number, text = _value_lines(path)[bad[0]]
+        raise ValueError(f"line {number}: non-finite value {text!r}")
     if vals.size != grid.num_points:
         raise ValueError(f"expected {grid.num_points} values, found {vals.size}")
     return vals.reshape(grid.shape)
 
+
+def _value_lines(path):
+    """(file line number, stripped text) of each non-blank line after the
+    header of a field file: np.loadtxt's rows, for error messages."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    return [(number, text.strip()) for number, text in enumerate(lines[2:], start=3)
+            if text.strip()]

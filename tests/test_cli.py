@@ -485,9 +485,12 @@ def test_written_report_key_sets(tmp_path):
                          "delta"}
     summary = json.loads((sol / "solve_summary.json").read_text())
     assert set(summary) == {"config", "b", "iterations", "residual_history", "final_residual",
-                            "converged", "gamma_margin", "sup_u", "osc_u", "cone_condition",
-                            "warnings"}
+                            "linear_solves", "converged", "gamma_margin", "sup_u", "osc_u",
+                            "cone_condition", "warnings"}
     assert set(summary["cone_condition"]) == {"satisfied", "worst_margin", "delta"}
+    assert len(summary["linear_solves"]) == summary["iterations"] > 0
+    for record in summary["linear_solves"]:
+        assert set(record) == {"rtol", "arnoldi_steps", "relative_residual"}
     probe = json.loads((pr / "probe_report.json").read_text())
     assert set(probe) == {"problem_id", "k", "l", "p_values", "eps", "delta", "cherrier",
                           "pointwise", "homotopy", "weighted_energy", "mandatory_ok", "notes"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_malformed_field_file(tmp_path):
     # blank and whitespace-only lines are skipped
     path.write_text("\n".join(text[:3] + ["", "  \t"] + text[3:]) + "\n")
     assert np.array_equal(load_scalar_field(path, g), np.zeros(g.shape))
+
+
+@pytest.mark.parametrize("bad", ["abc", "1,2", "1.0 2.0", "1_0"])
+def test_malformed_value_names_its_file_line(tmp_path, bad):
+    # the file line, counting the header and blank lines, not numpy's row;
+    # 1_0 is a Python float literal that np.loadtxt rejects
+    g = TorusGrid(1, (0,), 4)
+    path = tmp_path / "u.csv"
+    save_scalar_field(path, np.zeros(g.shape), g)
+    text = path.read_text().splitlines()
+    path.write_text("\n".join(text[:3] + [bad] + text[4:]) + "\n")
+    with pytest.raises(ValueError, match=f"^line 4: expected one number, found '{re.escape(bad)}'$"):
+        load_scalar_field(path, g)
+    path.write_text("\n".join(text[:3] + ["  \t", bad] + text[4:]) + "\n")
+    with pytest.raises(ValueError, match=f"^line 5: expected one number, found '{re.escape(bad)}'$"):
+        load_scalar_field(path, g)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -586,19 +586,112 @@ def test_gmres_reports_an_exhausted_budget():
     assert 1e-12 < relres == np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
 
 
-def test_newton_step_raises_when_gmres_does_not_converge(monkeypatch):
-    # a variable-coefficient step needs several inner iterations; allow two
+def test_gmres_stops_when_it_stagnates():
+    # a tolerance below the roundoff floor is never met: once a cycle no
+    # longer lowers the true residual, gmres stops instead of running maxiter
+    # cycles (one cycle is longer than the system, so it reaches the floor)
+    A = np.linspace(1.0, 10.0, 30)
+    rhs = np.random.default_rng(7).standard_normal(30)
+    x, info, iterations, relres = gmres(lambda v: A * v, rhs, lambda v: v,
+                                        rtol=1e-20, atol=0.0, restart=40, maxiter=100)
+    assert 0 < info <= 4 and iterations <= 4 * 30
+    assert relres == np.linalg.norm(rhs - A * x) / np.linalg.norm(rhs) < 1e-15
+
+
+def _newton_step_problem():
+    """A variable-coefficient bordered system, which needs several inner
+    iterations: (Linearization, residual) at a small coupled potential."""
     grid = TorusGrid(2, (0, 5), 8)
     om0 = np.ones(grid.shape + (grid.n,))
     F = np.zeros(grid.shape)
     x0, x5 = grid.coordinate(0), grid.coordinate(5)
     u = 0.002 * (np.sin(2 * np.pi * (x0 + x5)) + np.cos(2 * np.pi * x0))
     lin = linearize(_spectrum(om0, u, grid), 0.0, F, grid, 2, 1)
-    R = residual(_lam(om0, u, grid), 0.0, F, 2, 1)
-    step, _ = solver._solve_newton_step(lin, R)
+    return lin, residual(_lam(om0, u, grid), 0.0, F, 2, 1)
+
+
+def test_newton_step_raises_when_gmres_does_not_converge(monkeypatch):
+    lin, R = _newton_step_problem()
+    step, _, record = solver._solve_newton_step(lin, R, 1e-12)
     assert np.isfinite(step).all()
+    assert record["rtol"] == 1e-12 and record["relative_residual"] <= 1e-12
+    assert record["arnoldi_steps"] > 2
+    # one cycle of two Arnoldi steps exhausts the budget
+    monkeypatch.setattr(solver, "_LINEAR_RESTART", 2)
+    monkeypatch.setattr(solver, "_LINEAR_MAXITER", 1)
+    with pytest.raises(ConvergenceError, match=r"did not converge: 2 GMRES iterations, "
+                                               r"relative residual \d"):
+        solver._solve_newton_step(lin, R, 1e-12)
+
+
+def test_newton_step_names_a_stagnated_linear_solve(monkeypatch):
+    lin, R = _newton_step_problem()
     real = solver.gmres
     monkeypatch.setattr(solver, "gmres",
-                        lambda *args, **kw: real(*args, **{**kw, "restart": 2, "maxiter": 1}))
-    with pytest.raises(ConvergenceError, match=r"2 GMRES iterations, relative residual \d"):
-        solver._solve_newton_step(lin, R)
+                        lambda *args, **kw: real(*args, **{**kw, "rtol": 1e-20, "atol": 0.0}))
+    with pytest.raises(ConvergenceError, match=r"stagnated after \d+ restart cycles: "
+                                               r"\d+ GMRES iterations"):
+        solver._solve_newton_step(lin, R, 1e-12)
+
+
+def test_linear_solves_stop_at_the_accuracy_the_outer_test_needs():
+    # inexact Newton: step i asks GMRES for max(1e-12, 0.1 tolerance / |R_i|)
+    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=16, active_axes=(0, 5),
+                       F="0.1*sin(2*pi*(x0 + x5))")
+    u, summary = solve(cfg)
+    hist, records = summary["residual_history"], summary["linear_solves"]
+    assert len(records) == summary["iterations"] == len(hist) - 1
+    for r, rec in zip(hist, records):
+        assert rec["rtol"] == max(1e-12, 0.1 * cfg.tolerance / r)
+        assert 0 < rec["arnoldi_steps"] and rec["relative_residual"] <= rec["rtol"]
+    assert records[-1]["rtol"] > 1e-6  # the last step needs only a few digits
+
+
+@pytest.mark.parametrize("spec", [
+    # at a fixed 1e-12 inner tolerance both exhausted GMRES on a roundoff floor
+    pytest.param(dict(n=1, k=1, l=0, points_per_axis=256, active_axes=(0, 1),
+                      F="0.3*sin(2*pi*(x0 + x1))"), id="n1k1l0-N256"),
+    pytest.param(dict(n=2, k=2, l=1, points_per_axis=192, active_axes=(0, 5),
+                      F="0.3*sin(2*pi*(x0 + x5)) + 0.2*cos(2*pi*x5)"), id="n2k2l1-N192"),
+])
+def test_fine_two_axis_grids_converge(spec):
+    u, summary = solve(SolverConfig(**spec))
+    assert summary["converged"] and summary["final_residual"] <= 1e-9
+    assert summary["gamma_margin"] > 0
+
+
+# b and u.flat[::u.size // 7] of solves with every inner tolerance at 1e-12
+# (one BLAS thread): the inexact inner solves must keep both within 1e-10,
+# a tenth of the outer tolerance
+_PINNED_STATES = {
+    "coupled-4axis": (
+        dict(n=2, k=2, l=1, points_per_axis=16, active_axes=[0, 1, 4, 5],
+             F="0.1*sin(2*pi*(x0 + x5)) + 0.05*cos(2*pi*(x1 - x4))"),
+        -0.009367714443660404,
+        [-0.009596797445409505, -0.01112213328357193, -0.004706855698537738,
+         -0.0037225504652514253, -0.01089088027252169, -0.009188800866926491,
+         -0.004201720883842002, -0.00476452851932942]),
+    "solve_example.json": (
+        "solve_example.json",
+        -0.007458279905797874,
+        [-0.009699921464035505, -0.017003195524934483, -0.02015101212504554,
+         -0.017003195524934487, -0.005906780538531624, -0.0007149653217865346,
+         -0.0007149653217865329, -0.005906780538531619]),
+    "solve_monge_ampere_4axis.json": (
+        "solve_monge_ampere_4axis.json",
+        -0.0024984392290137132,
+        [-0.004996750877548282, -0.00860596667903319, -0.010119942511272162,
+         -0.00860596667903319, -0.00306994633577337, -0.0003760340297331091,
+         -0.0003760340297331074, -0.003069946335773367]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_STATES))
+def test_solved_states_match_their_pins(name):
+    spec, b, samples = _PINNED_STATES[name]
+    if isinstance(spec, str):
+        path = Path(__file__).resolve().parents[1] / "configs" / spec
+        spec = json.loads(path.read_text())
+    u, summary = solve(SolverConfig.from_dict(spec))
+    assert abs(summary["b"] - b) <= 1e-10
+    np.testing.assert_allclose(u.flat[:: u.size // 7], samples, rtol=0, atol=1e-10)
