@@ -157,12 +157,12 @@ def eig_field(W):
     return chi_eigvals(W)
 
 
-def require_in_gamma(lam, k):
-    """The least Gamma_k margin of the eigenvalue field ``lam`` of the
-    background; raise ConeError unless it is positive."""
-    gam = float(np.min(symfun.gamma_margin(lam, k)))
+def require_in_gamma(e):
+    """The least Gamma_k margin min(e_1..e_k) of the background's spectrum, from
+    its e = elementary_all(lam, k); raise ConeError unless it is positive."""
+    gam = float(e[..., 1:].min())
     if not gam > 0.0:
-        raise ConeError(f"background field not in Gamma_{k} (margin {gam:.3e})")
+        raise ConeError(f"background field not in Gamma_{e.shape[-1] - 1} (margin {gam:.3e})")
     return gam
 
 
@@ -182,7 +182,7 @@ def measure_epsilon(lam, k):
             and symfun.in_gamma_k(1.0 - eps * rows, k).all()
         )
 
-    require_in_gamma(lam, k)
+    require_in_gamma(symfun.elementary_all(lam, k))
     rows = lam.reshape(-1, lam.shape[-1])
     rows = rows[np.lexsort(rows.T)]
     rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
@@ -207,19 +207,21 @@ def check_cone_condition(lam, F, k, l):
     minimum ``worst_margin`` is positive, ``where`` the grid index tuple and
     ``slot`` the eigenvalue slot of that minimum, and ``delta`` the measured
     root gap min_{z,j} [ratio^(1/(k-l)) - Ft^(1/(k-l))] (for l = 0 the
-    condition is vacuous and delta is the raw sigma margin).
+    condition is vacuous and delta is the raw sigma margin), all from one
+    sigma_table of ``lam``.
     """
     n = lam.shape[-1]
     if not 0 <= l < k <= n:
         raise ValueError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
-    require_in_gamma(lam, k)
-    sk1 = symfun.sigma_excl_all(lam, k - 1)
+    e, excl = symfun.sigma_table(lam, k)
+    require_in_gamma(e)
+    sk1 = excl[k - 1]
     if l == 0:
         margin = sk1
         delta = float(sk1.min())
     else:
         ft = symfun.forcing_factor(n, k, l, F)
-        sl1 = symfun.sigma_excl_all(lam, l - 1)
+        sl1 = excl[l - 1]
         margin = sk1 - ft[..., None] * sl1
         root = 1.0 / (k - l)
         delta = float(((sk1 / sl1) ** root - ft[..., None] ** root).min())
@@ -246,22 +248,21 @@ def newton_transform_field(W, m):
     return chi_from_spectrum(V, symfun.sigma_excl_all(lam, m))
 
 
-def gradient_pairing(grad, spectrum, i):
+def gradient_pairing(grad, V, excl, i):
     """The scalar field  c_i v^H S_{i-1}(W) v,  c_i = (i-1)!(n-i)!/n!,
 
     computed as c_i sum_j |(V^H v)_j|^2 sigma_{i-1}(lam|j) for v = ``grad``
-    (from gradient_coefficients) and the spectrum (lam, V) = chi_eigh(W),
-    each collapsed eigenvalue weighting its two embedding slots.
-    Nonnegative whenever W is in Gamma_i pointwise.  Order 1 is c_1 |v|^2,
-    since S_0 = Id.
+    (from gradient_coefficients), (lam, V) = chi_eigh(W) and ``excl`` =
+    sigma_{i-1}(lam|j), each collapsed eigenvalue weighting its two
+    embedding slots.  Nonnegative whenever W is in Gamma_i pointwise.
+    Order 1 is c_1 |v|^2, since S_0 = Id.
     """
-    lam, V = spectrum
-    n = lam.shape[-1]
+    n = excl.shape[-1]
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}")
     c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
     if i == 1:
         return (c * np.einsum("...p,...p->...", grad.conj(), grad)).real
     pv = np.einsum("...pj,...p->...j", V.conj(), grad)
-    s = np.repeat(symfun.sigma_excl_all(lam, i - 1), 2, axis=-1)
+    s = np.repeat(excl, 2, axis=-1)
     return (c * np.einsum("...j,...j,...j->...", pv.conj(), s, pv)).real

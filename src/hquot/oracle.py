@@ -224,7 +224,7 @@ def verify_matrix_concavity(spec, ls):
         raise SamplingError("could not keep concavity segments inside the cone")
     reports = []
     for l in ls:
-        fa, mid, fb = symfun.quotient_root(np.stack([lam_a, lam_mid, lam_b]), k, l, check=False)
+        fa, mid, fb = symfun.quotient_root(np.stack([lam_a, lam_mid, lam_b]), k, l)
         report = _tally("matrix-quotient-concavity", spec, l,
                         _normalized_slack(mid, (fa + fb) / 2.0 - 1e-15))
         report["notes"]["resample_rounds"] = resamples
@@ -337,9 +337,8 @@ def verify_quotient_concavity(spec, ls):
     half = (lam + mu) / 2.0
     reports = []
     for l in ls:
-        mid = symfun.quotient_root(half, k, l, check=False)
-        avg = (symfun.quotient_root(lam, k, l, check=False)
-               + symfun.quotient_root(mu, k, l, check=False)) / 2.0
+        mid = symfun.quotient_root(half, k, l)
+        avg = (symfun.quotient_root(lam, k, l) + symfun.quotient_root(mu, k, l)) / 2.0
         reports.append(_tally("quotient-root-concavity", spec, l,
                               _normalized_slack(mid, avg - 1e-15)))
     return reports
@@ -350,7 +349,7 @@ def verify_garding_inequality(spec):
     k = spec.k
     lam = sample_gamma_k(spec, tag=24)
     mu = sample_gamma_k(spec, tag=25)
-    lhs = symfun.garding_pairing(mu, lam, k, check=False)
+    lhs = symfun.garding_pairing(mu, lam, k)
     rhs = k * symfun.sigma(mu, k) ** (1.0 / k) * symfun.sigma(lam, k) ** (1.0 - 1.0 / k)
     return _tally("garding-pairing", spec, None, _normalized_slack(lhs, rhs - 1e-15))
 

@@ -6,7 +6,7 @@ entries (fields.add_background).  Against the flat form Omega, the
 dictionary between forms and symmetric functions is
 
     W_t^m ^ Omega^(n-m) / Omega^n                     = sigma_m(W_t) / C(n, m)
-    du ^ d_J u ^ W_t^(i-1) ^ Omega^(n-i) / Omega^n    = gradient_pairing(v, chi_eigh(W_t), i)
+    du ^ d_J u ^ W_t^(i-1) ^ Omega^(n-i) / Omega^n    = c_i v^H S_{i-1}(W_t) v  (gradient_pairing)
 
 with v = gradient_coefficients(u), and exp(-p u) weights are stabilized by
 shifting u to min 0 (the reported slacks are relative, so the shift cancels;
@@ -33,9 +33,9 @@ Every t-integrand is a polynomial in t of degree at most k - 1: sigma_m(W_t)
 for m < k, and the gradient pairing of order i, which reads the Newton
 transform S_{i-1}(W_t) = sum_r (-1)^r sigma_{i-1-r}(W_t) W_t^r.  So the
 t-integrals are exact (up to roundoff) from the k midpoints of [0, 1] and
-their interpolatory weights (``t_nodes``).  ``homotopy_means`` diagonalizes
-each node once for every order and both intervals; the fields do not depend
-on p, so each p costs three weighted grid integrals.
+their interpolatory weights (``t_nodes``).  ``homotopy_means``, like the
+sweep, reads one spectrum and one sigma_table per node; the fields do not
+depend on p, so each p costs three weighted grid integrals.
 """
 
 from __future__ import annotations
@@ -114,28 +114,29 @@ def cherrier_table(u, grid, p_values):
 def homotopy_means(u, omega0, hessian, grid, k):
     """Pointwise t-integrals (L, G, S) along W_t = diag(omega0) + t * hessian,
     ``hessian`` the quaternionic Hessian of u: over [0, 1/2],
-    L = int sigma_{k-1}(W_t) dt and G[i-1] = int gradient_pairing(v(u),
-    chi_eigh(W_t), i) dt for i = 1..k; over [0, 1], S[m] = int sigma_m(W_t) dt
+    L = int sigma_{k-1}(W_t) dt and G[i-1] = int c_i v(u)^H S_{i-1}(W_t) v(u)
+    dt (gradient_pairing) for i = 1..k; over [0, 1], S[m] = int sigma_m(W_t) dt
     for m < k.
 
-    One pass over ``t_nodes(k)`` diagonalizes each node once for every order
-    and both intervals.  No field depends on p.
+    One pass over ``t_nodes(k)`` reads one spectrum and one sigma_table per
+    node for every order and both intervals.  No field depends on p.
     """
     grad = fl.gradient_coefficients(u, grid)
     L = np.zeros(grid.shape)
     G = np.zeros((k,) + grid.shape)
     S = np.zeros((k,) + grid.shape)
     for t, w1, wh in zip(*t_nodes(k)):
-        # W_t is dropped before the pairings: at n = 1 it is the largest
-        # array of this loop, which sets the probe's peak memory
+        # the previous node's fields go before W_t is built, and W_t before
+        # the pairings: W_t and its spectrum set the probe's peak memory
+        lam = V = e = excl = None
         Wt = fl.add_background(t * hessian, omega0)
-        spectrum = chi_eigh(Wt)
+        lam, V = chi_eigh(Wt)
         del Wt
-        e = np.moveaxis(symfun.elementary_all(spectrum[0], k - 1), -1, 0)
-        S += w1 * e
-        L += wh * e[k - 1]
+        e, excl = symfun.sigma_table(lam, k)
+        S += w1 * np.moveaxis(e[..., :k], -1, 0)
+        L += wh * e[..., k - 1]
         for i in range(1, k + 1):
-            G[i - 1] += wh * fl.gradient_pairing(grad, spectrum, i)
+            G[i - 1] += wh * fl.gradient_pairing(grad, V, excl[i - 1], i)
     return L, G, S
 
 
@@ -198,7 +199,7 @@ def weighted_energy_check(u, means, grid, k, p, eps):
         L <= C (p * G + M0),
 
     L  = int_0^(1/2) dt int exp(-pu) sigma_{k-1}(W_t)/C(n,k-1),
-    G  = int_0^(1/2) dt int exp(-pu) * gradient_pairing(v(u), chi_eigh(W_t), k),
+    G  = int_0^(1/2) dt int exp(-pu) * c_k v(u)^H S_{k-1}(W_t) v(u)  (gradient_pairing),
     M0 = int exp(-pu).
 
     The t-integrals are taken pointwise first (``means``, from
@@ -266,7 +267,7 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     delta = fl.SHAVE * cone["delta"]
     ft = symfun.forcing_factor(n, k, l, F)
     lam1 = fl.eig_field(fl.add_background(hessian.copy(), omega0))
-    sig1 = {i: symfun.sigma(lam1, i) for i in range(1, k + 1)}
+    sig1 = symfun.elementary_all(lam1, k)
 
     names = ("excluded-sigma-lower-bound", "power-scaling-bound",
              "cone-gap-persistence", "cone-gap-floor")
@@ -279,12 +280,11 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
     for t in SWEEP_T:
         # the previous node's fields go before W_t is built: W_t and its
         # spectrum set the probe's peak memory
-        lam_t = excl = gaps = thresh = floor = lhs4 = None
+        lam_t = e = excl = gaps = thresh = floor = lhs4 = None
         lam_t = (lam0 if t == 0 else lam1 if t == 1
                  else fl.eig_field(fl.add_background(t * hessian, omega0)))
-        # at l = 0 the order l - 1 = -1 is a zero field that no margin reads
-        excl = {m: symfun.sigma_excl_all(lam_t, m)
-                for m in {k - 1, l - 1} | set(range(1, k)) if m >= 0}
+        # one table per node; at l = 0 no margin reads the order l - 1 = -1
+        e, excl = symfun.sigma_table(lam_t, k)
 
         by_t["excluded-sigma-lower-bound"].append(min(
             (float((excl[i - 1]
@@ -296,7 +296,7 @@ def pointwise_lemma_sweep(omega0, hessian, lam0, F, k, l, eps):
         if t == 0:
             by_t["power-scaling-bound"].append(None)
         else:
-            gaps = [t ** (-float(i)) * symfun.sigma(lam_t, i) - sig1[i]
+            gaps = [t ** (-float(i)) * e[..., i] - sig1[..., i]
                     for i in range(1, k + 1)]
             if t == 1.0:
                 equality["power-scaling-bound"] = max(

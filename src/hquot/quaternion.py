@@ -269,11 +269,11 @@ def _require_hyperhermitian(A):
             and np.array_equal(im[..., :n, n:], im[..., n:, :n])):
         return M
     axes = (-2, -1)
-    residual = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
+    err = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=axes, initial=0.0)
     for dev in (M[..., :n, :n] - M[..., n:, n:].conj(), M[..., :n, n:] + M[..., n:, :n].conj()):
-        residual = np.maximum(residual, np.abs(dev).max(axis=axes, initial=0.0))
-    if not np.all(residual <= _TOL * (1.0 + np.abs(M).max(axis=axes, initial=0.0))):
-        raise StructureError(f"matrix is not hyperhermitian (residual {residual.max():.3e})")
+        err = np.maximum(err, np.abs(dev).max(axis=axes, initial=0.0))
+    if not np.all(err <= _TOL * (1.0 + np.abs(M).max(axis=axes, initial=0.0))):
+        raise StructureError(f"matrix is not hyperhermitian (residual {err.max():.3e})")
     return M
 
 

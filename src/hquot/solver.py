@@ -31,8 +31,9 @@ Eisenstat-Walker forcing terms, SIAM J. Sci. Comput. 17, 1996), and a
 restart cycle that does not lower the true residual stops GMRES as
 stagnated.
 
-Returned potentials are shifted to sup u = 0 (the constant shift changes
-neither b nor the residual).
+Each trial's residual, dR/db, cone margin and L read one symfun.sigma_table
+per pointwise spectrum.  Returned potentials are shifted to sup u = 0 (the
+constant shift changes neither b nor the residual).
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def start_offset(F):
 
 def residual(lam, b, F, k, l):
     """Pointwise sigma_k(W_u) - (C(n,k)/C(n,l)) e^(F+b) sigma_l(W_u) from the
-    eigenvalue field ``lam`` of W_u."""
+    eigenvalue field ``lam`` of W_u, on the whole field (solve's is blocked)."""
     E = symfun.forcing_factor(lam.shape[-1], k, l, F + b)
     return symfun.sigma(lam, k) - E * symfun.sigma(lam, l)
 
@@ -236,21 +237,23 @@ class Linearization:
 
 def linearize(spectrum, b, F, grid, k, l):
     """The Linearization of the residual at (u, b), from ``spectrum`` =
-    chi_eigh(W_u), computed on the whole field at once; raises ConeError
-    unless its ellipticity margin is positive.  solve computes the same
-    operator block by block (_pointwise).
+    chi_eigh(W_u): solve's block step (_stage) run on the whole field as one
+    block; raises ConeError unless its ellipticity margin is positive.
     """
     E = symfun.forcing_factor(grid.n, k, l, F + b)
     basis = fl.hessian_basis(grid)
     c = np.empty((len(basis), grid.num_points))
-    ell = _top_row_coefficients(spectrum, E, basis, k, l, c)
-    return _linearization(grid, basis, c, ell, spectrum[0], E, l)
+    _, b_column, _, ell = _stage(spectrum, E, basis, k, l, c)
+    return _linearization(grid, basis, c, ell, b_column)
 
 
-def _top_row_coefficients(spectrum, E, basis, k, l, out):
-    """Write the coefficients c_PQ at ``spectrum`` = (lam, V) and forcing
-    factors E into the rows of ``out`` (one per pair of ``basis``, the points
-    flattened); return the least ellipticity weight.
+def _stage(spectrum, E, basis, k, l, out):
+    """One block of the pointwise stage at ``spectrum`` = (lam, V) and forcing
+    factors E: writes the coefficients c_PQ into the rows of ``out`` (one per
+    pair of ``basis``, the points flattened) and returns the residual
+    sigma_k - E sigma_l, dR/db = -E sigma_l, the Gamma_k margin
+    min(sigma_1..sigma_k) and the least ellipticity weight, from one
+    symfun.sigma_table of lam.
 
     The coefficient matrix G = S_{k-1}(W) - Ft S_{l-1}(W) has the
     eigenvectors V of W and the eigenvalues w_j = sigma_{k-1}(lam|j) - Ft
@@ -263,8 +266,9 @@ def _top_row_coefficients(spectrum, E, basis, k, l, out):
     """
     lam, V = spectrum
     n = lam.shape[-1]
-    weights = symfun.sigma_excl_all(lam, k - 1)
-    weights = weights - E[..., None] * symfun.sigma_excl_all(lam, l - 1)
+    e, excl = symfun.sigma_table(lam, k)
+    El = E * e[..., l]
+    weights = excl[k - 1] - E[..., None] * excl[l - 1] if l else excl[k - 1]
     # conj of the top n rows of G = V diag(weights doubled) V^H:
     # conj(V_top w) @ V^T reads V through a transposed view, with no copy
     Gc = V[..., :n, :] * np.repeat(weights, 2, axis=-1)[..., None, :]
@@ -274,47 +278,46 @@ def _top_row_coefficients(spectrum, E, basis, k, l, out):
     # over the flattened top-row slots
     for row, (_, _, B) in zip(out, basis):
         row[:] = (Gc @ B[:, :n].T.conj().ravel()).real
-    return weights.min()
+    return e[..., k] - El, -El, e[..., 1:].min(), weights.min()
 
 
-def _linearization(grid, basis, c, ell, lam, E, l):
+def _linearization(grid, basis, c, ell, b_column):
     """The Linearization with the coefficient rows ``c`` of ``basis`` (a pair
     whose row is zero on the whole grid is left out), ellipticity margin
-    ``ell`` and dR/db = -E sigma_l(lam), E the forcing factors; raises
-    ConeError unless ell > 0."""
+    ``ell`` and dR/db = ``b_column``; raises ConeError unless ell > 0."""
     ell = float(ell)
     if ell <= 0:
         raise ConeError(f"linearized operator lost ellipticity (min weight {ell:.3e}): "
                         f"cone condition violated at the current iterate")
     coeff = {(P, Q): row.reshape(grid.shape)
              for (P, Q, _), row in zip(basis, c) if np.abs(row).max() > 0}
-    return Linearization(grid, coeff, -E * symfun.sigma(lam, l), ell)
+    return Linearization(grid, coeff, b_column.reshape(grid.shape), ell)
 
 
 def _pointwise(omega0, u, b, F, grid, basis, k, l):
-    """The pointwise stage at (u, b), run over blocks of _BLOCK grid points:
-    returns (lam, c, ell), the eigenvalue field of W_u and the coefficient
-    rows and least ellipticity weight of linearize's operator at (u, b).
+    """The pointwise stage at (u, b), run over blocks of _BLOCK grid points
+    (_stage): returns (R, b_column, gam, c, ell), the residual and dR/db
+    fields, the least Gamma_k margin of W_u, and the coefficient rows and
+    least ellipticity weight of linearize's operator at (u, b).
 
-    Only the second partials of u, lam and c are whole fields.  Each block's
-    W_u and eigenvectors are dropped when the next block is assembled.  No
-    arithmetic depends on the blocking, so the results equal the whole-field
-    route's bit for bit.
+    Only the second partials of u, the forcing factors, R, b_column and c
+    are whole fields; each block's W_u, spectrum and table go with the
+    block.  No arithmetic depends on the blocking, so the results equal the
+    whole-field route's bit for bit.
     """
     n, m = grid.n, grid.num_points
     d2 = [second_derivative(u, grid, P, Q).reshape(m) for P, Q, _ in basis]
     om = omega0.reshape(m, n)
     E = symfun.forcing_factor(n, k, l, F + b).reshape(m)
-    lam = np.empty((m, n))
+    R, b_column = np.empty(m), np.empty(m)
     c = np.empty((len(basis), m))
-    ell = np.inf
+    gam = ell = np.inf
     for s in range(0, m, _BLOCK):
         blk = slice(s, s + _BLOCK)
         W = fl.add_background(fl.assemble_hessian(basis, [d[blk] for d in d2]), om[blk])
-        spectrum = chi_eigh(W)
-        lam[blk] = spectrum[0]
-        ell = np.minimum(ell, _top_row_coefficients(spectrum, E[blk], basis, k, l, c[:, blk]))
-    return lam.reshape(grid.shape + (n,)), c, ell
+        R[blk], b_column[blk], g, w = _stage(chi_eigh(W), E[blk], basis, k, l, c[:, blk])
+        gam, ell = np.minimum(gam, g), np.minimum(ell, w)
+    return R.reshape(grid.shape), b_column.reshape(grid.shape), float(gam), c, ell
 
 
 def normalize_sup(u):
@@ -439,9 +442,9 @@ def solve(cfg):
 
     Each trial (u, b) runs the pointwise stage once (_pointwise): block by
     block, W_u is assembled from the second partials of u and diagonalized,
-    and only the eigenvalues and the linearization's coefficient rows are
-    kept, so no whole W_u or eigenvector field exists.  The residual, the
-    cone margin and the next Newton step read those.  The start
+    and one symfun.sigma_table of each block's spectrum gives the residual,
+    dR/db, the cone margin and the linearization's coefficient rows, so no
+    whole W_u, eigenvector or eigenvalue field exists.  The start
     W_u = diag(omega0) has the spectrum omega0 sorted.
     A config that build_problem cannot turn into a problem, whose mean F
     overflows, or whose forcing factor overflows at the starting b = -mean F,
@@ -456,10 +459,9 @@ def solve(cfg):
     u = np.zeros(grid.shape)
     b = start_offset(F)
     symfun.require_finite_forcing(n, k, l, float(np.max(F)) + b)
-    gam = fl.require_in_gamma(lam0, k)  # the start W_u is diag(omega0)
+    gam = fl.require_in_gamma(symfun.elementary_all(lam0, k))  # the start W_u is diag(omega0)
 
-    lam, c, ell = _pointwise(omega0, u, b, F, grid, basis, k, l)
-    R = residual(lam, b, F, k, l)
+    R, bcol, _, c, ell = _pointwise(omega0, u, b, F, grid, basis, k, l)
     hist = [float(np.abs(R).max())]
     linear_solves = []
     iterations = 0
@@ -467,14 +469,13 @@ def solve(cfg):
     for it in range(1, cfg.max_iterations + 1):
         if hist[-1] <= cfg.tolerance:
             break
-        E = symfun.forcing_factor(n, k, l, F + b)
         try:
-            lin = _linearization(grid, basis, c, ell, lam, E, l)
-        except ConeError as exc:
+            lin = _linearization(grid, basis, c, ell, bcol)
+            # inexact Newton: ask GMRES only for the accuracy the outer test needs
+            v, db, record = _solve_newton_step(
+                lin, R, max(_LINEAR_RTOL, 0.1 * cfg.tolerance / hist[-1]))
+        except (ConeError, ConvergenceError) as exc:
             raise ConvergenceError(f"aborted at iteration {it}: {exc}") from exc
-        # inexact Newton: ask GMRES only for the accuracy the outer test needs
-        v, db, record = _solve_newton_step(
-            lin, R, max(_LINEAR_RTOL, 0.1 * cfg.tolerance / hist[-1]))
         linear_solves.append(record)
         del lin, c  # every trial builds its own coefficient rows
 
@@ -483,15 +484,14 @@ def solve(cfg):
             u_try = u + step * v
             u_try -= u_try.mean()
             b_try = b + step * db
-            lam_try, c, ell_try = _pointwise(omega0, u_try, b_try, F, grid, basis, k, l)
-            gam_try = float(np.min(symfun.gamma_margin(lam_try, k)))
+            R_try, bcol_try, gam_try, c, ell_try = _pointwise(
+                omega0, u_try, b_try, F, grid, basis, k, l)
             if gam_try <= _CONE_MARGIN:
                 step *= _BACKTRACK
                 continue
-            R_try = residual(lam_try, b_try, F, k, l)
             r_try = float(np.abs(R_try).max())
             if r_try < (1.0 - 1e-4 * step) * hist[-1] or r_try <= cfg.tolerance:
-                u, b, lam, ell, gam, R = u_try, b_try, lam_try, ell_try, gam_try, R_try
+                u, b, R, bcol, gam, ell = u_try, b_try, R_try, bcol_try, gam_try, ell_try
                 hist.append(r_try)
                 break
             step *= _BACKTRACK

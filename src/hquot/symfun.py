@@ -6,6 +6,8 @@ so a "tuple" argument of shape ``(..., n)`` yields results of shape ``(...)``
 
 sigma(lam, -1) is defined as 0 so that formulas with an ``l - 1`` order
 degenerate correctly at l = 0.
+One spectrum gets one table (sigma_table), the package's only downdate: the
+solver, the cone check and the probe read each spectrum through it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ import math
 
 import numpy as np
 
-from .errors import ConeError
-
 __all__ = [
     "elementary_all",
+    "sigma_table",
     "sigma",
     "sigma_excl_all",
     "in_gamma_k",
@@ -52,6 +53,19 @@ def elementary_all(lam, kmax=None):
     return e
 
 
+def sigma_table(lam, k):
+    """(e, excl) for 1 <= k <= n: e = elementary_all(lam, k), and excl[m] =
+    sigma_m(lam|i) for every i, shape (..., n), each m < k, downdated from
+    the full polynomial: s_0 = 1, s_m(i) = sigma_m(lam) - lam_i s_{m-1}(i).
+    """
+    lam = np.asarray(lam, dtype=float)
+    e = elementary_all(lam, k)
+    excl = [np.ones(lam.shape)]
+    for m in range(1, k):
+        excl.append(e[..., m, None] - lam * excl[-1])
+    return e, excl
+
+
 def sigma(lam, k):
     """sigma_k(lam); sigma_0 = 1 and sigma_{-1} = 0 by convention."""
     lam = np.asarray(lam, dtype=float)
@@ -64,22 +78,15 @@ def sigma(lam, k):
 
 
 def sigma_excl_all(lam, k):
-    """sigma_k of ``lam`` with entry i removed, for every i.
-
-    Returns shape ``(..., n)``.  Computed by downdating the full polynomial:
-    s_0 = 1, s_m(i) = sigma_m(lam) - lam_i * s_{m-1}(i).
-    """
+    """sigma_k of ``lam`` with entry i removed, for every i: shape (..., n),
+    read from sigma_table(lam, k + 1)."""
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     if k == -1:
         return np.zeros(lam.shape)
     if not 0 <= k <= n - 1:
         raise ValueError(f"order k={k} out of range for deleted tuple of n={n}")
-    e = elementary_all(lam, min(k, n))
-    s = np.ones(lam.shape)
-    for m in range(1, k + 1):
-        s = e[..., m, None] - lam * s
-    return s
+    return sigma_table(lam, k + 1)[1][k]
 
 
 def in_gamma_k(lam, k):
@@ -103,27 +110,19 @@ def gamma_margin(lam, k):
     return float(m) if m.ndim == 0 else m
 
 
-def _require_gamma(lam, k):
-    ok = in_gamma_k(lam, k)
-    if not np.all(ok):
-        raise ConeError(f"tuple not in Gamma_{k}")
-
-
-def quotient(lam, k, l, check=True):
-    """sigma_k(lam) / sigma_l(lam) for 0 <= l < k; requires lam in Gamma_k."""
+def quotient(lam, k, l):
+    """sigma_k(lam) / sigma_l(lam) for 0 <= l < k; callers keep lam in Gamma_k."""
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     if not 0 <= l < k <= n:
         raise ValueError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
-    if check:
-        _require_gamma(lam, k)
     e = elementary_all(lam, k)
     return e[..., k] / e[..., l]
 
 
-def quotient_root(lam, k, l, check=True):
+def quotient_root(lam, k, l):
     """(sigma_k / sigma_l)^(1/(k-l)); concave and degree-1 homogeneous on Gamma_k."""
-    q = quotient(lam, k, l, check=check)
+    q = quotient(lam, k, l)
     return q ** (1.0 / (k - l))
 
 
@@ -143,7 +142,7 @@ def require_finite_forcing(n, k, l, top):
                          f"the largest F + b is {top:.6g}")
 
 
-def garding_pairing(mu, lam, k, check=True):
+def garding_pairing(mu, lam, k):
     """sum_i mu_i * sigma_{k-1}(lam | i).
 
     For mu, lam in Gamma_k this is >= k * sigma_k(mu)^(1/k) * sigma_k(lam)^(1-1/k),
@@ -153,8 +152,5 @@ def garding_pairing(mu, lam, k, check=True):
     lam = np.asarray(lam, dtype=float)
     if mu.shape[-1] != lam.shape[-1]:
         raise ValueError("mu and lam must have the same length")
-    if check:
-        _require_gamma(lam, k)
-        _require_gamma(mu, k)
     w = sigma_excl_all(lam, k - 1)
     return (mu * w).sum(axis=-1)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hquot import cli, config, fields, oracle
+from hquot import cli, config, fields, oracle, solver
 from hquot.cli import main
 from hquot.errors import StructureError
 from hquot.grid import load_scalar_field
@@ -331,6 +331,24 @@ def test_solve_cone_warning_in_summary(tmp_path):
     assert rc == 1
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
     assert not summary["converged"] and "cone condition violated" in summary["error"]
+
+
+def test_solve_failed_linear_solve_names_its_iteration(tmp_path, monkeypatch):
+    # a stagnating GMRES is a mathematical failure: exit 1, and the failed
+    # summary's error names the Newton iteration
+    real = solver.gmres
+    monkeypatch.setattr(solver, "gmres",
+                        lambda *args, **kw: real(*args, **{**kw, "rtol": 1e-20, "atol": 0.0}))
+    cfg = _write(tmp_path / "s.json", {
+        "n": 2, "k": 2, "l": 1, "points_per_axis": 8, "active_axes": [0, 5],
+        "F": "0.1*sin(2*pi*(x0 + x5))",
+    })
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert not summary["converged"]
+    assert re.match(r"aborted at iteration 1: inner linear solve stagnated after \d+ "
+                    r"restart cycles: ", summary["error"])
 
 
 @pytest.mark.parametrize("command", ["solve", "cone-check"])

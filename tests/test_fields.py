@@ -615,17 +615,24 @@ def test_wedge_minor_coeff():
             )
 
 
+def _pairing(grad, spectrum, i):
+    """gradient_pairing of order i at the spectrum (lam, V), with the deleted
+    sums of lam from symfun.sigma_excl_all."""
+    lam, V = spectrum
+    return fl.gradient_pairing(grad, V, symfun.sigma_excl_all(lam, i - 1), i)
+
+
 def test_gradient_pairing_constant_and_identity():
     g = TorusGrid(3, (0,), 16)
     spectrum = qt.chi_eigh(_eye(g))
     const = fl.gradient_coefficients(np.full(g.shape, 2.0), g)
     for i in (1, 2, 3):
-        assert np.abs(fl.gradient_pairing(const, spectrum, i)).max() < 1e-20
+        assert np.abs(_pairing(const, spectrum, i)).max() < 1e-20
     u = _field(g, 0, lambda t: np.sin(2 * np.pi * t))
     v = fl.gradient_coefficients(u, g)
     gradsq = np.einsum("...p,...p->...", v.conj(), v).real
     for i in (1, 2, 3):
-        gp = fl.gradient_pairing(v, spectrum, i)
+        gp = _pairing(v, spectrum, i)
         # identity weights: (i-1)!(n-i)!/n! * C(n-1,i-1) * |grad|^2-half = |.|^2/n
         assert np.abs(gp - gradsq / 3).max() < 1e-12
 
@@ -646,7 +653,7 @@ def test_projected_pairing_matches_newton_transform():
                 for i in range(1, n + 1):
                     c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
                     S = fl.newton_transform_field(W, i - 1)
-                    got = fl.gradient_pairing(grad, spectrum, i)
+                    got = _pairing(grad, spectrum, i)
                     ref = c * np.einsum("...p,...pq,...q->...", grad.conj(), S, grad)
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -672,7 +679,7 @@ def test_mixed_pairing_bound():
     c = math.factorial(i - 1) * math.factorial(n - i) / math.factorial(n)
     S = fl.newton_transform_field(W, i - 1)
     lhs = np.abs(c * np.einsum("...p,...pq,...q->...", grad.conj(), S, alpha))
-    gp = fl.gradient_pairing(grad, spectrum, i)
+    gp = _pairing(grad, spectrum, i)
     wr = _sigma(W, i - 1) / math.comb(n, i - 1)
     amax = np.abs(alpha).max()
     C = max(0.5, amax**2 / 2)

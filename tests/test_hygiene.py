@@ -183,6 +183,8 @@ KEEP = {
                       "assembles W_u block by block",
     "solver.linearize": "the whole-field operator at a given spectrum, which tests check "
                         "solve's blocked stage against",
+    "solver.residual": "the whole-field residual at a given spectrum, which tests check "
+                       "solve's blocked stage against and read on their own states",
 }
 
 

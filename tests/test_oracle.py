@@ -286,7 +286,7 @@ def _concavity_reference(spec, l):
     B, lam_b = oracle.sample_hyperhermitian_gamma_k(spec, tag=13)
 
     def f(lam):
-        return symfun.quotient_root(lam, k, l, check=False)
+        return symfun.quotient_root(lam, k, l)
 
     mid = f(qt.chi_eigvals((A + B) / 2.0))
     avg = (f(lam_a) + f(lam_b)) / 2.0 - 1e-15

@@ -347,20 +347,28 @@ def test_pointwise_sweep_monge_ampere_case():
 
 def test_pointwise_sweep_diagonalizes_each_inner_node_once(monkeypatch):
     # lam0 serves t = 0 and the spectrum of W_1 serves t = 1: one eig_field
-    # call per SWEEP_T node but t = 0, and the margins of a sweep that
-    # diagonalized every node again
+    # call per SWEEP_T node but t = 0, one symmetric-function table per node,
+    # and the margins of a sweep that diagonalized every node again
     grid, u, om0, F = manufactured_state(2, 2, 1, (0, 5), 12, amp=0.03)
     hess, lam0, eps, _ = _inputs(u, om0, grid, 2)
-    calls = []
-    real = fl.eig_field
+    calls, tables = [], []
+    real, real_table = fl.eig_field, symfun.elementary_all
 
     def counting(W):
         calls.append(1)
         return real(W)
 
+    def counting_table(lam, *args):
+        tables.append(1)
+        return real_table(lam, *args)
+
     monkeypatch.setattr(fl, "eig_field", counting)
+    monkeypatch.setattr(symfun, "elementary_all", counting_table)
     rep = probe.pointwise_lemma_sweep(om0, hess, lam0, F, 2, 1, eps)
     assert len(calls) == len(probe.SWEEP_T) - 1
+    # one table per node, beside the cone check's of lam0 and the sigma_i(W_1)
+    # that every node's power-scaling bound reads
+    assert len(tables) == len(probe.SWEEP_T) + 2
     assert rep["eps"] == pytest.approx(0.9949999999999999, rel=1e-12)
     assert rep["delta"] == pytest.approx(0.28444013739716073, rel=1e-12)
     assert rep["margins"] == pytest.approx({

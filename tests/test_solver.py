@@ -245,13 +245,18 @@ def test_normalize_sup():
 
 def _count_eigendecompositions(monkeypatch, cfg):
     """Solve cfg, counting chi_eigh calls and the matrices each gets (through
-    solver's bound name), np.linalg eigensolver calls, and runs of the
-    pointwise stage (the start and one per trial step)."""
-    counts = {"chi_eigh": [], "lapack": 0, "stage": 0}
+    solver's bound name), symfun.elementary_all calls and the tuples each
+    gets, np.linalg eigensolver calls, and runs of the pointwise stage (the
+    start and one per trial step)."""
+    counts = {"chi_eigh": [], "elementary_all": [], "lapack": 0, "stage": 0}
 
     def eigh(M):
         counts["chi_eigh"].append(math.prod(M.shape[:-2]))
         return real_eigh(M)
+
+    def elementary_all(lam, *args):
+        counts["elementary_all"].append(math.prod(lam.shape[:-1]))
+        return real_elementary(lam, *args)
 
     def lapack(f):
         def wrapper(*args, **kwargs):
@@ -264,6 +269,8 @@ def _count_eigendecompositions(monkeypatch, cfg):
         return real_stage(*args)
 
     real_eigh, real_stage = solver.chi_eigh, solver._pointwise
+    real_elementary = symfun.elementary_all
+    monkeypatch.setattr(symfun, "elementary_all", elementary_all)
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, lapack(getattr(np.linalg, name)))
     monkeypatch.setattr(solver, "chi_eigh", eigh)
@@ -272,9 +279,12 @@ def _count_eigendecompositions(monkeypatch, cfg):
     assert summary["converged"] and summary["iterations"] >= 2
     # no trial is rejected on these states, so the trials are the accepted steps
     assert counts["stage"] == 1 + summary["iterations"]
+    # one symmetric-function table per block and trial, beside the start's
+    # cone margin and the final cone check on the background spectrum
+    points = cfg.grid.num_points
+    assert counts["elementary_all"] == [points] + counts["chi_eigh"] + [points]
     # blocks of at most _BLOCK matrices, the last one partial, cover every
     # point once per stage run: one eigendecomposition per point and trial
-    points = cfg.grid.num_points
     assert points % solver._BLOCK and points > solver._BLOCK
     assert max(counts["chi_eigh"]) == solver._BLOCK
     assert sum(counts["chi_eigh"]) == points * counts["stage"]
@@ -305,37 +315,40 @@ def test_solve_n3_one_lapack_eigendecomposition_per_trial_step(monkeypatch):
     assert counts["lapack"] == len(counts["chi_eigh"])
 
 
-def test_blocked_stage_equals_the_whole_field_route():
-    # the pointwise stage of solve, block by block, against one chi_eigh and
-    # one linearize on the whole field: equal bit for bit, on a coupled
-    # four-axis state whose point count is not a multiple of the block
-    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=12, active_axes=(0, 1, 4, 5),
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_blocked_stage_equals_the_whole_field_route(n):
+    # the pointwise stage of solve, block by block, against one chi_eigh on
+    # the whole field and the whole-field linearize, residual and
+    # gamma_margin: equal bit for bit, on a coupled four-axis state whose
+    # point count is not a multiple of the block.  chi_eigh is closed-form
+    # at n = 2 and LAPACK at n = 3
+    cfg = SolverConfig(n=n, k=2, l=1, points_per_axis=12, active_axes=(0, 1, 4, 5),
                        F=_FOUR_AXIS_F)
     grid, om0, F = build_problem(cfg)
     assert grid.num_points % solver._BLOCK and grid.num_points > solver._BLOCK
     u, summary = solve(cfg)
     b, k, l = summary["b"], cfg.k, cfg.l
     basis = fl.hessian_basis(grid)
-    lam, c, ell = solver._pointwise(om0, u, b, F, grid, basis, k, l)
-    E = symfun.forcing_factor(grid.n, k, l, F + b)
-    blocked = solver._linearization(grid, basis, c, ell, lam, E, l)
+    R, bcol, gam, c, ell = solver._pointwise(om0, u, b, F, grid, basis, k, l)
+    blocked = solver._linearization(grid, basis, c, ell, bcol)
 
     W = fl.omega_u(om0, u, grid)
     assert np.abs(W[..., 0, 1]).max() > 1e-3  # eigenvectors mix the axes
     spectrum = chi_eigh(W)
+    lam = spectrum[0]
     whole = linearize(spectrum, b, F, grid, k, l)
-    assert np.array_equal(lam, spectrum[0])
-    assert np.array_equal(residual(lam, b, F, k, l), residual(spectrum[0], b, F, k, l))
+    assert np.array_equal(R, residual(lam, b, F, k, l))
+    assert gam == float(np.min(symfun.gamma_margin(lam, k))) > 0
+    assert np.array_equal(bcol, whole.b_column)
+    assert np.array_equal(bcol, -symfun.forcing_factor(n, k, l, F + b) * symfun.sigma(lam, l))
     assert blocked.coeff.keys() == whole.coeff.keys()
     assert len(whole.coeff) == len(basis)
     for key, field in whole.coeff.items():
         assert np.array_equal(blocked.coeff[key], field), key
-    assert np.array_equal(blocked.b_column, whole.b_column)
     assert blocked.ellipticity_margin == whole.ellipticity_margin > 0
     # the reported cone margin is the accepted iterate's (u differs from the
     # iterate by the sup shift, which moves the FFT derivatives by roundoff)
-    assert summary["gamma_margin"] == pytest.approx(float(np.min(symfun.gamma_margin(lam, k))),
-                                             rel=1e-12)
+    assert summary["gamma_margin"] == pytest.approx(gam, rel=1e-12)
 
 
 def test_solve_constant_forcing_exact():
@@ -624,14 +637,29 @@ def test_newton_step_raises_when_gmres_does_not_converge(monkeypatch):
         solver._solve_newton_step(lin, R, 1e-12)
 
 
-def test_newton_step_names_a_stagnated_linear_solve(monkeypatch):
-    lin, R = _newton_step_problem()
+def _stagnating_gmres(monkeypatch):
+    """Make every GMRES solve ask for more than roundoff allows, so it stagnates."""
     real = solver.gmres
     monkeypatch.setattr(solver, "gmres",
                         lambda *args, **kw: real(*args, **{**kw, "rtol": 1e-20, "atol": 0.0}))
+
+
+def test_newton_step_names_a_stagnated_linear_solve(monkeypatch):
+    lin, R = _newton_step_problem()
+    _stagnating_gmres(monkeypatch)
     with pytest.raises(ConvergenceError, match=r"stagnated after \d+ restart cycles: "
                                                r"\d+ GMRES iterations"):
         solver._solve_newton_step(lin, R, 1e-12)
+
+
+def test_solve_names_the_iteration_of_a_failed_linear_solve(monkeypatch):
+    # a failed inner solve names its Newton iteration, as the line search does
+    _stagnating_gmres(monkeypatch)
+    cfg = SolverConfig(n=2, k=2, l=1, points_per_axis=8, active_axes=(0, 5),
+                       F="0.1*sin(2*pi*(x0 + x5))")
+    with pytest.raises(ConvergenceError, match=r"^aborted at iteration 1: inner linear solve "
+                                               r"stagnated after \d+ restart cycles: "):
+        solve(cfg)
 
 
 def test_linear_solves_stop_at_the_accuracy_the_outer_test_needs():
